@@ -21,9 +21,14 @@ lint:
 # detector (the live stack runs real goroutines) with the lockcheck
 # build tag, so the runtime lock-rank assertions are armed: any
 # acquisition that inverts the declared //lockorder: hierarchy panics
-# instead of deadlocking some other day.
+# instead of deadlocking some other day. benchmark/ is its own module
+# that compiles against internal/..., so `./...` never sees it: vet and
+# test it here, and run each engine microbenchmark once so they cannot rot.
 check: build lint
 	$(GO) test -race -tags lockcheck ./...
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 
 bench:
 	$(GO) run ./cmd/clicbench all

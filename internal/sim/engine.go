@@ -6,6 +6,14 @@
 // exactly one Proc at a time and orders simultaneous events by a sequence
 // number, so a simulation run is bit-for-bit reproducible for a given seed.
 //
+// There is no engine goroutine. Whichever goroutine is running holds the
+// baton: the right to pop events. RunUntil's caller starts with it; a Proc
+// that parks (or exits) keeps dispatching on its own stack, firing
+// callbacks inline, and returns at once if the next event is its own wake.
+// Only when the next event belongs to another Proc does it hand the baton
+// over — one goroutine switch — and when the queue drains, Stop is called
+// or the limit is reached it hands the baton back to RunUntil's caller.
+//
 // Simulated time is an int64 count of nanoseconds (type Time). Procs block
 // on engine-owned primitives (Sleep, Queue.Get, Resource.Acquire,
 // Signal.Wait); plain Go channel operations or OS sleeps must never be used
@@ -37,8 +45,8 @@ type Engine struct {
 	seq    uint64 // tie-breaker for simultaneous events
 	rng    *rand.Rand
 
-	parked  chan struct{} // signalled by a proc when it blocks or exits
-	current *Proc         // proc being executed, nil while in a callback
+	limit Time          // of the RunUntil call in progress, < 0 for none
+	home  chan struct{} // returns the baton to RunUntil's caller
 
 	nprocs  int // live (started, not yet finished) procs
 	stopped bool
@@ -51,10 +59,7 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero and a deterministic
 // random source derived from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(chan struct{}),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), home: make(chan struct{}, 1)}
 }
 
 // Now returns the current simulated time.
@@ -68,10 +73,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 type Event struct {
 	when     Time
 	seq      uint64
-	index    int // heap index, -1 when popped
 	canceled bool
-	fire     func()
-	label    string
+	fire     func() // callback to run, or
+	proc     *Proc  // process to start or resume
+	label    string // of a callback; a proc's wake carries its own
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -86,8 +91,9 @@ func (ev *Event) Cancel() {
 func (ev *Event) Canceled() bool { return ev.canceled }
 
 // At schedules fn to run as a callback at absolute time t (>= Now).
-// Callbacks run inside the engine loop: they may schedule further events,
-// put to queues, notify signals and release resources, but must not block.
+// Callbacks run inside the engine loop, on the stack of whichever goroutine
+// holds the baton: they may schedule further events, put to queues, notify
+// signals and release resources, but must not block.
 func (e *Engine) At(t Time, label string, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event %q at %d, before now %d", label, t, e.now))
@@ -108,22 +114,16 @@ func (e *Engine) After(d Time, label string, fn func()) *Event {
 
 // Go starts a new process executing fn at the current time. The Proc
 // passed to fn is the process's handle for all blocking operations.
-func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	e.nprocs++
-	e.After(0, "start:"+name, func() {
-		p.start(fn)
-	})
-	return p
-}
+func (e *Engine) Go(name string, fn func(*Proc)) *Proc { return e.GoAt(e.now, name, fn) }
 
 // GoAt starts a new process at absolute time t.
 func (e *Engine) GoAt(t Time, name string, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: starting proc %q at %d, before now %d", name, t, e.now))
+	}
+	p := &Proc{eng: e, name: name, body: fn, resume: make(chan struct{}, 1)}
 	e.nprocs++
-	e.At(t, "start:"+name, func() {
-		p.start(fn)
-	})
+	p.wakeAt(t, "start:", name)
 	return p
 }
 
@@ -146,28 +146,58 @@ func (e *Engine) Run() Time { return e.RunUntil(-1) }
 // limit) until the queue is empty or Stop is called. The clock is left at
 // the time of the last executed event.
 func (e *Engine) RunUntil(limit Time) Time {
-	for !e.stopped {
-		ev := e.events.pop()
-		if ev == nil {
-			break
-		}
-		if ev.canceled {
-			continue
-		}
-		if limit >= 0 && ev.when > limit {
-			// Put it back for a future RunUntil call.
-			ev.seq = 0 // keep it first among same-time events
-			e.events.push(ev)
-			e.now = limit
-			break
-		}
-		e.now = ev.when
-		if e.Trace != nil {
-			e.Trace(e.now, ev.label)
-		}
-		ev.fire()
+	e.limit = limit
+	if !e.dispatch(nil) {
+		<-e.home
 	}
 	return e.now
+}
+
+// dispatch runs the event loop on the calling goroutine, which holds the
+// baton: self's goroutine, or RunUntil's caller when self is nil. It
+// reports whether the caller keeps the baton — the next event was self's
+// own wake, or the run ended in RunUntil's caller. Otherwise the baton
+// has been passed on and the caller must block until it is resumed.
+func (e *Engine) dispatch(self *Proc) bool {
+	for !e.stopped && len(e.events) > 0 {
+		ev := e.events[0]
+		if ev.canceled {
+			e.events.pop()
+			continue
+		}
+		if e.limit >= 0 && ev.when > e.limit {
+			e.now = e.limit // ev stays queued for a future RunUntil call
+			break
+		}
+		e.events.pop()
+		e.now = ev.when
+		p := ev.proc
+		if e.Trace != nil {
+			label := ev.label
+			if p != nil {
+				label = p.wakeKind + p.wakeName // joined only for a tracer
+			}
+			e.Trace(e.now, label)
+		}
+		if p == nil {
+			ev.fire()
+			continue
+		}
+		p.waking = false
+		if p == self {
+			return true
+		}
+		if p.body != nil {
+			go p.run()
+		} else {
+			p.resume <- struct{}{}
+		}
+		return false
+	}
+	if self != nil {
+		e.home <- struct{}{}
+	}
+	return self == nil
 }
 
 // Pending returns the number of events (including cancelled ones not yet

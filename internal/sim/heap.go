@@ -13,31 +13,24 @@ func (h eventHeap) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h eventHeap) swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
 func (h *eventHeap) push(ev *Event) {
 	*h = append(*h, ev)
-	ev.index = len(*h) - 1
-	h.up(ev.index)
+	h.up(len(*h) - 1)
 }
 
+// pop removes and returns the earliest event of a non-empty heap.
 func (h *eventHeap) pop() *Event {
 	old := *h
-	if len(old) == 0 {
-		return nil
-	}
 	ev := old[0]
 	n := len(old) - 1
 	old.swap(0, n)
+	old[n] = nil // let a fired callback's closure be collected
 	*h = old[:n]
 	if n > 0 {
 		h.down(0)
 	}
-	ev.index = -1
 	return ev
 }
 

@@ -7,8 +7,13 @@ import "fmt"
 type Proc struct {
 	eng    *Engine
 	name   string
-	resume chan struct{}
-	done   bool
+	body   func(*Proc)   // until the start event runs it on a new goroutine
+	resume chan struct{} // the baton, sent by whoever dispatches wakeEv
+	// A parked process has exactly one pending wake, so its event lives here
+	// and is reused; the label is joined only when Engine.Trace is set.
+	wakeEv             Event
+	waking             bool // wakeEv is in the event queue
+	wakeKind, wakeName string
 }
 
 // Name returns the label the process was started with.
@@ -20,45 +25,48 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// start runs the process body in a fresh goroutine and blocks the engine
-// until the body parks or exits. It must be called from the engine loop.
-func (p *Proc) start(fn func(*Proc)) {
-	e := p.eng
-	prev := e.current
-	e.current = p
-	go func() {
-		defer func() {
-			p.done = true
-			e.nprocs--
-			e.parked <- struct{}{}
-		}()
-		fn(p)
+// run is the process's goroutine, launched by whoever dispatches its
+// start event. Once the body ends it keeps dispatching until it has
+// passed the baton on.
+func (p *Proc) run() {
+	body := p.body
+	p.body = nil
+	// Deferred so that a body ending in runtime.Goexit (t.Fatal) still
+	// passes the baton on instead of taking it to the grave.
+	defer func() {
+		if r := recover(); r != nil {
+			panic(r) // crash now, not after running more of the simulation
+		}
+		p.eng.nprocs--
+		p.eng.dispatch(p)
 	}()
-	<-e.parked
-	e.current = prev
+	body(p)
 }
 
-// park transfers control back to the engine and blocks until the engine
-// resumes the process. It must only be called from the process's own
-// goroutine.
+// park gives up control until the process's pending wake fires. It must
+// only be called from the process's own goroutine, which keeps running the
+// event loop until the baton leaves it or comes straight back.
 func (p *Proc) park() {
-	p.eng.parked <- struct{}{}
-	<-p.resume
+	if !p.eng.dispatch(p) {
+		<-p.resume
+	}
 }
 
-// wake schedules the process to resume at the current time. It must be
-// called from simulation context (the engine loop, i.e. a callback or
-// another process's turn).
-func (p *Proc) wake(label string) {
+// wakeAt queues the process's start or wake at time t under the trace
+// label kind+name. It must be called from simulation context.
+func (p *Proc) wakeAt(t Time, kind, name string) {
 	e := p.eng
-	e.After(0, label, func() {
-		prev := e.current
-		e.current = p
-		p.resume <- struct{}{}
-		<-e.parked
-		e.current = prev
-	})
+	if p.waking {
+		panic(fmt.Sprintf("sim: %s%s wakes proc %s, which %s%s already woke", kind, name, p.name, p.wakeKind, p.wakeName))
+	}
+	p.waking, p.wakeKind, p.wakeName = true, kind, name
+	p.wakeEv = Event{when: t, seq: e.seq, proc: p}
+	e.seq++
+	e.events.push(&p.wakeEv)
 }
+
+// wake queues the process to resume at the current time.
+func (p *Proc) wake(kind, name string) { p.wakeAt(p.eng.now, kind, name) }
 
 // Sleep blocks the process for d simulated nanoseconds.
 func (p *Proc) Sleep(d Time) {
@@ -68,20 +76,13 @@ func (p *Proc) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	e := p.eng
-	e.At(e.now+d, "wake:"+p.name, func() {
-		prev := e.current
-		e.current = p
-		p.resume <- struct{}{}
-		<-e.parked
-		e.current = prev
-	})
+	p.wakeAt(p.eng.now+d, "wake:", p.name)
 	p.park()
 }
 
 // Yield parks the process and schedules it to resume at the same simulated
 // time, after all other events already scheduled for this instant.
 func (p *Proc) Yield() {
-	p.wake("yield:" + p.name)
+	p.wake("yield:", p.name)
 	p.park()
 }

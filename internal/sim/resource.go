@@ -107,7 +107,7 @@ func (r *Resource) Release(e *Engine) {
 		r.waiters = r.waiters[:len(r.waiters)-1]
 		r.grant(e)
 		r.lastPri = w.pri
-		w.p.wake("grant:" + r.name)
+		w.p.wake("grant:", r.name)
 	}
 }
 
