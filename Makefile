@@ -24,7 +24,12 @@ lint:
 # instead of deadlocking some other day. benchmark/ is its own module
 # that compiles against internal/..., so `./...` never sees it: vet and
 # test it here, and run each engine microbenchmark once so they cannot rot.
+# internal/live has a Linux (amd64/arm64) side and a portable side behind
+# one seam; the host builds only one of them, so cross-build the other
+# (a non-Linux OS, and a Linux without the raw-syscall reader).
 check: build lint
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./internal/live/
 	$(GO) test -race -tags lockcheck ./...
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...

@@ -5,7 +5,6 @@ package live
 import (
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"repro/internal/perfreg"
 )
@@ -17,29 +16,6 @@ import (
 // with the GC disabled: sync.Pool drops its victim cache on every GC
 // cycle, which would charge the guard for refills the steady state
 // never pays.
-
-// streamQuiesce waits until src's in-flight window drains so one
-// guard's leftover acks don't land inside the next measurement.
-func streamQuiesce(t *testing.T, src *Node, dst int) {
-	t.Helper()
-	tc, err := src.txFor(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		tc.mu.Lock()
-		inflight := tc.win.InFlight()
-		tc.mu.Unlock()
-		if inflight == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("window never drained: %d frames in flight", inflight)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestSteadyStateSendZeroAlloc drives the full transport — fragment,
 // encode, pool, window, socket burst, receive burst, resequence, ack,

@@ -12,10 +12,12 @@
 //     the retransmit window retains the pooled buffer itself — the
 //     bytes on the wire are the bytes the window would retransmit, with
 //     no intermediate copy (Fig. 1 path 2).
-//   - Interrupt coalescing: the receive loop drains datagram bursts
-//     (recvmmsg on Linux) and answers each burst with at most one
-//     cumulative ack per peer, the way the NIC's interrupt moderation
-//     amortises per-frame cost (§4.2).
+//   - Jumbo frames and interrupt coalescing: a burst of fragments
+//     crosses the kernel as one superframe on both sides (UDP-GSO send,
+//     UDP_GRO receive, recvmmsg over several of them on Linux) and is
+//     answered with at most one cumulative ack per peer — fewer, larger
+//     units through the per-frame path, the way jumbo frames and the
+//     NIC's interrupt moderation amortise it (§4.2).
 //   - Lock sharding: each peer channel has its own lock; the node-level
 //     lock only guards the registration tables, so concurrent senders
 //     to different peers never serialise, and no lock is held across a
@@ -230,6 +232,10 @@ type Node struct {
 	// window retention → ack release) and the RX out-of-order parking.
 	pool *framePool
 
+	// txBurst is the fragment staging depth: what one superframe carries
+	// at this node's MTU (see gsoMaxSegs). Computed once in NewNode.
+	txBurst int
+
 	// creditFrames is the receive budget the credit advertisement
 	// divides across peers: the sockets' aggregate SO_RCVBUF in frames,
 	// halved for slack. Computed once in NewNode.
@@ -386,6 +392,7 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	if mtu <= 0 {
 		mtu = 1500
 	}
+	n.txBurst = max(1, min(gsoMaxSegs, gsoMaxBytes/mtu))
 	if sockBuf > 0 {
 		n.creditFrames = int64(sockBuf) * int64(len(shards)) / int64(mtu) / 2
 	} else {
@@ -405,7 +412,7 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	n.tel.RegisterCounter("live_rto_backoffs_total", "retransmission-timeout expiries (each doubles the adaptive RTO)", &n.rtoBackoffs, node)
 	n.tel.RegisterCounter("live_channel_failures_total", "peers declared dead after MaxRetries consecutive timeouts", &n.channelFailures, node)
 	n.tel.RegisterCounter("live_socket_writes_total", "UDP write syscalls issued (including duplicates)", &n.socketWrites, node)
-	n.tel.RegisterCounter("live_socket_reads_total", "UDP datagrams read from the socket", &n.socketReads, node)
+	n.tel.RegisterCounter("live_socket_reads_total", "UDP datagrams read from the socket (each segment of a superframe counts)", &n.socketReads, node)
 	n.tel.RegisterCounter("live_pool_gets_total", "frame buffers taken from the shared pool", &n.poolGets, node)
 	n.tel.RegisterCounter("live_pool_puts_total", "frame buffers returned to the shared pool", &n.poolPuts, node)
 	n.tel.RegisterCounter("live_pool_allocs_total", "frame buffers newly allocated on pool miss", &n.poolAllocs, node)

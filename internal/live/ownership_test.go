@@ -1,9 +1,12 @@
 package live
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/health"
 )
 
 // wbPair is the white-box twin of the black-box pair helper: tests in
@@ -31,6 +34,45 @@ func wbPattern(n int) []byte {
 		b[i] = byte(i*13 + 7)
 	}
 	return b
+}
+
+// recvBefore is b.Recv(port) with a deadline: when the timer fires first
+// the test fails with both nodes' health snapshots instead of hanging
+// the package (deliver() drops at a full port queue, and a count-based
+// receive loop then waits forever — ROADMAP item 1).
+func recvBefore(t *testing.T, deadline *time.Timer, a, b *Node, port uint16) Message {
+	t.Helper()
+	select {
+	case m := <-b.portChan(port):
+		return m
+	case <-deadline.C:
+		doc, _ := json.MarshalIndent(health.Capture("wall", time.Now().UnixNano(), a, b), "", " ")
+		t.Fatalf("no message on port %d before the deadline; health:\n%s", port, doc)
+		return Message{}
+	}
+}
+
+// streamQuiesce waits until src's in-flight window drains so one
+// guard's leftover acks don't land inside the next measurement.
+func streamQuiesce(t *testing.T, src *Node, dst int) {
+	t.Helper()
+	tc, err := src.txFor(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		tc.mu.Lock()
+		inflight := tc.win.InFlight()
+		tc.mu.Unlock()
+		if inflight == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("window never drained: %d frames in flight", inflight)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestPoolOwnershipSoak hammers the pooled-buffer ownership protocol

@@ -170,15 +170,16 @@ func (n *Node) drainPending(rc *liveRxChan) {
 const rxPollIdleExit = 2
 
 // burstScratch is the rxLoop's per-burst decode state: headers and
-// payload views for every datagram of the current batch, predecoded in
-// one pass so the dispatch pass can aggregate adjacent same-peer runs.
-// Owned by the rxLoop goroutine; the payload views alias the reader's
-// resident buffers and live only until the next read.
+// payload views for every frame of the current batch (the reader hands
+// out at most rxMaxFrames at a time), predecoded in one pass so the
+// dispatch pass can aggregate adjacent same-peer runs. Owned by the
+// rxLoop goroutine; the payload views alias the reader's resident
+// buffers and live only until the next read.
 type burstScratch struct {
-	hdrs     [rxBatchSize]proto.Header
-	payloads [rxBatchSize][]byte
-	srcs     [rxBatchSize]int
-	data     [rxBatchSize]bool // decoded, from a registered peer, data-bearing
+	hdrs     [rxMaxFrames]proto.Header
+	payloads [rxMaxFrames][]byte
+	srcs     [rxMaxFrames]int
+	data     [rxMaxFrames]bool // decoded, from a registered peer, data-bearing
 }
 
 // rxLoop reads datagram bursts and runs them through the receive path —
@@ -187,8 +188,9 @@ type burstScratch struct {
 //
 //   - Idle and sparse traffic block in the poller: one wakeup per
 //     burst, the interrupt-coalescing rung (recvmmsg on Linux).
-//   - A full burst (cnt == rxBatchSize) signals line-rate traffic: the
-//     loop shifts to non-blocking tryReadBatch probes — the NAPI rung,
+//   - A deep burst (cnt >= rxBatchSize frames, be it a full recvmmsg of
+//     single datagrams or one superframe) signals line-rate traffic:
+//     the loop shifts to non-blocking tryReadBatch probes — the NAPI rung,
 //     where the receiver owns the schedule and wakeups cost nothing —
 //     until rxPollIdleExit consecutive probes come back empty.
 //   - Within each burst, adjacent data datagrams from the same peer
@@ -201,6 +203,7 @@ func (n *Node) rxLoop(s *rxShard) {
 	if err != nil {
 		return
 	}
+	defer br.close()
 	// The loop goroutine carries the isr pprof stage (it is the live
 	// analogue of the driver ISR: socket reads and poll probes); each
 	// burst's protocol dispatch re-labels itself module-rx and restores
@@ -242,9 +245,9 @@ func (n *Node) rxLoop(s *rxShard) {
 			s.polls.Add(1)
 		}
 		idle = 0
-		if rxBatchSize > 1 && cnt == rxBatchSize {
-			// The batch came back full: the socket queue is likely still
-			// non-empty, so stay (or enter) the poll rung.
+		if rxBatchSize > 1 && cnt >= rxBatchSize {
+			// A deep batch: the socket queue is likely still non-empty (or
+			// about to be refilled), so stay in (or enter) the poll rung.
 			polling = true
 		}
 		n.socketReads.Addn(int64(cnt))

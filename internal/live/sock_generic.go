@@ -7,11 +7,14 @@ import (
 	"net/netip"
 )
 
-// rxBatchSize is 1 on the portable path: without recvmmsg every wakeup
-// yields a single datagram, so a "full burst" carries no load signal
-// and the adaptive rxLoop never enters its poll rung (it requires
-// rxBatchSize > 1).
-const rxBatchSize = 1
+// rxBatchSize and rxMaxFrames are 1 on the portable path: without
+// recvmmsg every wakeup yields a single datagram, so a deep burst
+// carries no load signal and the adaptive rxLoop never enters its poll
+// rung (it requires rxBatchSize > 1).
+const (
+	rxBatchSize = 1
+	rxMaxFrames = 1
+)
 
 // shardsSupported is 1 on the portable path: setting SO_REUSEPORT
 // portably isn't possible without golang.org/x/sys, so Config.Shards
@@ -43,6 +46,9 @@ type batchReader struct {
 func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
 	return &batchReader{conn: conn}, nil
 }
+
+// close has nothing to release: the buffer is part of the reader.
+func (r *batchReader) close() {}
 
 // readBatch blocks for one datagram.
 func (r *batchReader) readBatch() (int, error) {

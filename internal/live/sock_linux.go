@@ -10,58 +10,93 @@ import (
 	"unsafe"
 )
 
-// rxBatchSize is the recvmmsg burst: how many datagrams one receive
-// wakeup may drain. The paper's NIC coalesces interrupts at a similar
-// depth (§4.2); past ~8 the syscall amortisation flattens while the
-// resident buffer cost keeps growing.
-const rxBatchSize = 16
+// The receive unit is the socket-queue entry, and with UDP_GRO an entry
+// is a whole GSO superframe: rxBatchSize entries per recvmmsg (the
+// paper's NIC coalesces interrupts at a similar depth, §4.2; past ~8
+// the syscall amortisation flattens), each in an rxSlotBytes slot that
+// holds any datagram or superframe (never MSG_TRUNC), cut into at most
+// rxMaxFrames frame views per batch — what a wake-up yields beyond
+// that is carried over to the next readBatch, never dropped.
+const (
+	rxBatchSize = 16
+	rxSlotBytes = 1 << 16
+	rxMaxFrames = 4 * gsoMaxSegs
+)
 
 // shardsSupported caps Config.Shards: Linux distributes datagrams
 // across an SO_REUSEPORT group by flow hash, so any reasonable shard
 // count works. The cap only guards against absurd configs.
 const shardsSupported = 64
 
-// soReusePort is SO_REUSEPORT, spelled out because the frozen syscall
-// package predates it (same treatment as solUDP/udpSegment below).
-const soReusePort = 0xf
+// Socket options and cmsg types, spelled out because the frozen syscall
+// package predates them. UDP_SEGMENT (linux ≥4.18) is the send half of
+// the superframe: a cmsg carrying a uint16 segment size makes one
+// sendmsg(2) carry a whole burst, which the kernel splits into
+// per-segment datagrams far below the syscall layer. UDP_GRO (≥5.0) is
+// the receive half: the socket queues superframes unsplit and recvmsg
+// reports the segment size, an int, in a cmsg of that type.
+const (
+	soReusePort = 0xf
+	solUDP      = 17 // IPPROTO_UDP as a sockopt level
+	udpSegment  = 103
+	udpGRO      = 104
+)
 
-// listenShards binds count UDP sockets to one 127.0.0.1 port. A single
-// shard is a plain ephemeral bind; more set SO_REUSEPORT on every
-// socket (the first picks the port, the rest join its reuseport
-// group). The kernel hashes each remote 4-tuple to one group member,
-// so a peer's datagrams always reach the same shard. The group is
-// complete before any traffic flows — membership changes would remap
-// flows, which is why the shard set is fixed for the node's lifetime.
-func listenShards(count int) ([]*net.UDPConn, error) {
-	if count <= 1 {
-		c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			return nil, err
-		}
-		return []*net.UDPConn{c}, nil
-	}
-	lc := net.ListenConfig{Control: func(network, address string, rc syscall.RawConn) error {
-		var serr error
-		if err := rc.Control(func(fd uintptr) {
+// shardSockopts configures a shard socket: UDP_GRO always (best effort:
+// where an old kernel or a seccomp filter refuses it the socket never
+// queues a superframe and decode sees one-segment slots) and
+// SO_REUSEPORT where asked.
+func shardSockopts(rc syscall.RawConn, reusePort bool) error {
+	var serr error
+	if err := rc.Control(func(fd uintptr) {
+		syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) //nolint:errcheck // best effort, see above
+		if reusePort {
 			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
-		}); err != nil {
-			return err
 		}
-		return serr
-	}}
+	}); err != nil {
+		return err
+	}
+	return serr
+}
+
+// listenShards binds count (≥ 1) UDP sockets to one 127.0.0.1 port.
+// Shard 0 binds without SO_REUSEPORT, so the kernel picks an ephemeral
+// port nobody holds — with the option already set it may hand out the
+// port of another sharded node of the process, and the two then split
+// each other's datagrams. Shard 0 sets the option once it owns the
+// port, and the rest join its reuseport group by binding that address
+// with the option set. The kernel hashes each remote 4-tuple to one
+// group member, so a peer's datagrams always reach the same shard. The
+// group is complete before any traffic flows — membership changes
+// would remap flows, which is why the shard set is fixed for the
+// node's lifetime.
+func listenShards(count int) ([]*net.UDPConn, error) {
 	conns := make([]*net.UDPConn, 0, count)
+	fail := func(err error) ([]*net.UDPConn, error) {
+		for _, c := range conns {
+			c.Close()
+		}
+		return nil, err
+	}
 	addr := "127.0.0.1:0"
 	for i := 0; i < count; i++ {
+		lc := net.ListenConfig{Control: func(_, _ string, rc syscall.RawConn) error {
+			return shardSockopts(rc, i > 0)
+		}}
 		pc, err := lc.ListenPacket(context.Background(), "udp4", addr)
 		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, err
+			return fail(err)
 		}
 		c := pc.(*net.UDPConn)
 		conns = append(conns, c)
-		if i == 0 {
+		if i == 0 && count > 1 {
+			rc, err := c.SyscallConn()
+			if err == nil {
+				err = shardSockopts(rc, true)
+			}
+			if err != nil {
+				return fail(err)
+			}
 			addr = c.LocalAddr().String()
 		}
 	}
@@ -77,28 +112,62 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// batchReader drains datagram bursts with recvmmsg(2) through the
-// runtime poller: the raw fd callback issues a non-blocking recvmmsg
-// and, on EAGAIN, yields back to the poller instead of spinning. All
-// per-message state (iovecs, sockaddr storage, buffers) is resident, so
+// groCmsg is a slot's control buffer, CMSG_SPACE(sizeof(int)) bytes:
+// room for exactly the one control message a shard socket asks for.
+type groCmsg struct {
+	hdr syscall.Cmsghdr
+	seg int32
+	_   [4]byte
+}
+
+// groCmsgLen is CMSG_LEN(sizeof(int)): header plus the segment size.
+const groCmsgLen = syscall.SizeofCmsghdr + 4
+
+// slabFree recycles reader slabs (rxBatchSize slots of rxSlotBytes)
+// between the nodes of a process. A recycled slab needs no zeroing —
+// frame views are cut to kernel-reported lengths — whereas a new 1 MiB
+// one is usually carved from freed heap and cleared, i.e. touched end
+// to end: ~0.5 ms before the rxLoop's first read, during which a new
+// node's first hello sat in the socket (most of a loopback Handshake).
+// A channel rather than a sync.Pool because the GC empties those. Its
+// capacity bounds what an idle process retains (8 MiB), not how many
+// readers may run.
+var slabFree = make(chan []byte, 8)
+
+// batchReader drains bursts of socket-queue entries with recvmmsg(2)
+// through the runtime poller — the raw fd callback issues a
+// non-blocking recvmmsg and, on EAGAIN, yields back to the poller
+// instead of spinning — and cuts them into frames. All per-slot state
+// (iovecs, sockaddr and control storage, buffers) is resident, so
 // steady-state receive is allocation-free.
 type batchReader struct {
 	rc     syscall.RawConn
 	msgs   [rxBatchSize]mmsghdr
 	iovecs [rxBatchSize]syscall.Iovec
 	names  [rxBatchSize]syscall.RawSockaddrInet4
+	ctrls  [rxBatchSize]groCmsg
 	bufs   [rxBatchSize][]byte
 	froms  [rxBatchSize]netip.AddrPort
-	lens   [rxBatchSize]int
+
+	// slab backs bufs; see slabFree.
+	slab []byte
+
+	// frames is the current batch: views into bufs, with the slot each
+	// was cut from (which carries its source address).
+	frames [rxMaxFrames][]byte
+	slotOf [rxMaxFrames]uint8
 
 	// readFn/tryFn are the persistent poller callbacks (per-call
 	// closures would allocate on every wakeup); both report through
 	// count/errno. readFn parks in the poller on EAGAIN; tryFn reports
 	// an empty batch instead, so the adaptive poll rung can spin
-	// without ever sleeping in the kernel.
+	// without ever sleeping in the kernel. count is the slots the last
+	// recvmmsg filled; slot and off are decode's cursor through them.
 	readFn func(uintptr) bool
 	tryFn  func(uintptr) bool
 	count  int
+	slot   int
+	off    int
 	errno  syscall.Errno
 }
 
@@ -107,131 +176,146 @@ func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &batchReader{rc: rc}
+	var slab []byte
+	select {
+	case slab = <-slabFree:
+	default:
+		slab = make([]byte, rxBatchSize*rxSlotBytes)
+	}
+	// count = slot = all: nothing left to hand out, and every slot's
+	// value-result lengths are due the reset the first read performs.
+	r := &batchReader{rc: rc, slab: slab, count: rxBatchSize, slot: rxBatchSize}
 	for i := range r.bufs {
-		r.bufs[i] = make([]byte, 65536) // any UDP datagram fits: never MSG_TRUNC
+		r.bufs[i] = slab[i*rxSlotBytes : (i+1)*rxSlotBytes : (i+1)*rxSlotBytes]
 		r.iovecs[i].Base = &r.bufs[i][0]
-		r.iovecs[i].SetLen(len(r.bufs[i]))
+		r.iovecs[i].SetLen(rxSlotBytes)
 		r.msgs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
+		r.msgs[i].hdr.Control = (*byte)(unsafe.Pointer(&r.ctrls[i]))
 		r.msgs[i].hdr.Iov = &r.iovecs[i]
 		r.msgs[i].hdr.Iovlen = 1
 	}
-	r.readFn = func(fd uintptr) bool {
-		for {
-			nn, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&r.msgs[0])), rxBatchSize,
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				r.count, r.errno = int(nn), 0
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // nothing queued: let the poller wait for readability
-			default:
-				r.count, r.errno = 0, errno
-				return true
-			}
-		}
-	}
-	r.tryFn = func(fd uintptr) bool {
-		for {
-			nn, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&r.msgs[0])), rxBatchSize,
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				r.count, r.errno = int(nn), 0
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				// Empty ring: report a zero-datagram batch instead of
-				// parking, so the caller keeps ownership of the schedule.
-				r.count, r.errno = 0, 0
-				return true
-			default:
-				r.count, r.errno = 0, errno
-				return true
-			}
-		}
-	}
+	r.readFn, r.tryFn = r.recvFn(true), r.recvFn(false)
 	return r, nil
 }
 
-// prep resets the value-result msg_namelen fields the kernel shrank on
-// the previous batch.
-func (r *batchReader) prep() {
-	for i := range r.msgs {
-		r.msgs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[0]))
+// close recycles the slab. Called when the rxLoop returns: every frame
+// view has been consumed by then (deliver copies borrowed views).
+func (r *batchReader) close() {
+	select {
+	case slabFree <- r.slab:
+	default: // list full: the GC takes it
 	}
 }
 
-// decode extracts per-datagram lengths and source addresses after a
-// successful recvmmsg.
-func (r *batchReader) decode() {
-	for i := 0; i < r.count; i++ {
-		r.lens[i] = int(r.msgs[i].len)
-		sa := &r.names[i]
-		// in_port_t is big-endian in memory regardless of host order.
-		pb := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		r.froms[i] = netip.AddrPortFrom(netip.AddrFrom4(sa.Addr),
-			uint16(pb[0])<<8|uint16(pb[1]))
+// recvFn builds a poller callback around one non-blocking recvmmsg. On
+// an empty socket it either parks (returning false lets the poller wait
+// for readability) or reports a zero-entry batch, so the caller keeps
+// ownership of the schedule.
+func (r *batchReader) recvFn(park bool) func(uintptr) bool {
+	return func(fd uintptr) bool {
+		for {
+			nn, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+				uintptr(unsafe.Pointer(&r.msgs[0])), rxBatchSize,
+				syscall.MSG_DONTWAIT, 0, 0)
+			switch errno {
+			case 0:
+				r.count, r.errno = int(nn), 0
+			case syscall.EINTR:
+				continue
+			case syscall.EAGAIN:
+				if park {
+					return false
+				}
+				r.count, r.errno = 0, 0
+			default:
+				r.count, r.errno = 0, errno
+			}
+			return true
+		}
 	}
 }
 
-// readBatch blocks until at least one datagram is queued and drains up
-// to rxBatchSize of them in a single recvmmsg — the interrupt-
-// coalescing analogue: one wakeup, one syscall, a burst of frames.
-func (r *batchReader) readBatch() (int, error) {
-	r.prep()
-	if err := r.rc.Read(r.readFn); err != nil {
-		return 0, err // socket closed
+// read returns the next batch of frames: what is left of the previous
+// recvmmsg if decode's frame table filled up before its slots ran out,
+// else a fresh recvmmsg through fn. Before the syscall it resets the
+// value-result msg_namelen and msg_controllen the kernel shrank — only
+// in the slots the previous read filled, so a one-datagram exchange
+// pays for one slot, not sixteen.
+func (r *batchReader) read(fn func(uintptr) bool) (int, error) {
+	if r.slot == r.count {
+		for i := 0; i < r.count; i++ {
+			r.msgs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[0]))
+			r.msgs[i].hdr.SetControllen(int(unsafe.Sizeof(r.ctrls[0])))
+		}
+		r.count, r.slot = 0, 0
+		if err := r.rc.Read(fn); err != nil {
+			return 0, err // socket closed
+		}
+		if r.errno != 0 {
+			return 0, r.errno
+		}
 	}
-	if r.errno != 0 {
-		return 0, r.errno
-	}
-	r.decode()
-	return r.count, nil
+	return r.decode(), nil
 }
 
-// tryReadBatch drains up to rxBatchSize queued datagrams without
-// blocking: an empty socket returns (0, nil) immediately instead of
-// parking in the poller. This is the poll rung of the adaptive receive
-// ladder — after a full burst the rxLoop assumes more traffic is in
-// flight and keeps draining on its own schedule, the way the NAPI
-// driver polls the ring with its interrupt line masked.
-func (r *batchReader) tryReadBatch() (int, error) {
-	r.prep()
-	if err := r.rc.Read(r.tryFn); err != nil {
-		return 0, err // socket closed
+// decode cuts the slots of the last recvmmsg into frame views, in place,
+// from where the previous call stopped until the slots or the frame
+// table run out, and returns the number of frames. A slot whose UDP_GRO
+// cmsg gives a segment size is a superframe: every frame that long but
+// the last, which may run short. Any other slot — the sender did not
+// use GSO, the kernel refused UDP_GRO, the cmsg is truncated or not
+// ours — is the same loop with one segment spanning the slot.
+func (r *batchReader) decode() int {
+	nf := 0
+	for ; r.slot < r.count; r.slot, r.off = r.slot+1, 0 {
+		i := r.slot
+		n := int(r.msgs[i].len)
+		seg := n
+		if c := &r.ctrls[i]; r.msgs[i].hdr.Controllen >= groCmsgLen && c.hdr.Len >= groCmsgLen &&
+			c.hdr.Level == solUDP && c.hdr.Type == udpGRO && c.seg > 0 && int(c.seg) < n {
+			seg = int(c.seg)
+		}
+		if r.off == 0 {
+			sa := &r.names[i]
+			// in_port_t is big-endian in memory regardless of host order.
+			pb := (*[2]byte)(unsafe.Pointer(&sa.Port))
+			r.froms[i] = netip.AddrPortFrom(netip.AddrFrom4(sa.Addr),
+				uint16(pb[0])<<8|uint16(pb[1]))
+		}
+		for {
+			if nf == len(r.frames) {
+				return nf // table full mid-wake-up: the next read resumes here
+			}
+			end := min(r.off+seg, n)
+			r.frames[nf], r.slotOf[nf] = r.bufs[i][r.off:end], uint8(i)
+			nf++
+			if r.off = end; end == n {
+				break
+			}
+		}
 	}
-	if r.errno != 0 {
-		return 0, r.errno
-	}
-	r.decode()
-	return r.count, nil
+	return nf
 }
 
-// datagram returns the i'th datagram of the current batch and its
-// source. The slice aliases the reader's resident buffer and is valid
-// until the next readBatch.
+// readBatch blocks until the socket queue is non-empty and drains up to
+// rxBatchSize entries in a single recvmmsg — the interrupt-coalescing
+// analogue: one wakeup, one syscall, a burst of frames.
+func (r *batchReader) readBatch() (int, error) { return r.read(r.readFn) }
+
+// tryReadBatch is readBatch without blocking: an empty socket returns
+// (0, nil) immediately instead of parking in the poller. This is the
+// poll rung of the adaptive receive ladder — after a deep burst the
+// rxLoop assumes more traffic is in flight and keeps draining on its
+// own schedule, the way the NAPI driver polls the ring with its
+// interrupt line masked.
+func (r *batchReader) tryReadBatch() (int, error) { return r.read(r.tryFn) }
+
+// datagram returns the i'th frame of the current batch and its source.
+// The slice aliases the reader's slab and is valid until the next
+// readBatch.
 func (r *batchReader) datagram(i int) ([]byte, netip.AddrPort) {
-	return r.bufs[i][:r.lens[i]], r.froms[i]
+	return r.frames[i], r.froms[r.slotOf[i]]
 }
-
-// UDP generalized segmentation offload (linux ≥4.18): a cmsg of level
-// SOL_UDP / type UDP_SEGMENT carrying a uint16 segment size makes one
-// sendmsg(2) carry a whole burst, which the kernel splits into
-// per-segment datagrams far below the syscall layer. The constants are
-// spelled out because the frozen syscall package predates them.
-const (
-	solUDP      = 17    // IPPROTO_UDP as a sockopt level
-	udpSegment  = 103   // UDP_SEGMENT cmsg type / sockopt
-	gsoMaxBytes = 65000 // stay clear of the 64 KiB skb payload ceiling
-	gsoMaxSegs  = 32    // well under the kernel's UDP_MAX_SEGMENTS
-)
 
 // gso support is probed on first use: the feature predates some
 // container runtimes' seccomp allow-lists, so the first EINVAL/ENOTSUP
@@ -253,8 +337,8 @@ const (
 // the kernel at fragment boundaries — and mixed-size bursts fall back
 // to one sendmmsg covering the batch.
 type txBatcher struct {
-	msgs   [txBatchSize]mmsghdr
-	iovecs [txBatchSize]syscall.Iovec
+	msgs   [gsoMaxSegs]mmsghdr
+	iovecs [gsoMaxSegs]syscall.Iovec
 	name   syscall.RawSockaddrInet4
 
 	// GSO superframe state: one msghdr gathering all staged iovecs,

@@ -102,20 +102,26 @@ type liveTxChan struct {
 	lastProgressNs int64
 
 	// Fragment staging for coalesced writes, guarded by sendMu: the
-	// fragmentation loop stages up to txBatchSize pinned buffers and
-	// flushes them with one sendmmsg (on Linux) — the TX mirror of the
+	// fragmentation loop stages up to Node.txBurst pinned buffers and
+	// flushes them with one write (on Linux) — the TX mirror of the
 	// receive burst. stageCnt is always zero between send calls.
-	stageFb  [txBatchSize]*frameBuf
-	stageSeq [txBatchSize]relwin.Seq
-	stageFid [txBatchSize]uint64
+	stageFb  [gsoMaxSegs]*frameBuf
+	stageSeq [gsoMaxSegs]relwin.Seq
+	stageFid [gsoMaxSegs]uint64
 	stageCnt int
 	batcher  *txBatcher
 }
 
-// txBatchSize is the TX coalescing burst: fragments staged per
-// sendmmsg flush. A 64 KiB message at MTU 1500 (44 fragments) flushes
-// in three syscalls instead of forty-four.
-const txBatchSize = 16
+// The TX coalescing burst is what one GSO superframe can carry: at most
+// gsoMaxSegs fragments (the kernel's UDP_MAX_SEGMENTS before 6.9) and
+// gsoMaxBytes in all (clear of the 64 KiB skb payload ceiling). At MTU
+// 1500 that is 43 fragments, so a 64 KiB message (45) leaves in two
+// writes and — the receiver's sockets take superframes unsplit —
+// arrives as two socket-queue entries; at MTU 9000 it is 7.
+const (
+	gsoMaxSegs  = 64
+	gsoMaxBytes = 65000
+)
 
 // txSlot remembers one in-flight datagram's first-send time (for the
 // ack-latency histogram and the RTT estimator — replacing the per-push
@@ -307,8 +313,8 @@ func (n *Node) send(dst int, port uint16, typ proto.PacketType, flags uint8, dat
 // staged into pooled buffers with headers encoded in place before the
 // channel lock is taken; under the lock the work is one window push,
 // slot bookkeeping and a timer re-arm; the socket writes happen after
-// the lock is dropped — up to txBatchSize fragments per sendmmsg flush
-// — with each slot pinned so an ack racing the write cannot recycle
+// the lock is dropped — up to Node.txBurst fragments per flush — with
+// each slot pinned so an ack racing the write cannot recycle
 // the buffer out from under the syscall. ctx carries the enclosing
 // pprof stage labels for flushTx to restore after its nested stage.
 func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.PacketType, flags uint8, data []byte, confirmCh chan error) (relwin.Seq, error) {
@@ -398,7 +404,7 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 			n.confirm[confirmKey{peer: dst, seq: seq}] = confirmCh
 			n.cmu.Unlock()
 		}
-		if tc.stageCnt == txBatchSize || last {
+		if tc.stageCnt == n.txBurst || last {
 			n.flushTx(ctx, tc)
 		}
 		if last {
@@ -456,7 +462,7 @@ func (n *Node) flushTx(ctx context.Context, tc *liveTxChan) {
 	} else {
 		n.flushWires(tc, addr, cnt)
 	}
-	var rel [txBatchSize]*frameBuf
+	var rel [gsoMaxSegs]*frameBuf
 	nrel := 0
 	tc.mu.Lock()
 	for i := 0; i < cnt; i++ {
