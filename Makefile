@@ -27,10 +27,15 @@ lint:
 # internal/live has a Linux (amd64/arm64) side and a portable side behind
 # one seam; the host builds only one of them, so cross-build the other
 # (a non-Linux OS, and a Linux without the raw-syscall reader).
+# The loss-recovery wire tests and the watchdog's clean-run test assert
+# on what a node does NOT send or report within a wall-clock interval,
+# so they run twenty more times: a timing dependence shows up here, not
+# as a one-in-forty CI failure.
 check: build lint
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./internal/live/
 	$(GO) test -race -tags lockcheck ./...
+	$(GO) test -race -tags lockcheck -run 'Nack|FastRetransmit|UnknownType|WatchdogCleanRun' -count=20 ./internal/live/
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim

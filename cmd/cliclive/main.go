@@ -177,13 +177,14 @@ func main() {
 	_, recvd, _, acksSent, _ := b.Stats()
 	fmt.Printf("transferred %d x %d B over lossy loopback UDP in %v\n", *count, *size, elapsed.Round(time.Millisecond))
 	fmt.Printf("corrupted messages: %d (must be 0)\n", bad)
-	fmt.Printf("sender: %d datagrams sent, %d dropped by injection (%.0f%%), %d retransmitted\n",
-		sent, drops, 100*float64(drops)/float64(sent+drops), retrans)
-	fmt.Printf("receiver: %d datagrams received, %d acknowledgements returned\n", recvd, acksSent)
+	txc, rxc := a.HealthSnapshot().Counters, b.HealthSnapshot().Counters
+	fmt.Printf("sender: %d datagrams sent, %d dropped by injection (%.0f%%), %d retransmitted (%d NACK repairs, %d RTO expiries)\n",
+		sent, drops, 100*float64(drops)/float64(sent+drops), retrans, txc["fast_retransmits"], txc["rto_backoffs"])
+	fmt.Printf("receiver: %d datagrams received, %d acknowledgements returned (%d as NACKs)\n", recvd, acksSent, rxc["nacks_sent"])
 	if bad != 0 {
 		die(logger, "integrity failure", fmt.Errorf("%d corrupted messages", bad))
 	}
-	fmt.Println("go-back-N recovered every loss; delivery was exact and in order.")
+	fmt.Println("NACK repair and go-back-N recovered every loss; delivery was exact and in order.")
 
 	if *metricsAddr != "" && *linger > 0 {
 		fmt.Printf("serving metrics for another %v...\n", *linger)

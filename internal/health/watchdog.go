@@ -26,9 +26,10 @@ const (
 	// persistently — a buffer leak, not a transient capture skew.
 	CondPoolLeak = "pool_leak"
 
-	// CondRxStarvation: the node kept transmitting across a full scan
-	// interval while its receive path never woke once despite in-flight
-	// frames awaiting acks — RX is starved or dead, not merely slow.
+	// CondRxStarvation: the node transmitted and then, with frames in
+	// flight awaiting acks, its receive path did not wake once for at
+	// least two of its longest current retransmission timeouts — RX is
+	// starved or dead, not merely slow.
 	CondRxStarvation = "rx_starvation"
 )
 
@@ -65,12 +66,6 @@ type WatchdogConfig struct {
 	// the allowance before a leak verdict (a single capture races the
 	// counters it reads). Zero means 2.
 	PoolScans int
-
-	// StarveScans is how many consecutive scan intervals must see
-	// transmissions with zero RX wakeups before a starvation verdict (a
-	// single interval can catch a burst sent just before its first ack
-	// arrives). Zero means 2.
-	StarveScans int
 }
 
 func (c *WatchdogConfig) defaults() {
@@ -88,9 +83,6 @@ func (c *WatchdogConfig) defaults() {
 	}
 	if c.PoolScans <= 0 {
 		c.PoolScans = 2
-	}
-	if c.StarveScans <= 0 {
-		c.StarveScans = 2
 	}
 }
 
@@ -116,13 +108,16 @@ type Watchdog struct {
 	verdicts map[string]*telemetry.Counter
 	reg      *telemetry.Registry
 
-	mu        sync.Mutex
-	sources   []Source
-	active    map[condKey]int64           // condition -> first-seen ns
-	poolHot   map[string]int              // node -> consecutive over-allowance scans
-	starveHot map[string]int              // node -> consecutive starved scans
-	counts    map[string]map[string]int64 // node -> previous scan's counters
+	mu          sync.Mutex
+	sources     []Source
+	active      map[condKey]int64     // condition -> first-seen ns
+	poolHot     map[string]int        // node -> consecutive over-allowance scans
+	starveSince map[string]int64      // node -> ns of the scan that first saw tx without an rx wakeup
+	counts      map[string]starveMark // node -> previous scan's counters
 }
+
+// starveMark is what scanStarvation keeps of a node between scans.
+type starveMark struct{ tx, wake int64 }
 
 // NewWatchdog builds a watchdog reading time through now (wall or sim
 // nanoseconds — whatever clock the watched stacks stamp LastProgressNs
@@ -135,15 +130,15 @@ func NewWatchdog(cfg WatchdogConfig, now func() int64, log *Log, reg *telemetry.
 		now = func() int64 { return time.Now().UnixNano() }
 	}
 	w := &Watchdog{
-		cfg:      cfg,
-		now:      now,
-		log:      log,
-		reg:      reg,
-		verdicts:  map[string]*telemetry.Counter{},
-		active:    map[condKey]int64{},
-		poolHot:   map[string]int{},
-		starveHot: map[string]int{},
-		counts:    map[string]map[string]int64{},
+		cfg:         cfg,
+		now:         now,
+		log:         log,
+		reg:         reg,
+		verdicts:    map[string]*telemetry.Counter{},
+		active:      map[condKey]int64{},
+		poolHot:     map[string]int{},
+		starveSince: map[string]int64{},
+		counts:      map[string]starveMark{},
 	}
 	if reg != nil {
 		w.scans = reg.Counter("clic_health_scans_total", "watchdog snapshot scans performed")
@@ -230,18 +225,22 @@ func (w *Watchdog) Scan() []Verdict {
 func (w *Watchdog) scanNode(snap *NodeSnapshot, now int64, current map[condKey]Verdict) {
 	accounted := int64(0)
 	inFlight := 0
+	maxRTO := int64(0)
 	for i := range snap.Channels {
 		ch := &snap.Channels[i]
 		if ch.Dir == "tx" {
 			accounted += int64(ch.InFlight)
 			inFlight += ch.InFlight
+			if !ch.Failed && ch.RTONs > maxRTO {
+				maxRTO = ch.RTONs
+			}
 			w.scanTxChan(snap, ch, now, current)
 		} else {
 			accounted += int64(ch.Parked)
 		}
 	}
 	w.scanPool(snap, accounted, current)
-	w.scanStarvation(snap, inFlight, current)
+	w.scanStarvation(snap, inFlight, maxRTO, now, current)
 }
 
 func (w *Watchdog) scanTxChan(snap *NodeSnapshot, ch *ChannelSnapshot, now int64, current map[condKey]Verdict) {
@@ -287,33 +286,42 @@ func (w *Watchdog) scanPool(snap *NodeSnapshot, accounted int64, current map[con
 	}
 }
 
-// scanStarvation compares counter deltas across scans: transmissions
-// without a single RX wakeup, while frames await acks, is a starved
-// receive path once it persists StarveScans intervals (a single
-// interval can straddle a burst sent just before its first ack lands).
-// Skipped when the stack does not report the counters.
-func (w *Watchdog) scanStarvation(snap *NodeSnapshot, inFlight int, current map[condKey]Verdict) {
+// scanStarvation compares counter deltas across scans. A scan that sees
+// transmissions since the previous one, no RX wakeup, and frames still
+// awaiting acks opens a starvation episode; any wakeup (or an empty
+// window) closes it. The verdict is gated on the episode's age, not on
+// how many scans it spans: no wakeup for 2·maxRTO — two of the node's
+// longest current retransmission timeouts, backoff included — means two
+// retransmission rounds went unanswered, whatever cadence the caller
+// scans at. (A scan-count gate fired on healthy lossy traffic when
+// scans came faster than one paced RTO round.) The opening scan never
+// fires: the burst it saw may have left just before its first ack was
+// due. Skipped when the stack does not report the counters.
+func (w *Watchdog) scanStarvation(snap *NodeSnapshot, inFlight int, maxRTO, now int64, current map[condKey]Verdict) {
 	tx, okTx := snap.Counters[CounterTxFrames]
 	wake, okWake := snap.Counters[CounterRxWakeups]
 	if !okTx || !okWake {
-		delete(w.starveHot, snap.Node)
+		delete(w.starveSince, snap.Node)
 		return
 	}
 	prev, seen := w.counts[snap.Node]
-	w.counts[snap.Node] = map[string]int64{CounterTxFrames: tx, CounterRxWakeups: wake}
+	w.counts[snap.Node] = starveMark{tx: tx, wake: wake}
 	if !seen {
 		return
 	}
-	if inFlight > 0 && tx > prev[CounterTxFrames] && wake == prev[CounterRxWakeups] {
-		w.starveHot[snap.Node]++
-	} else {
-		delete(w.starveHot, snap.Node)
-	}
-	if w.starveHot[snap.Node] >= w.cfg.StarveScans {
+	since, open := w.starveSince[snap.Node]
+	switch {
+	case inFlight == 0 || wake != prev.wake:
+		delete(w.starveSince, snap.Node)
+	case !open:
+		if tx > prev.tx {
+			w.starveSince[snap.Node] = now
+		}
+	case now-since >= 2*maxRTO:
 		current[condKey{CondRxStarvation, snap.Node, -1}] = Verdict{
 			Condition: CondRxStarvation, Node: snap.Node, Peer: -1,
-			Detail: fmt.Sprintf("%d frames sent since last scan, 0 rx wakeups, %d in flight",
-				tx-prev[CounterTxFrames], inFlight),
+			Detail: fmt.Sprintf("0 rx wakeups for %v (>= 2 x rto %v) after transmitting, %d in flight",
+				time.Duration(now-since), time.Duration(maxRTO), inFlight),
 		}
 	}
 }

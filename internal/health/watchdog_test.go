@@ -128,7 +128,8 @@ func TestWatchdogPoolLeakNeedsPersistence(t *testing.T) {
 
 func TestWatchdogRxStarvation(t *testing.T) {
 	h := newHarness(t, health.WatchdogConfig{})
-	snap := func(tx, wake int64) health.NodeSnapshot {
+	const rto = 1_000_000
+	snap := func(tx, wake, rtoNs int64) health.NodeSnapshot {
 		return health.NodeSnapshot{
 			Node: "n0",
 			Counters: map[string]int64{
@@ -136,30 +137,50 @@ func TestWatchdogRxStarvation(t *testing.T) {
 				health.CounterRxWakeups: wake,
 			},
 			Channels: []health.ChannelSnapshot{
-				{Peer: 1, Dir: "tx", Window: 4, InFlight: 2, RTONs: 1_000_000},
+				{Peer: 1, Dir: "tx", Window: 4, InFlight: 2, RTONs: rtoNs},
+				// A dead channel's stale, backed-off RTO must not stretch the gate.
+				{Peer: 2, Dir: "tx", Window: 4, Failed: true, RTONs: 1000 * rto},
 			},
 		}
 	}
-	h.src.snap = snap(100, 5)
-	if vs := h.wd.Scan(); len(vs) != 0 { // first scan: no baseline yet
-		t.Fatalf("starvation without a baseline: %v", vs)
+	scan := func(at int64, s health.NodeSnapshot) map[string]bool {
+		h.now = at
+		h.src.snap = s
+		return conditions(h.wd.Scan())
 	}
-	h.src.snap = snap(200, 5) // sent 100 frames, zero wakeups, frames in flight
-	if vs := h.wd.Scan(); len(vs) != 0 {
-		t.Fatalf("starvation raised on a single interval (burst skew not tolerated): %v", vs)
+	if got := scan(0, snap(100, 5, rto)); len(got) != 0 { // first scan: no baseline yet
+		t.Fatalf("starvation without a baseline: %v", got)
 	}
-	h.src.snap = snap(300, 5) // still starved: persists past StarveScans
-	if vs := h.wd.Scan(); !conditions(vs)[health.CondRxStarvation] {
-		t.Fatalf("persistent starvation not raised: %v", vs)
+	// Sent 100 frames, zero wakeups, frames in flight: the episode opens,
+	// but the burst may have left just before its first ack was due.
+	if got := scan(rto/10, snap(200, 5, rto)); len(got) != 0 {
+		t.Fatalf("starvation raised by the scan that opened the episode: %v", got)
 	}
-	h.src.snap = snap(400, 6) // rx woke: healthy
-	if vs := h.wd.Scan(); len(vs) != 0 {
-		t.Fatalf("starvation not cleared: %v", vs)
+	// Nineteen more scans inside 2 RTOs: cadence alone must not raise it.
+	for i := int64(2); i <= 20; i++ {
+		if got := scan(i*rto/10, snap(200+i, 5, rto)); len(got) != 0 {
+			t.Fatalf("starvation raised %d scans and %v into the episode, under 2 RTOs", i, i*rto/10)
+		}
+	}
+	// A backed-off RTO stretches the gate with it.
+	if got := scan(rto/10+2*rto, snap(300, 5, 2*rto)); len(got) != 0 {
+		t.Fatalf("starvation raised 2 base RTOs in, but the current RTO has doubled: %v", got)
+	}
+	if got := scan(rto/10+2*rto, snap(300, 5, rto)); !got[health.CondRxStarvation] {
+		t.Fatalf("starvation persisting 2 RTOs not raised: %v", got)
+	}
+	if got := scan(rto/10+3*rto, snap(300, 6, rto)); len(got) != 0 { // rx woke: healthy
+		t.Fatalf("starvation not cleared by a wakeup: %v", got)
+	}
+	// Silence with nothing sent since the wakeup opens no episode.
+	if got := scan(rto/10+9*rto, snap(300, 6, rto)); len(got) != 0 {
+		t.Fatalf("starvation raised on a node that sent nothing: %v", got)
 	}
 
 	// Stacks without the counters never trip the condition.
 	h.src.snap.Counters = nil
 	h.wd.Scan()
+	h.now += 100 * rto
 	if vs := h.wd.Scan(); len(vs) != 0 {
 		t.Fatalf("starvation without counters: %v", vs)
 	}

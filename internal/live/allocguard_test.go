@@ -167,3 +167,37 @@ func TestProfilingGateDisabledZeroAlloc(t *testing.T) {
 		t.Fatalf("labelled hot path with profiling disabled allocates %.2f allocs/round (want <= 1, the delivery copy); the Enabled() gate leaks", avg)
 	}
 }
+
+// TestCleanStreamNoRecovery pins the other half of "the clean fast path
+// pays one compare": on a loss-free stream no hole ever outlives a
+// burst — the sender writes in order and loopback keeps the order — so
+// not one NACK is sent and not one frame fast-retransmitted. It lives
+// with the alloc guards because 5 000 x 64 KiB is seconds without the
+// race detector and half a minute with it.
+func TestCleanStreamNoRecovery(t *testing.T) {
+	const (
+		msgs = 5000
+		port = 24
+	)
+	a, b := streamPair(t, msgs)
+	errs := make(chan error, 1)
+	go func() {
+		payload := wbPattern(64 << 10)
+		for i := 0; i < msgs; i++ {
+			if err := a.Send(1, port, payload); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	drain(t, a, b, port, msgs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Node{a, b} {
+		if nacks, fast := n.nacksSent.Value(), n.fastRetransmits.Value(); nacks != 0 || fast != 0 {
+			t.Errorf("node %d: %d NACKs sent, %d fast retransmits on a clean stream, want 0 and 0", n.ID, nacks, fast)
+		}
+	}
+}

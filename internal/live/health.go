@@ -48,6 +48,9 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			"peer_evictions":        n.peerEvictions.Value(),
 			"idle_evictions":        n.idleEvictions.Value(),
 			"pace_deferrals":        n.paceDeferrals.Value(),
+			"nacks_sent":            n.nacksSent.Value(),
+			"fast_retransmits":      n.fastRetransmits.Value(),
+			"unknown_frames":        n.unknownFrames.Value(),
 			"port_drops":            n.portDrops.Value(),
 		},
 	}

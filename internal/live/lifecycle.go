@@ -254,6 +254,7 @@ func (n *Node) reclaimRxLocked(rc *liveRxChan) {
 			n.pool.Put(d.fb)
 		}
 	})
+	rc.nacked = false // the park is empty: a hole that re-forms is reported afresh
 	if !rc.asm.started {
 		rc.asm.buf = nil
 	}

@@ -314,6 +314,9 @@ type Node struct {
 	peerEvictions    telemetry.Counter
 	idleEvictions    telemetry.Counter
 	paceDeferrals    telemetry.Counter
+	nacksSent        telemetry.Counter
+	fastRetransmits  telemetry.Counter
+	unknownFrames    telemetry.Counter
 	ackLatency       *telemetry.Histogram
 
 	// fr is the optional flight recorder (nil disables); nodeName labels
@@ -405,8 +408,8 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	node := telemetry.L("node", fmt.Sprint(id))
 	n.tel.RegisterCounter("live_frames_sent_total", "datagrams written to the socket (before injected loss)", &n.framesSent, node)
 	n.tel.RegisterCounter("live_frames_recv_total", "datagrams received and decoded", &n.framesRecv, node)
-	n.tel.RegisterCounter("live_retransmits_total", "go-back-N datagram retransmissions", &n.retransmits, node)
-	n.tel.RegisterCounter("live_acks_sent_total", "cumulative acknowledgements returned", &n.acksSent, node)
+	n.tel.RegisterCounter("live_retransmits_total", "datagram retransmissions (go-back-N rounds and NACK repairs)", &n.retransmits, node)
+	n.tel.RegisterCounter("live_acks_sent_total", "cumulative acknowledgements returned (NACKs included)", &n.acksSent, node)
 	n.tel.RegisterCounter("live_loss_injected_total", "datagrams dropped by send-side loss injection", &n.dropsInjected, node)
 	n.tel.RegisterCounter("live_reorders_injected_total", "datagrams delayed by send-side reorder injection", &n.reordersInjected, node)
 	n.tel.RegisterCounter("live_rto_backoffs_total", "retransmission-timeout expiries (each doubles the adaptive RTO)", &n.rtoBackoffs, node)
@@ -427,6 +430,9 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	n.tel.RegisterCounter("live_peer_evictions_total", "peers fully removed by bye teardown", &n.peerEvictions, node)
 	n.tel.RegisterCounter("live_idle_evictions_total", "idle receive channels whose pooled state was reclaimed", &n.idleEvictions, node)
 	n.tel.RegisterCounter("live_pace_deferrals_total", "retransmit frames deferred to a later RTO tick by pacing", &n.paceDeferrals, node)
+	n.tel.RegisterCounter("live_nacks_sent_total", "acknowledgements sent as TypeNack: a hole outlived the burst that exposed it", &n.nacksSent, node)
+	n.tel.RegisterCounter("live_fast_retransmits_total", "single head frames resent on a NACK, without waiting for the RTO", &n.fastRetransmits, node)
+	n.tel.RegisterCounter("live_unknown_frames_total", "datagrams from a registered peer dropped for a packet type this stack does not handle", &n.unknownFrames, node)
 	n.ackLatency = n.tel.Histogram("live_ack_latency_ns",
 		"datagram push to cumulative-ack latency, wall-clock ns",
 		telemetry.DefLatencyBuckets(), node)

@@ -1,0 +1,417 @@
+package live_test
+
+import (
+	"bytes"
+	"log/slog"
+	"net"
+	"net/netip"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/flight"
+	"repro/internal/health"
+	"repro/internal/live"
+	"repro/internal/proto"
+	"repro/internal/trace"
+)
+
+// The tests in this file play one end of the protocol by hand over a
+// raw UDP socket, datagram by datagram, against a node whose RTO and
+// delayed-ack timers are parked far beyond the test's lifetime: every
+// datagram the node emits is then an answer to one the script sent, and
+// timer-driven recovery cannot make a broken NACK path pass.
+
+// parkedTimers is DefaultConfig with the RTO and the delayed ack out of
+// the picture.
+func parkedTimers() live.Config {
+	cfg := live.DefaultConfig()
+	cfg.RetransmitTimeout = 10 * time.Second
+	cfg.RTOMin = 10 * time.Second
+	cfg.RTOMax = 20 * time.Second
+	cfg.AckDelay = 10 * time.Second
+	return cfg
+}
+
+// quiet is how long the scripts listen to conclude "no datagram": two
+// orders above a loopback round trip, three below the parked timers.
+const quiet = 40 * time.Millisecond
+
+// wirePeer is the scripted end: a bare UDP socket registered with the
+// node under test as peer id.
+type wirePeer struct {
+	t    *testing.T
+	conn *net.UDPConn
+	node netip.AddrPort
+}
+
+const wirePort = 9 // CLIC port the scripted data frames address
+
+func newWirePeer(t *testing.T, n *live.Node, id int) *wirePeer {
+	t.Helper()
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	n.AddPeer(id, conn.LocalAddr().(*net.UDPAddr))
+	return &wirePeer{t: t, conn: conn, node: n.Addr().AddrPort()}
+}
+
+func (p *wirePeer) write(hdr proto.Header, payload []byte) {
+	p.t.Helper()
+	if _, err := p.conn.WriteToUDPAddrPort(append(hdr.Encode(nil), payload...), p.node); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// data sends one single-fragment message per sequence number; the
+// payload names the sequence so delivery order and identity are
+// checkable.
+func (p *wirePeer) data(seqs ...uint32) {
+	p.t.Helper()
+	for _, seq := range seqs {
+		body := wireBody(seq)
+		p.write(proto.Header{Type: proto.TypeData, Flags: proto.FlagFirst | proto.FlagLast,
+			Port: wirePort, Seq: seq, Len: uint32(len(body))}, body)
+	}
+}
+
+func wireBody(seq uint32) []byte { return []byte{'s', 'e', 'q', byte(seq)} }
+
+// control sends a cumulative ack or NACK advertising a full window.
+func (p *wirePeer) control(typ proto.PacketType, cum uint32) {
+	p.t.Helper()
+	p.write(proto.Header{Type: typ, Flags: proto.FlagCredit, Seq: cum, Len: 32}, nil)
+}
+
+// wireDgram is one datagram the node sent to the scripted peer.
+type wireDgram struct {
+	hdr proto.Header
+	raw []byte
+}
+
+// next returns the node's next datagram, or ok=false when none comes
+// within d.
+func (p *wirePeer) next(d time.Duration) (dg wireDgram, ok bool) {
+	p.t.Helper()
+	buf := make([]byte, 64<<10)
+	p.conn.SetReadDeadline(time.Now().Add(d)) //nolint:errcheck // a failed deadline shows up as the read's error
+	n, _, err := p.conn.ReadFromUDPAddrPort(buf)
+	if err != nil {
+		if ne, isNet := err.(net.Error); isNet && ne.Timeout() {
+			return wireDgram{}, false
+		}
+		p.t.Fatal(err)
+	}
+	hdr, _, err := proto.DecodeHeader(buf[:n])
+	if err != nil {
+		p.t.Fatalf("node sent a runt datagram: %v", err)
+	}
+	return wireDgram{hdr: hdr, raw: buf[:n]}, true
+}
+
+// expect reads the node's next len(want) datagrams, requires them to be
+// the given (type, seq) sequence, and then requires the node to stay
+// quiet: a wait that is long where a datagram is due and short where
+// none is, so a slow host can delay a pass but not fail one.
+func (p *wirePeer) expect(step string, want ...proto.Header) []wireDgram {
+	p.t.Helper()
+	got := make([]wireDgram, 0, len(want))
+	for i, w := range want {
+		dg, ok := p.next(2 * time.Second)
+		if !ok {
+			p.t.Fatalf("%s: node sent %d datagrams, want %d (next due: type %d seq %d)", step, i, len(want), w.Type, w.Seq)
+		}
+		if dg.hdr.Type != w.Type || dg.hdr.Seq != w.Seq {
+			p.t.Fatalf("%s: datagram %d is %v, want type %d seq %d", step, i, dg.hdr, w.Type, w.Seq)
+		}
+		got = append(got, dg)
+	}
+	if dg, ok := p.next(quiet); ok {
+		p.t.Fatalf("%s: unexpected extra datagram %v", step, dg.hdr)
+	}
+	return got
+}
+
+// recvInOrder asserts the node delivers exactly the messages for seqs,
+// in that order, byte for byte, and nothing after them.
+func recvInOrder(t *testing.T, n *live.Node, seqs ...uint32) {
+	t.Helper()
+	for _, seq := range seqs {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			m, ok := n.TryRecv(wirePort)
+			if ok {
+				if !bytes.Equal(m.Data, wireBody(seq)) {
+					t.Fatalf("delivered %q where seq %d (%q) was due", m.Data, seq, wireBody(seq))
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("message for seq %d never delivered", seq)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if m, ok := n.TryRecv(wirePort); ok {
+		t.Fatalf("extra message %q delivered: exactly-once broken", m.Data)
+	}
+}
+
+// TestNackOncePerHole: frames 0,2,3 leave a hole at 1 that outlives the
+// burst — exactly one TypeNack{cum 1}, carrying credit; more frames
+// parking behind the same hole (4,5) draw nothing; filling it draws the
+// plain cumulative ack for everything.
+func TestNackOncePerHole(t *testing.T) {
+	a := node(t, 0, parkedTimers())
+	p := newWirePeer(t, a, 5)
+
+	p.data(0, 2, 3)
+	got := p.expect("after 0,2,3", proto.Header{Type: proto.TypeNack, Seq: 1})
+	if h := got[0].hdr; h.Flags&proto.FlagCredit == 0 || h.Len < 1 || h.Len > 32 {
+		t.Fatalf("NACK carries no usable credit: %v", h)
+	}
+
+	p.data(4, 5)
+	p.expect("after 4,5 parked behind the reported hole")
+
+	// 1 fills the hole; 6 to 8 bring the channel to its ack stride (the
+	// delayed-ack timer is parked), so the answer is immediate.
+	p.data(1, 6, 7, 8)
+	p.expect("after the hole filled", proto.Header{Type: proto.TypeAck, Seq: 9})
+	recvInOrder(t, a, 0, 1, 2, 3, 4, 5, 6, 7, 8)
+
+	if nacks := counterValue(t, a, "live_nacks_sent_total"); nacks != 1 {
+		t.Errorf("live_nacks_sent_total = %d, want 1", nacks)
+	}
+	if snap := a.HealthSnapshot(); snap.Counters["nacks_sent"] != 1 {
+		t.Errorf("health counter nacks_sent = %d, want 1", snap.Counters["nacks_sent"])
+	}
+}
+
+// TestNackSecondHoleWhenFirstFills: two holes in one window are
+// reported one after the other — the second as soon as the first fills
+// and the cumulative ack stops at it.
+func TestNackSecondHoleWhenFirstFills(t *testing.T) {
+	a := node(t, 0, parkedTimers())
+	p := newWirePeer(t, a, 5)
+
+	p.data(0, 2, 4, 5)
+	p.expect("after 0,2,4,5", proto.Header{Type: proto.TypeNack, Seq: 1})
+	p.data(1)
+	p.expect("after 1 filled the first hole", proto.Header{Type: proto.TypeNack, Seq: 3})
+	p.data(3, 6, 7, 8, 9, 10) // 3..10: eight frames since the NACK, the ack stride
+	p.expect("after 3 filled the second", proto.Header{Type: proto.TypeAck, Seq: 11})
+	recvInOrder(t, a, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+}
+
+// TestNackLegacyAcksNoCredit: a LegacyAcks node reports holes the way
+// it acknowledges — without FlagCredit.
+func TestNackLegacyAcksNoCredit(t *testing.T) {
+	cfg := parkedTimers()
+	cfg.LegacyAcks = true
+	a := node(t, 0, cfg)
+	p := newWirePeer(t, a, 5)
+	p.data(1)
+	got := p.expect("after 1 alone", proto.Header{Type: proto.TypeNack, Seq: 0})
+	if h := got[0].hdr; h.Flags&proto.FlagCredit != 0 || h.Len != 0 {
+		t.Fatalf("legacy NACK carries credit: %v", h)
+	}
+}
+
+// TestNackReorderedFrameExactlyOnce: a frame that was late, not lost,
+// is NACKed like a lost one; the repair fills the hole and the late
+// original is then a duplicate — re-acked, never delivered twice.
+func TestNackReorderedFrameExactlyOnce(t *testing.T) {
+	a := node(t, 0, parkedTimers())
+	p := newWirePeer(t, a, 5)
+
+	p.data(0, 2, 3)
+	p.expect("after 0,2,3", proto.Header{Type: proto.TypeNack, Seq: 1})
+	p.data(1) // the repair
+	p.expect("after the repair")
+	p.data(1) // the late original
+	p.expect("after the late original", proto.Header{Type: proto.TypeAck, Seq: 4})
+	recvInOrder(t, a, 0, 1, 2, 3)
+}
+
+// sentWindow has a send four fragments to the scripted peer and returns
+// the four datagrams as they crossed the wire.
+func sentWindow(t *testing.T, a *live.Node, p *wirePeer, peer int) []wireDgram {
+	t.Helper()
+	frag := 1500 - proto.HeaderBytes
+	if err := a.Send(peer, wirePort, pattern(3*frag+100)); err != nil {
+		t.Fatal(err)
+	}
+	return p.expect("after a four-fragment send",
+		proto.Header{Type: proto.TypeData, Seq: 0}, proto.Header{Type: proto.TypeData, Seq: 1},
+		proto.Header{Type: proto.TypeData, Seq: 2}, proto.Header{Type: proto.TypeData, Seq: 3})
+}
+
+// TestFastRetransmitHeadOnly: four frames in flight, the peer NACKs
+// cum 1 twice. Exactly one extra datagram results — frame 1, byte for
+// byte — in a round trip (typically ~100 µs; the bound only has to sit
+// far below the parked 10 s RTO), with no RTO backoff recorded.
+func TestFastRetransmitHeadOnly(t *testing.T) {
+	a := node(t, 0, parkedTimers())
+	p := newWirePeer(t, a, 5)
+	sent := sentWindow(t, a, p, 5)
+
+	start := time.Now()
+	p.control(proto.TypeNack, 1)
+	p.control(proto.TypeNack, 1)
+	repair, ok := p.next(time.Second)
+	if !ok {
+		t.Fatal("no repair within 1 s of the NACK: recovery is waiting for the RTO")
+	}
+	t.Logf("repair arrived %v after the NACK", time.Since(start))
+	if !bytes.Equal(repair.raw, sent[1].raw) {
+		t.Fatalf("repair is %v, want a byte-exact copy of frame 1 %v", repair.hdr, sent[1].hdr)
+	}
+	p.expect("after the repair (second NACK for the same base)")
+
+	snap := a.HealthSnapshot()
+	for name, want := range map[string]int64{"fast_retransmits": 1, "retransmits": 1, "rto_backoffs": 0} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("counter %s = %d, want %d", name, got, want)
+		}
+	}
+	if got := counterValue(t, a, "live_fast_retransmits_total"); got != 1 {
+		t.Errorf("live_fast_retransmits_total = %d, want 1", got)
+	}
+	if tc := snapChan(&snap, 5, "tx"); tc == nil || tc.InFlight != 3 || tc.AckedSeq != 1 {
+		t.Errorf("tx channel after NACK cum 1: %+v, want 3 in flight from base 1", tc)
+	}
+
+	// The next hole in the same window gets its own repair.
+	p.control(proto.TypeNack, 3)
+	repair = p.expect("after NACK cum 3", proto.Header{Type: proto.TypeData, Seq: 3})[0]
+	if !bytes.Equal(repair.raw, sent[3].raw) {
+		t.Fatalf("second repair %v is not a byte-exact copy of frame 3", repair.hdr)
+	}
+}
+
+// TestFastRetransmitIgnoresStrayNacks: a NACK that does not name the
+// window base, names it while nothing is in flight, or comes from an
+// address that is no registered peer, puts nothing on the wire.
+func TestFastRetransmitIgnoresStrayNacks(t *testing.T) {
+	a := node(t, 0, parkedTimers())
+	p := newWirePeer(t, a, 5)
+	sentWindow(t, a, p, 5)
+
+	stranger, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stranger.Close()
+	nack0 := proto.Header{Type: proto.TypeNack, Flags: proto.FlagCredit, Seq: 0, Len: 32}.Encode(nil)
+	if _, err := stranger.WriteToUDPAddrPort(nack0, a.Addr().AddrPort()); err != nil {
+		t.Fatal(err)
+	}
+	p.expect("NACK for the base from an unregistered address")
+
+	p.control(proto.TypeNack, 100) // beyond anything sent: not an ack, not the base
+	p.expect("NACK for a sequence never sent")
+	p.control(proto.TypeAck, 2)
+	p.control(proto.TypeNack, 1) // stale: the base has moved past it
+	p.expect("NACK behind the base")
+	p.control(proto.TypeAck, 4)
+	p.control(proto.TypeNack, 4) // names the base, but the window is empty
+	p.expect("NACK on an empty window")
+
+	// The window draining proves the script's last datagram was processed,
+	// so the zero below is not a datagram still on its way in.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		snap := a.HealthSnapshot()
+		if tc := snapChan(&snap, 5, "tx"); tc != nil && tc.InFlight == 0 {
+			if got := snap.Counters["fast_retransmits"] + snap.Counters["retransmits"]; got != 0 {
+				t.Errorf("stray NACKs caused %d retransmissions", got)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("tx window never drained by the scripted acks")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestUnknownTypeNotSequenced: a frame of a type this stack does not
+// sequence (here TypeBarrier), whose Seq happens to equal the channel's
+// cumulative ack, used to fall into the data arm, consume that sequence
+// number and get the real data frame dropped as its duplicate. It must
+// be dropped and counted instead.
+func TestUnknownTypeNotSequenced(t *testing.T) {
+	a := node(t, 0, parkedTimers())
+	p := newWirePeer(t, a, 5)
+
+	for _, typ := range []proto.PacketType{proto.TypeBarrier, proto.TypeKernelFn, proto.TypeMPI, 0xEE} {
+		p.write(proto.Header{Type: typ, Flags: proto.FlagFirst | proto.FlagLast,
+			Port: wirePort, Seq: 0, Len: 4}, []byte("ctrl"))
+	}
+	p.data(0)
+	recvInOrder(t, a, 0)
+	if got := counterValue(t, a, "live_unknown_frames_total"); got != 4 {
+		t.Errorf("live_unknown_frames_total = %d, want 4", got)
+	}
+}
+
+// lockedBuf is a bytes.Buffer the node's goroutines may log into while
+// the test reads it.
+type lockedBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuf) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuf) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestNackObservability: both ends of a recovery leave the traces the
+// simulator's does — nack-sent / nack-recv / retransmit flight points
+// and the nack health event with (peer, cum, in flight).
+func TestNackObservability(t *testing.T) {
+	cfg := parkedTimers()
+	cfg.Flight = flight.New(0)
+	var events lockedBuf
+	cfg.Health = health.NewLog(slog.New(slog.NewJSONHandler(&events, nil)), 0).Unlimited()
+	a := node(t, 0, cfg)
+	p := newWirePeer(t, a, 5)
+
+	// a as receiver: a hole at 1.
+	p.data(0, 2)
+	p.expect("after 0,2", proto.Header{Type: proto.TypeNack, Seq: 1})
+	// a as sender: four frames out, the peer reports 1 missing.
+	sentWindow(t, a, p, 5)
+	p.control(proto.TypeNack, 1)
+	p.expect("after NACK cum 1", proto.Header{Type: proto.TypeData, Seq: 1})
+
+	points := map[string]flight.Event{}
+	for _, ev := range cfg.Flight.Snapshot() {
+		if ev.Kind == flight.KindPoint {
+			points[ev.Name] = ev
+		}
+	}
+	for _, name := range []string{trace.PointNackSent, trace.PointNackRecv} {
+		if ev, ok := points[name]; !ok || ev.Arg != 1 {
+			t.Errorf("flight point %s: %+v (recorded %v), want one with cum 1", name, ev, ok)
+		}
+	}
+	if ev, ok := points[trace.PointRetransmit]; !ok || ev.Frame != flight.FrameID(0, 1) {
+		t.Errorf("flight point retransmit: %+v (recorded %v), want frame (node 0, seq 1)", ev, ok)
+	}
+	if log := events.String(); !strings.Contains(log, `"msg":"nack","peer":5,"seq":1,"arg":3`) {
+		t.Errorf("no nack event with peer 5, cum 1, 3 in flight in the health log:\n%s", log)
+	}
+}

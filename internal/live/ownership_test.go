@@ -82,8 +82,9 @@ func streamQuiesce(t *testing.T, src *Node, dst int) {
 // retained-buffer free the moment one happens; this test adds the
 // other half of the invariant: at quiesce every Get has been matched
 // by exactly one Put on both nodes (no leaked buffer is still hiding
-// in a window, a park, or a reorder timer). Run it under -race and the
-// same traffic doubles as a locking soak for the pin/release protocol.
+// in a window, a park, a reorder timer, or a NACK repair's snapshot).
+// Run it under -race and the same traffic doubles as a locking soak
+// for the pin/release protocol.
 func TestPoolOwnershipSoak(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MTU = 700 // ~4 fragments per message
@@ -154,5 +155,11 @@ func TestPoolOwnershipSoak(t *testing.T) {
 	}
 	if a.poolGets.Value() == 0 {
 		t.Fatal("pool never used; the soak exercised nothing")
+	}
+	// The ledger above covers the NACK repair's pooled snapshot only if
+	// repairs happened (taken under tc.mu, written and returned after).
+	if a.fastRetransmits.Value() == 0 || b.fastRetransmits.Value() == 0 {
+		t.Fatalf("fast retransmits a=%d b=%d; the soak never exercised the NACK repair path",
+			a.fastRetransmits.Value(), b.fastRetransmits.Value())
 	}
 }

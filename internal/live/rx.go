@@ -55,6 +55,12 @@ type liveRxChan struct {
 	// FlagConfirm during the current burst (§5); flushed with the acks.
 	confirms []relwin.Seq
 
+	// nacked says the hole at nackCum has been reported: flushAcks sends
+	// one TypeNack per hole, at the end of the first burst that leaves
+	// frames parked behind it, and clears the mark once the park empties.
+	nacked  bool
+	nackCum relwin.Seq
+
 	// ackTimer is a persistent delayed-ack timer (re-armed with Reset);
 	// ackArmed is its logical state, as for the TX rto timer.
 	ackTimer *time.Timer
@@ -292,7 +298,7 @@ func (n *Node) dispatchBurst(s *rxShard, br *batchReader, cnt int, sc *burstScra
 			continue // not from a registered peer
 		}
 		switch hdr.Type {
-		case proto.TypeAck:
+		case proto.TypeAck, proto.TypeNack:
 			// Control frames are decoded and consumed entirely in place —
 			// no copy, no retention, no effect on data-run adjacency
 			// beyond splitting the run at their position.
@@ -318,8 +324,14 @@ func (n *Node) dispatchBurst(s *rxShard, br *batchReader, cnt int, sc *burstScra
 				// and cannot block, but cmu is a state lock all the same).
 				ch <- nil
 			}
-		default:
+		case proto.TypeData, proto.TypeRemoteWrite:
 			sc.hdrs[i], sc.payloads[i], sc.srcs[i], sc.data[i] = hdr, payload, src, true
+		default:
+			// Only the types send() frames are sequenced. Anything else
+			// carries a Seq from some other space; run through the
+			// resequencer it would consume a sequence number and the real
+			// data frame would then be dropped as its duplicate.
+			n.unknownFrames.Inc()
 		}
 	}
 	for i := 0; i < cnt; {
@@ -439,11 +451,12 @@ func (n *Node) advertiseCredit(rc *liveRxChan) uint32 {
 	return uint32(c)
 }
 
-// ackHeader frames rc's cumulative acknowledgement, carrying the
-// receive credit unless the node speaks the legacy (pre-credit) ack
-// format. Called with rc.mu held.
-func (n *Node) ackHeader(rc *liveRxChan) proto.Header {
-	hdr := proto.Header{Type: proto.TypeAck, Seq: rc.reseq.CumAck()}
+// ackHeader frames rc's cumulative acknowledgement as typ (TypeAck, or
+// TypeNack when it also reports a hole), carrying the receive credit
+// unless the node speaks the legacy (pre-credit) ack format. Called
+// with rc.mu held.
+func (n *Node) ackHeader(rc *liveRxChan, typ proto.PacketType) proto.Header {
+	hdr := proto.Header{Type: typ, Seq: rc.reseq.CumAck()}
 	if !n.cfg.LegacyAcks {
 		hdr.Flags = proto.FlagCredit
 		hdr.Len = n.advertiseCredit(rc)
@@ -457,19 +470,34 @@ func (n *Node) ackHeader(rc *liveRxChan) proto.Header {
 // flushes any confirmations collected during the burst. Acks go out on
 // the shard the burst arrived on. Every ack carries the channel's
 // current receive credit (FlagCredit).
+//
+// A channel that ends the burst with frames still parked has a hole the
+// burst did not fill — the sender writes in order and loopback does not
+// reorder, so the missing frame is lost (or injected-late, which costs
+// one redundant repair). Its ack goes out at once as a TypeNack, once
+// per hole: "the gap outlived the burst it was seen in" stands in for
+// the simulator's NackDelay timer.
 func (n *Node) flushAcks(s *rxShard, touched []*liveRxChan) []*liveRxChan {
 	var nowNs int64 // lazily stamped once per burst
 	for _, rc := range touched {
 		rc.mu.Lock()
 		rc.inBurst = false
-		if cum := rc.reseq.CumAck(); cum != rc.lastCum {
+		cum := rc.reseq.CumAck()
+		if cum != rc.lastCum {
 			if nowNs == 0 {
 				nowNs = time.Now().UnixNano()
 			}
 			rc.lastCum = cum
 			rc.lastProgressNs = nowNs
 		}
-		flush := rc.ackNow || rc.sinceAck >= n.cfg.AckEvery
+		typ := proto.TypeAck
+		if rc.reseq.Buffered() == 0 {
+			rc.nacked = false
+		} else if !rc.nacked || rc.nackCum != cum {
+			rc.nacked, rc.nackCum = true, cum
+			typ = proto.TypeNack
+		}
+		flush := typ == proto.TypeNack || rc.ackNow || rc.sinceAck >= n.cfg.AckEvery
 		// Credit-exhaustion ack: once the peer has used up the credit the
 		// last ack advertised, it is stalled until the next one — under
 		// many-peer fan-in the per-peer credit is routinely smaller than
@@ -488,7 +516,7 @@ func (n *Node) flushAcks(s *rxShard, touched []*liveRxChan) []*liveRxChan {
 			// Frame under the lock, write after release: the socket write
 			// must not happen under rc.mu. ackBuf is rxLoop-exclusive, so
 			// the post-unlock read of it is race-free.
-			n.ackHeader(rc).Put(rc.ackBuf[:])
+			n.ackHeader(rc, typ).Put(rc.ackBuf[:])
 		} else if rc.sinceAck > 0 && !rc.ackArmed {
 			rc.ackTimer.Reset(n.cfg.AckDelay)
 			rc.ackArmed = true
@@ -499,6 +527,12 @@ func (n *Node) flushAcks(s *rxShard, touched []*liveRxChan) []*liveRxChan {
 		rc.mu.Unlock()
 		if flush {
 			n.acksSent.Inc()
+			if typ == proto.TypeNack {
+				n.nacksSent.Inc()
+				if n.fr != nil {
+					n.fr.Point(n.nodeName, 0, trace.PointNackSent, time.Now().UnixNano(), int64(cum))
+				}
+			}
 			// Control datagrams carry no flight id (0): their sequence
 			// numbers live in the peer's space, so deriving an id here
 			// would collide.
@@ -542,7 +576,7 @@ func (n *Node) delayedAckExpire(rc *liveRxChan) {
 	// exclusive and the burst flush reads it outside the lock. This is
 	// the cold path, so the escaping buffer's allocation is acceptable.
 	var buf [proto.HeaderBytes]byte
-	n.ackHeader(rc).Put(buf[:])
+	n.ackHeader(rc, proto.TypeAck).Put(buf[:])
 	addr := rc.addr
 	rc.mu.Unlock()
 	n.acksSent.Inc()

@@ -42,7 +42,8 @@ type liveTxChan struct {
 
 	// mu guards the channel state below. It is a state lock: no socket
 	// write may happen under it (fireRTO is the one documented
-	// exception), and it may wrap only cmu and imu.
+	// exception — the NACK repair snapshots its frame and writes after
+	// release), and it may wrap only cmu and imu.
 	//lockorder: rank=20 name=tc.mu
 	mu       lockcheck.Mutex
 	addr     netip.AddrPort // peer destination, cached from the peer table
@@ -77,6 +78,11 @@ type liveTxChan struct {
 	// sampleFloor is the Karn's-rule watermark: sequences below it were
 	// retransmitted, so their ack latencies must not feed the estimator.
 	sampleFloor relwin.Seq
+
+	// headResent says the frame at the window base has been
+	// fast-retransmitted since the base last moved: one NACK repairs one
+	// hole once, and a repeat falls through to the RTO. Guarded by mu.
+	headResent bool
 
 	// capFrames is the resolved per-peer in-flight cap (0 = window only)
 	// — the pool-isolation bound: at most this many pooled buffers can
@@ -730,14 +736,48 @@ func (n *Node) failChannel(tc *liveTxChan) []chan error {
 	return waiters
 }
 
-// onAck processes a cumulative acknowledgement from peer: absorb any
-// advertised credit, release the acknowledged prefix back to the pool
-// (observing ack latency and RTT), reset the retry budget, re-arm the
-// timer for whatever is still in flight, and wake window-blocked
-// senders. A credit change wakes senders even without ack progress —
-// a credit-blocked sender is waiting on exactly that.
+// onAck processes a cumulative acknowledgement from peer — a TypeAck,
+// or a TypeNack, which is the same frame with "and the sequence I am
+// acknowledging up to is missing while later ones are parked" attached.
+// The cumulative and credit part is absorbed identically; a NACK naming
+// the current window base then has that one frame resent (headRepair).
+// The repair is written after tc.mu is released, from a pooled snapshot
+// the window does not own, so it needs no pin handshake with a
+// concurrent flushTx and the ack path may recycle the original meanwhile.
 func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 	tc.mu.Lock()
+	n.absorbAck(tc, hdr)
+	var repair *frameBuf
+	if hdr.Type == proto.TypeNack {
+		n.hl.Event("nack", tc.peer, hdr.Seq, int64(tc.win.InFlight()))
+		if n.fr != nil {
+			n.fr.Point(n.nodeName, 0, trace.PointNackRecv, time.Now().UnixNano(), int64(hdr.Seq))
+		}
+		repair = n.headRepair(tc, hdr.Seq)
+	}
+	addr := tc.addr
+	tc.mu.Unlock()
+	if repair == nil {
+		return
+	}
+	var fid uint64
+	if n.fr != nil {
+		fid = flight.FrameID(n.ID, hdr.Seq)
+		n.fr.Point(n.nodeName, fid, trace.PointRetransmit,
+			time.Now().UnixNano(), int64(repair.n))
+	}
+	n.transmit(tc.shard.conn, addr, repair.b[:repair.n], fid)
+	n.pool.Put(repair)
+}
+
+// absorbAck is the cumulative half of onAck: absorb any advertised
+// credit, release the acknowledged prefix back to the pool (observing
+// ack latency and RTT), reset the retry budget, re-arm the timer for
+// whatever is still in flight, and wake window-blocked senders. A
+// credit change wakes senders even without ack progress — a
+// credit-blocked sender is waiting on exactly that. Called with tc.mu
+// held.
+func (n *Node) absorbAck(tc *liveTxChan, hdr proto.Header) {
 	creditWoke := false
 	if hdr.Flags&proto.FlagCredit != 0 {
 		c := int(hdr.Len)
@@ -761,11 +801,11 @@ func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 		if creditWoke {
 			tc.slotFree.Broadcast()
 		}
-		tc.mu.Unlock()
 		return
 	}
 	tc.ctrl.OnProgress()
 	tc.pacedBacklog = 0
+	tc.headResent = false
 	tc.lastProgressNs = tc.relNowNs
 	tc.publishRTO()
 	if tc.rtoArmed {
@@ -774,5 +814,37 @@ func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 	}
 	n.armRTO(tc)
 	tc.slotFree.Broadcast()
-	tc.mu.Unlock()
+}
+
+// headRepair is the fast-retransmit decision for a NACK whose
+// cumulative ack is cum, taken after absorbAck: if cum is the window
+// base, a frame is in flight there and this base has not been repaired
+// already, it returns a pooled copy of that one frame for the caller to
+// write once tc.mu is released (nil otherwise). Only the head goes out:
+// the receiver parks up to a full window behind a hole, so everything
+// after the head that was not itself lost is already there, and a
+// second hole draws its own NACK when this one fills. The repair is not
+// a timeout — no backoff, no pacing-bucket shrink — but the frame has
+// now been sent twice, so the Karn watermark moves past it and the RTO
+// restarts from now. A lost NACK or lost repair leaves headResent set
+// and the unchanged RTO / go-back-N path recovers. Called with tc.mu
+// held.
+func (n *Node) headRepair(tc *liveTxChan, cum relwin.Seq) *frameBuf {
+	unacked, base := tc.win.Unacked()
+	if len(unacked) == 0 || base != cum || tc.headResent {
+		return nil
+	}
+	tc.headResent = true
+	head := unacked[0]
+	repair := n.pool.Get()
+	repair.n = copy(repair.b, head.b[:head.n])
+	if floor := base + 1; relwin.Before(tc.sampleFloor, floor) {
+		tc.sampleFloor = floor
+	}
+	tc.rto.Reset(time.Duration(tc.ctrl.RTO()))
+	tc.rtoArmed = true
+	n.retransmits.Inc()
+	n.fastRetransmits.Inc()
+	n.hl.Event("retransmit", tc.peer, base, 1)
+	return repair
 }

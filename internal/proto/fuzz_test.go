@@ -33,6 +33,9 @@ func FuzzDecodeHeader(f *testing.F) {
 	// Legacy ack with a non-zero Len but no FlagCredit: the field must
 	// be ignored, not misread as a credit.
 	f.Add(Header{Type: TypeAck, Flags: 0, Seq: 7, Len: 0xDEAD}.Encode(nil))
+	// NACK: a cumulative ack that also reports a hole, framed like the
+	// credit-bearing ack above and read through the same credit clamp.
+	f.Add(Header{Type: TypeNack, Flags: FlagCredit, Seq: 1, Len: 16}.Encode(nil))
 	// Lifecycle packets: hello carrying a node id, hello-ack carrying a
 	// credit, and a bye.
 	f.Add(Header{Type: TypeHello, Flags: 0, Seq: 42}.Encode(nil))
