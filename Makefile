@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint check bench bench-live perf-gate
+.PHONY: build test lint check bench
 
 build:
 	$(GO) build ./...
@@ -42,36 +42,3 @@ check: build lint
 
 bench:
 	$(GO) run ./cmd/clicbench all
-
-# bench-live measures the real loopback datapath — the single-pair
-# sweep (E15) and the many-peer fan-in sweep (E18) — and appends
-# labeled entries to BENCH_live.json. The 0-alloc guards run first
-# (including the sharded steady state): a steady-state allocation
-# regression fails the target before it can skew the throughput
-# numbers.
-LIVE_LABEL ?= local
-bench-live:
-	$(GO) test -count=1 -run 'TestSteadyState' ./internal/live/
-	$(GO) run ./cmd/clicbench -live-out BENCH_live.json -live-label "$(LIVE_LABEL)" live
-	$(GO) run ./cmd/clicbench -live-out BENCH_live.json -live-label "$(LIVE_LABEL)" fanin
-
-# perf-gate is the local twin of CI's perf-gate job: seed a baseline on
-# this machine (median of 3 runs, MAD noise bands), re-measure and
-# check against it, then prove the gate actually fires by injecting a
-# 20% throughput regression that must exit non-zero. Use
-# `clicbench -seed-baseline bench/baseline.json -runs 5 live` to
-# refresh the committed baseline instead.
-perf-gate:
-	$(GO) test -count=1 ./internal/perfreg/
-	$(GO) run ./cmd/clicbench -seed-baseline .perfgate-baseline.json -runs 3 live
-	$(GO) run ./cmd/clicbench -baseline .perfgate-baseline.json -check live
-	@if $(GO) run ./cmd/clicbench -baseline .perfgate-baseline.json -check -canary 0.8 live >/dev/null; then \
-		echo "perf-gate: injected canary regression was NOT caught"; \
-		rm -f .perfgate-baseline.json; exit 1; \
-	else \
-		echo "perf-gate: canary regression correctly tripped the gate"; \
-	fi
-	@rm -f .perfgate-baseline.json
-	$(GO) run ./cmd/clicbench -seed-baseline .perfgate-fanin.json -runs 3 fanin
-	$(GO) run ./cmd/clicbench -baseline .perfgate-fanin.json -check fanin
-	@rm -f .perfgate-fanin.json

@@ -14,25 +14,16 @@
 //	bonding     channel bonding + intra-node                  (E10)
 //	loss        injected-loss sweep: recovery cost            (E12)
 //	rxmode      adaptive RX ladder: bh/direct/poll            (E16)
-//	live        real-sockets loopback perf trajectory         (E15)
-//	fanin       many-peer fan-in goodput, base vs tuned       (E18)
-//	profile     live sweep under CPU profile, per-stage table (E17)
-//	report      render the trajectory file as markdown        (E17)
-//	all         every simulated + live experiment above (not profile/report)
+//	profile     live workload under CPU profile, per-stage table (E17)
+//	all         every simulated experiment above (not profile)
 //
-// The live experiment runs wall-clock goroutines over loopback UDP and,
-// with -live-out, appends its numbers to a JSON trajectory file
-// (BENCH_live.json) that future changes regress against. -runs folds N
-// repetitions into median ± MAD; -baseline/-check gate the result
-// against a committed baseline (the CI perf gate), -seed-baseline
-// writes one, and -canary injects an artificial throughput regression
-// to prove the gate fires.
+// The profile experiment runs wall-clock goroutines over loopback UDP;
+// measuring whether a change made the live stack faster or slower is
+// benchmark/run.sh's job, not this command's.
 //
 // Usage:
 //
-//	clicbench [-chart] [-csv dir] [-live-out BENCH_live.json] [-live-label name]
-//	          [-runs N] [-baseline file [-check] [-canary f]] [-seed-baseline file]
-//	          [-cpuprofile file] [-trajectory file] <experiment>...
+//	clicbench [-chart] [-csv dir] [-cpuprofile file] <experiment>...
 package main
 
 import (
@@ -64,14 +55,12 @@ var experiments = map[string]func(*model.Params) *bench.Report{
 	"latency":     bench.LatencyDistribution,
 	"loss":        bench.LossSweep,
 	"rxmode":      bench.RxModes,
-	"live":        bench.Live,
-	"fanin":       bench.FanIn,
 }
 
 var order = []string{
 	"fig4", "fig5", "fig6", "fig7", "headline",
 	"compare", "interrupts", "paths", "frag", "bonding", "multiprog",
-	"collectives", "jitter", "latency", "loss", "rxmode", "live", "fanin",
+	"collectives", "jitter", "latency", "loss", "rxmode",
 }
 
 func fatalf(format string, args ...any) {
@@ -82,33 +71,15 @@ func fatalf(format string, args ...any) {
 func main() {
 	chart := flag.Bool("chart", false, "also render ASCII charts for sweep figures")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files into")
-	liveOut := flag.String("live-out", "", "append the live experiment's numbers to this JSON trajectory file")
-	liveLabel := flag.String("live-label", "dev", "label for the live trajectory entry")
-	runs := flag.Int("runs", 0, "live repetitions folded into median ± MAD (default 1, or 3 with -check/-seed-baseline)")
-	baselinePath := flag.String("baseline", "", "baseline entry file to compare the live experiment against")
-	check := flag.Bool("check", false, "with -baseline: exit 1 if the live run regresses beyond the noise band")
-	canary := flag.Float64("canary", 1, "scale measured live throughput by this factor before checking (CI gate self-test)")
-	seedBaseline := flag.String("seed-baseline", "", "run the live experiment and write the result to this baseline file")
 	cpuprofile := flag.String("cpuprofile", "", "write a stage-labelled CPU profile of the executed experiments to this file")
-	trajectory := flag.String("trajectory", "BENCH_live.json", "trajectory file for the report experiment")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: clicbench [flags] <experiment>...\nexperiments: %v, profile, report, all\n", order)
+		fmt.Fprintf(os.Stderr, "usage: clicbench [flags] <experiment>...\nexperiments: %v, profile, all\n", order)
 	}
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if (*check || *canary != 1) && *baselinePath == "" {
-		fatalf("-check/-canary need -baseline <file>")
-	}
-	if *runs == 0 {
-		*runs = 1
-		if *check || *seedBaseline != "" {
-			// Gate modes need a MAD band, which needs repetitions.
-			*runs = 3
-		}
 	}
 
 	var names []string
@@ -117,7 +88,7 @@ func main() {
 			names = append(names, order...)
 			continue
 		}
-		if _, ok := experiments[a]; !ok && a != "profile" && a != "report" {
+		if _, ok := experiments[a]; !ok && a != "profile" {
 			fmt.Fprintf(os.Stderr, "clicbench: unknown experiment %q\n", a)
 			os.Exit(2)
 		}
@@ -141,32 +112,18 @@ func main() {
 		}()
 	}
 
-	failed := false
 	for _, name := range names {
 		var rep *bench.Report
-		switch name {
-		case "live":
-			rep = runLive(*liveLabel, *runs, *liveOut, *baselinePath, *seedBaseline, *canary, *check, &failed)
-		case "fanin":
-			rep = runFanIn(*liveLabel, *runs, *liveOut, *baselinePath, *seedBaseline, *canary, *check, &failed)
-		case "profile":
+		if name == "profile" {
 			if *cpuprofile != "" {
 				fatalf("the profile experiment captures its own CPU profile; drop -cpuprofile or run other experiments")
 			}
 			var err error
-			rep, _, err = bench.ProfileRun(*liveLabel)
+			rep, _, err = bench.ProfileRun()
 			if err != nil {
 				fatalf("profile experiment: %v", err)
 			}
-		case "report":
-			entries, err := perfreg.LoadTrajectory(*trajectory)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Print(perfreg.Trajectory(entries))
-			fmt.Println()
-			continue
-		default:
+		} else {
 			rep = experiments[name](nil)
 		}
 		fmt.Println(rep.Table())
@@ -182,94 +139,5 @@ func main() {
 			}
 			fmt.Printf("   wrote %s\n\n", path)
 		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// runLive executes the live sweep with the observatory modes attached:
-// trajectory append, baseline seeding, and the noise-aware regression
-// check (with optional canary scaling to prove the gate fires).
-func runLive(label string, runs int, liveOut, baselinePath, seedPath string, canary float64, check bool, failed *bool) *bench.Report {
-	rep, entry, err := bench.LiveRunN(label, runs)
-	if err != nil {
-		fatalf("live experiment: %v", err)
-	}
-	if canary != 1 {
-		for i := range entry.Streaming {
-			entry.Streaming[i].Mbps *= canary
-		}
-		rep.Notef("CANARY: measured throughput scaled by %.2f before checking", canary)
-	}
-	if liveOut != "" {
-		if err := bench.AppendLiveEntry(liveOut, entry); err != nil {
-			fatalf("%v", err)
-		}
-		rep.Notef("appended trajectory entry %q to %s", label, liveOut)
-	}
-	if seedPath != "" {
-		if err := perfreg.WriteBaseline(seedPath, entry); err != nil {
-			fatalf("%v", err)
-		}
-		rep.Notef("wrote baseline %s (median of %d runs)", seedPath, runs)
-	}
-	if baselinePath != "" {
-		checkAgainst(baselinePath, entry, check, failed, rep)
-	}
-	return rep
-}
-
-// runFanIn executes the fan-in sweep with the same observatory modes as
-// runLive: trajectory append, baseline seeding, and the regression
-// check. The canary scales throughput the same way so the fan-in gate
-// is self-testable too.
-func runFanIn(label string, runs int, liveOut, baselinePath, seedPath string, canary float64, check bool, failed *bool) *bench.Report {
-	rep, entry, err := bench.FanInRunN(label, runs)
-	if err != nil {
-		fatalf("fanin experiment: %v", err)
-	}
-	if canary != 1 {
-		for i := range entry.Streaming {
-			entry.Streaming[i].Mbps *= canary
-		}
-		rep.Notef("CANARY: measured throughput scaled by %.2f before checking", canary)
-	}
-	if liveOut != "" {
-		if err := bench.AppendLiveEntry(liveOut, entry); err != nil {
-			fatalf("%v", err)
-		}
-		rep.Notef("appended trajectory entry %q to %s", label, liveOut)
-	}
-	if seedPath != "" {
-		if err := perfreg.WriteBaseline(seedPath, entry); err != nil {
-			fatalf("%v", err)
-		}
-		rep.Notef("wrote baseline %s (median of %d runs)", seedPath, runs)
-	}
-	if baselinePath != "" {
-		checkAgainst(baselinePath, entry, check, failed, rep)
-	}
-	return rep
-}
-
-// checkAgainst loads the baseline and gates entry against it. A kind
-// mismatch (a sweep baseline handed to the fan-in experiment via `all`,
-// or vice versa) is skipped with a note instead of producing spurious
-// missing-point regressions.
-func checkAgainst(baselinePath string, entry *perfreg.Entry, check bool, failed *bool, rep *bench.Report) {
-	base, err := perfreg.LoadBaseline(baselinePath)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if base.Kind != entry.Kind {
-		rep.Notef("baseline %s is kind %q, this experiment is kind %q: check skipped", baselinePath, base.Kind, entry.Kind)
-		return
-	}
-	findings := perfreg.Check(base, entry, perfreg.DefaultCheckConfig())
-	fmt.Print(perfreg.Explain(base, entry, findings))
-	fmt.Println()
-	if check && len(perfreg.Regressions(findings)) > 0 {
-		*failed = true
 	}
 }

@@ -141,8 +141,8 @@ func render(w *os.File, doc, prev *health.Doc, sortBy string) {
 		win, inflt := fmt.Sprint(ch.Window), fmt.Sprint(ch.InFlight)
 		rto, srtt := durOrDash(ch.RTONs), durOrDash(ch.SRTTNs)
 		// CREDIT is the flow-control budget seen from each side: on tx the
-		// peer's last advertised credit (dash until one arrives — legacy
-		// acks never advertise), on rx what this channel last advertised.
+		// peer's last advertised credit (dash until one arrives), on rx
+		// what this channel last advertised.
 		// PACE is the tx retransmit backlog the pacer is still holding.
 		credit, pace := "-", fmt.Sprint(ch.PacedBacklog)
 		if ch.Credit >= 0 {

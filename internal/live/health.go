@@ -15,10 +15,6 @@ import (
 // snapshot of a busy node briefly touches each channel instead of
 // freezing the node. Counters are atomics and read without any lock.
 func (n *Node) HealthSnapshot() health.NodeSnapshot {
-	sockBuf := n.cfg.SockBuf
-	if sockBuf == 0 {
-		sockBuf = 4 << 20
-	}
 	// Puts read before gets: every Put's Get bumped the counter first,
 	// so this order keeps Outstanding ≥ 0 under concurrent recycling
 	// (the reverse order can observe a put whose get it missed).
@@ -29,7 +25,7 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 		CapturedNs: time.Now().UnixNano(),
 		MTU:        n.cfg.MTU,
 		Window:     n.cfg.Window,
-		SockBuf:    sockBuf,
+		SockBuf:    sockBufBytes,
 		Pool: &health.PoolSnapshot{
 			Gets:        gets,
 			Puts:        puts,

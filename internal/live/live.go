@@ -92,14 +92,6 @@ type Config struct {
 	// ErrPeerDead. Zero retries forever.
 	MaxRetries int
 
-	// SockBuf requests SO_RCVBUF/SO_SNDBUF for each of the node's
-	// sockets, in bytes (best effort: the kernel clamps to
-	// rmem_max/wmem_max). Zero asks for 4 MiB — a full jumbo-frame
-	// window per peer otherwise overruns the default ~200 KiB receive
-	// buffer, and every overrun is an invisible loss the sender recovers
-	// from only by RTO. Negative leaves the OS default.
-	SockBuf int
-
 	// Shards is the number of SO_REUSEPORT sockets the node binds to its
 	// one port, each drained by its own receive goroutine with its own
 	// pooled batch reader. The kernel's REUSEPORT flow hash pins every
@@ -120,8 +112,7 @@ type Config struct {
 	// the token-bucket pacing layer on top of go-back-N. The bucket
 	// refills each RTO tick and shrinks by half per consecutive backoff,
 	// so incast collapse degrades into paced trickles instead of
-	// window-sized retransmit storms. 0 derives min(Window, 16);
-	// negative disables pacing (legacy full go-back-N bursts).
+	// window-sized retransmit storms. 0 derives min(Window, 16).
 	PaceBurst int
 
 	// IdleTimeout evicts pooled state (parked out-of-order frames,
@@ -131,13 +122,6 @@ type Config struct {
 	// stopped — go-back-N retransmission refills anything dropped.
 	// 0 disables idle eviction.
 	IdleTimeout time.Duration
-
-	// LegacyAcks strips FlagCredit from this node's acknowledgements —
-	// the pre-credit wire format, in which peers receive no window
-	// advertisement and send unthrottled. Interop testing and the
-	// fan-in benchmark's "base" variant use it to reproduce a peer
-	// that predates flow control; leave it off otherwise.
-	LegacyAcks bool
 
 	// PortDepth is the per-port delivery-queue depth in messages. Under
 	// many-peer fan-in one slow consumer port would otherwise wedge the
@@ -186,7 +170,6 @@ func DefaultConfig() Config {
 		RTOMin:            5 * time.Millisecond,
 		RTOMax:            2 * time.Second,
 		MaxRetries:        8,
-		SockBuf:           4 << 20,
 		ReorderDelay:      2 * time.Millisecond,
 	}
 }
@@ -337,6 +320,13 @@ type confirmKey struct {
 // larger datagrams stays on the pooled path.
 const poolBufClassFloor = 2048
 
+// sockBufBytes is the SO_RCVBUF/SO_SNDBUF each of a node's sockets asks
+// for (best effort: the kernel clamps to rmem_max/wmem_max). A full
+// jumbo-frame window per peer overruns the default ~200 KiB receive
+// buffer, and every overrun is an invisible loss the sender recovers
+// from only by timeout.
+const sockBufBytes = 4 << 20
+
 // NewNode binds a node to 127.0.0.1 on an ephemeral port — one socket,
 // or Config.Shards SO_REUSEPORT sockets sharing that port, each with
 // its own receive goroutine.
@@ -345,10 +335,6 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	conns, err := listenShards(shardCount)
 	if err != nil {
 		return nil, fmt.Errorf("live: bind: %w", err)
-	}
-	sockBuf := cfg.SockBuf
-	if sockBuf == 0 {
-		sockBuf = 4 << 20
 	}
 	shards := make([]*rxShard, 0, len(conns))
 	for i, conn := range conns {
@@ -359,12 +345,8 @@ func NewNode(id int, cfg Config) (*Node, error) {
 			}
 			return nil, fmt.Errorf("live: raw conn: %w", err)
 		}
-		if sockBuf > 0 {
-			// Best effort: without this a single jumbo-MTU window overruns
-			// the default receive buffer and the stream crawls on RTO stalls.
-			conn.SetReadBuffer(sockBuf)  //nolint:errcheck // kernel clamps; degraded perf, not correctness
-			conn.SetWriteBuffer(sockBuf) //nolint:errcheck // kernel clamps; degraded perf, not correctness
-		}
+		conn.SetReadBuffer(sockBufBytes)  //nolint:errcheck // kernel clamps; degraded perf, not correctness
+		conn.SetWriteBuffer(sockBufBytes) //nolint:errcheck // kernel clamps; degraded perf, not correctness
 		shards = append(shards, &rxShard{id: i, conn: conn, raw: rawConn})
 	}
 	n := &Node{
@@ -396,12 +378,7 @@ func NewNode(id int, cfg Config) (*Node, error) {
 		mtu = 1500
 	}
 	n.txBurst = max(1, min(gsoMaxSegs, gsoMaxBytes/mtu))
-	if sockBuf > 0 {
-		n.creditFrames = int64(sockBuf) * int64(len(shards)) / int64(mtu) / 2
-	} else {
-		// OS-default buffers: assume the conservative ~200 KiB.
-		n.creditFrames = int64(200<<10) * int64(len(shards)) / int64(mtu) / 2
-	}
+	n.creditFrames = int64(sockBufBytes) * int64(len(shards)) / int64(mtu) / 2
 	if n.tel == nil {
 		n.tel = telemetry.NewRegistry()
 	}

@@ -33,6 +33,24 @@ func snapChan(snap *health.NodeSnapshot, peer int, dir string) *health.ChannelSn
 	return nil
 }
 
+// waitTx polls n's health snapshot until its tx channel to peer exists
+// and satisfies ok, and returns that snapshot; after 2 s it fails the
+// test naming what never happened.
+func waitTx(t *testing.T, n *live.Node, peer int, what string, ok func(*health.ChannelSnapshot) bool) health.NodeSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		snap := n.HealthSnapshot()
+		if tc := snapChan(&snap, peer, "tx"); tc != nil && ok(tc) {
+			return snap
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tx channel to peer %d: %s", peer, what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestHandshake: a hello exchange must register both ends without any
 // out-of-band AddPeer, seed the joiner's TX channel with the peer's
 // advertised credit, and leave the link fully usable in both
@@ -213,6 +231,11 @@ func TestBlackholedPeerCannotStarvePool(t *testing.T) {
 	// Close wakes it.
 	blackholed := make(chan error, 1)
 	go func() { blackholed <- a.Send(7, 9, pattern(64*1400)) }()
+
+	// The healthy echoes below can all finish before that goroutine has
+	// created its channel, so wait until it holds frames in flight.
+	waitTx(t, a, 7, "blackholed send never put a frame in flight",
+		func(tc *health.ChannelSnapshot) bool { return tc.InFlight > 0 })
 
 	// Healthy traffic must stream on unharmed while the blackhole RTOs.
 	for i := 0; i < 50; i++ {

@@ -180,7 +180,10 @@ func TestNackOncePerHole(t *testing.T) {
 	// 1 fills the hole; 6 to 8 bring the channel to its ack stride (the
 	// delayed-ack timer is parked), so the answer is immediate.
 	p.data(1, 6, 7, 8)
-	p.expect("after the hole filled", proto.Header{Type: proto.TypeAck, Seq: 9})
+	got = p.expect("after the hole filled", proto.Header{Type: proto.TypeAck, Seq: 9})
+	if h := got[0].hdr; h.Flags&proto.FlagCredit == 0 || h.Len < 1 || h.Len > 32 {
+		t.Fatalf("ack carries no usable credit: %v", h)
+	}
 	recvInOrder(t, a, 0, 1, 2, 3, 4, 5, 6, 7, 8)
 
 	if nacks := counterValue(t, a, "live_nacks_sent_total"); nacks != 1 {
@@ -207,18 +210,51 @@ func TestNackSecondHoleWhenFirstFills(t *testing.T) {
 	recvInOrder(t, a, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 }
 
-// TestNackLegacyAcksNoCredit: a LegacyAcks node reports holes the way
-// it acknowledges — without FlagCredit.
-func TestNackLegacyAcksNoCredit(t *testing.T) {
+// TestCreditlessAcksFromForeignPeer: this stack always acks with
+// FlagCredit, but acks arrive from outside the process, and a peer that
+// predates flow control sends them without it. The sender must take
+// them as plain cumulative acks: its credit stays unknown (-1), no
+// credit cap appears, and the channel runs at its full window until the
+// message drains. Reading the absent credit as zero (clamped to one
+// frame) would stall the second step below.
+func TestCreditlessAcksFromForeignPeer(t *testing.T) {
 	cfg := parkedTimers()
-	cfg.LegacyAcks = true
 	a := node(t, 0, cfg)
 	p := newWirePeer(t, a, 5)
-	p.data(1)
-	got := p.expect("after 1 alone", proto.Header{Type: proto.TypeNack, Seq: 0})
-	if h := got[0].hdr; h.Flags&proto.FlagCredit != 0 || h.Len != 0 {
-		t.Fatalf("legacy NACK carries credit: %v", h)
+	frames := cfg.Window + 8
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(5, wirePort, pattern(frames*(cfg.MTU-proto.HeaderBytes))) }()
+
+	dataSeqs := func(from, to int) []proto.Header {
+		var hs []proto.Header
+		for seq := from; seq < to; seq++ {
+			hs = append(hs, proto.Header{Type: proto.TypeData, Seq: uint32(seq)})
+		}
+		return hs
 	}
+	uncapped := func(step string, inFlight int) {
+		t.Helper()
+		snap := a.HealthSnapshot()
+		tc := snapChan(&snap, 5, "tx")
+		if tc == nil || tc.Credit != -1 || tc.Window != cfg.Window || tc.InFlight != inFlight {
+			t.Fatalf("%s: tx channel %+v, want credit -1, window %d, %d in flight", step, tc, cfg.Window, inFlight)
+		}
+	}
+
+	p.expect("first window", dataSeqs(0, cfg.Window)...)
+	uncapped("window full", cfg.Window)
+
+	p.write(proto.Header{Type: proto.TypeAck, Seq: 16}, nil)
+	p.expect("after a credit-less ack of 16", dataSeqs(cfg.Window, frames)...)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	uncapped("tail pushed", frames-16)
+
+	p.write(proto.Header{Type: proto.TypeAck, Seq: uint32(frames)}, nil)
+	waitTx(t, a, 5, "window never drained by the credit-less acks",
+		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
+	uncapped("drained", 0)
 }
 
 // TestNackReorderedFrameExactlyOnce: a frame that was late, not lost,
@@ -323,19 +359,10 @@ func TestFastRetransmitIgnoresStrayNacks(t *testing.T) {
 
 	// The window draining proves the script's last datagram was processed,
 	// so the zero below is not a datagram still on its way in.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		snap := a.HealthSnapshot()
-		if tc := snapChan(&snap, 5, "tx"); tc != nil && tc.InFlight == 0 {
-			if got := snap.Counters["fast_retransmits"] + snap.Counters["retransmits"]; got != 0 {
-				t.Errorf("stray NACKs caused %d retransmissions", got)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("tx window never drained by the scripted acks")
-		}
-		time.Sleep(time.Millisecond)
+	snap := waitTx(t, a, 5, "window never drained by the scripted acks",
+		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
+	if got := snap.Counters["fast_retransmits"] + snap.Counters["retransmits"]; got != 0 {
+		t.Errorf("stray NACKs caused %d retransmissions", got)
 	}
 }
 

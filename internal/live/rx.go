@@ -452,16 +452,15 @@ func (n *Node) advertiseCredit(rc *liveRxChan) uint32 {
 }
 
 // ackHeader frames rc's cumulative acknowledgement as typ (TypeAck, or
-// TypeNack when it also reports a hole), carrying the receive credit
-// unless the node speaks the legacy (pre-credit) ack format. Called
-// with rc.mu held.
+// TypeNack when it also reports a hole), carrying the receive credit.
+// Called with rc.mu held.
 func (n *Node) ackHeader(rc *liveRxChan, typ proto.PacketType) proto.Header {
-	hdr := proto.Header{Type: typ, Seq: rc.reseq.CumAck()}
-	if !n.cfg.LegacyAcks {
-		hdr.Flags = proto.FlagCredit
-		hdr.Len = n.advertiseCredit(rc)
+	return proto.Header{
+		Type:  typ,
+		Flags: proto.FlagCredit,
+		Seq:   rc.reseq.CumAck(),
+		Len:   n.advertiseCredit(rc),
 	}
-	return hdr
 }
 
 // flushAcks ends a burst: every touched channel sends at most one
@@ -503,7 +502,7 @@ func (n *Node) flushAcks(s *rxShard, touched []*liveRxChan) []*liveRxChan {
 		// many-peer fan-in the per-peer credit is routinely smaller than
 		// the ack stride, and waiting out the delayed-ack timer there
 		// would turn flow control into a per-burst latency tax.
-		if !flush && !n.cfg.LegacyAcks && rc.lastCredit > 0 && rc.sinceAck >= int(rc.lastCredit) {
+		if !flush && rc.lastCredit > 0 && rc.sinceAck >= int(rc.lastCredit) {
 			flush = true
 		}
 		if flush {

@@ -90,14 +90,15 @@ type liveTxChan struct {
 	capFrames int
 
 	// credit is the peer's last advertised receive credit in frames
-	// (FlagCredit acks); -1 until the peer advertises one (legacy peers
-	// never do, and the channel then runs uncapped as before). Senders
+	// (FlagCredit acks); -1 until the peer advertises one (a peer that
+	// predates flow control never does, and the channel then runs at
+	// min(window, capFrames)). Senders
 	// gate on min(window, capFrames, credit). Guarded by mu.
 	credit int
 
-	// paceBurst is the resolved retransmit pacing bucket (0 = pacing
-	// off); pacedBacklog counts unacked frames a paced RTO expiry left
-	// for later ticks, for health snapshots. Guarded by mu.
+	// paceBurst is the resolved retransmit pacing bucket; pacedBacklog
+	// counts unacked frames a paced RTO expiry left for later ticks, for
+	// health snapshots. Guarded by mu.
 	paceBurst    int
 	pacedBacklog int
 
@@ -170,14 +171,9 @@ func newTxChan(n *Node, peer int, addr netip.AddrPort) *liveTxChan {
 	if n.cfg.PeerInFlight > 0 && n.cfg.PeerInFlight < n.cfg.Window {
 		tc.capFrames = n.cfg.PeerInFlight
 	}
-	switch {
-	case n.cfg.PaceBurst > 0:
-		tc.paceBurst = n.cfg.PaceBurst
-	case n.cfg.PaceBurst == 0:
-		tc.paceBurst = n.cfg.Window
-		if tc.paceBurst > 16 {
-			tc.paceBurst = 16
-		}
+	tc.paceBurst = n.cfg.PaceBurst
+	if tc.paceBurst <= 0 {
+		tc.paceBurst = min(n.cfg.Window, 16)
 	}
 	tc.sendMu.SetRank(rankSendMu, "sendMu")
 	tc.mu.SetRank(rankChanMu, "tc.mu")

@@ -1,37 +1,17 @@
-// Package perfreg is the performance-regression observatory: the layer
-// that turns the repo's benchmark numbers from an unchecked artifact
-// into an enforced trajectory, and its CPU time from an undifferentiated
-// blob into per-datapath-stage attribution.
+// Package perfreg attributes CPU time to datapath stages: it turns a
+// profile from an undifferentiated blob into a per-stage table.
 //
-// Three concerns live here, deliberately together — they share the stage
-// taxonomy (internal/trace SpanOrder) and the result schema:
+// The live TX/RX/timer paths and the sim driver loops tag themselves
+// with runtime/pprof labels named after the flight recorder's span
+// stages (internal/trace SpanOrder) when Enable has been called
+// (cliclive/clicsim -profile, clicbench -cpuprofile / profile).
+// Attribute folds any pprof profile — CPU, mutex, block — into a
+// per-stage table, so "where do the microseconds go" (the paper's Fig. 7
+// question) can be asked of a production profile, not just the
+// simulator. The disabled path is one atomic load on the hot paths, 0
+// allocs, AllocsPerRun-guarded in internal/live.
 //
-//   - Structured bench results (schema.go): a versioned schema for
-//     BENCH_live.json entries with an environment fingerprint (go
-//     version, OS/arch, CPU count) and noise statistics — each metric is
-//     the median of N runs with its median absolute deviation (MAD), so
-//     a consumer knows how much a number wobbles on the machine that
-//     produced it. Validation is strict (unknown fields rejected) so a
-//     hand-edited or truncated trajectory fails loudly.
-//
-//   - Noise-aware baseline checking (baseline.go): Check compares a
-//     fresh entry against a committed baseline and reports per-metric
-//     findings — throughput floor, p99 ceiling, allocs/msg ceiling —
-//     each with the band that was allowed (tolerance + a MAD multiple,
-//     capped so a real regression cannot hide inside a noisy band) and
-//     a human explanation of exactly which metric tripped and why.
-//     `clicbench -baseline bench/baseline.json -check live` is the CLI;
-//     the CI perf gate and its injected-regression canary run it on
-//     every PR.
-//
-//   - CPU attribution by datapath stage (label.go, attribute.go): the
-//     live TX/RX/timer paths and the sim driver loops tag themselves
-//     with runtime/pprof labels named after the flight recorder's span
-//     stages when Enable has been called (cliclive/clicsim -profile,
-//     clicbench -cpuprofile / profile). Attribute folds any pprof
-//     profile — CPU, mutex, block — into a per-stage table, so "where
-//     do the microseconds go" (the paper's Fig. 7 question) can be
-//     asked of a production profile, not just the simulator. The
-//     disabled path is one atomic load on the hot paths, 0 allocs,
-//     AllocsPerRun-guarded in internal/live.
+// Measuring whether a change made the datapath faster or slower is not
+// this package's job: that is benchmark/run.sh, the repo's one
+// yardstick.
 package perfreg

@@ -133,7 +133,7 @@ func TestCLICHeaderPutMatchesEncode(t *testing.T) {
 		h := Header{Type: PacketType(typ), Flags: flags, Port: port, Seq: seq, Len: length}
 		buf := make([]byte, HeaderBytes+4)
 		for i := range buf {
-			buf[i] = 0xEE // canary: Put must touch exactly HeaderBytes
+			buf[i] = 0xEE // sentinel: Put must touch exactly HeaderBytes
 		}
 		h.Put(buf)
 		if !bytes.Equal(buf[:HeaderBytes], h.Encode(nil)) {

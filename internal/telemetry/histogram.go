@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -162,66 +161,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += c
 	}
 	return h.Max()
-}
-
-// Merge folds other's observations into h: bucket counts, count and sum
-// add; min/max fold. The bucket bounds must be identical — merging
-// histograms with different boundaries would silently misattribute
-// counts, so that is an error, not a best-effort re-bin. Merging is how
-// per-run latency snapshots combine into one distribution (the
-// median-of-N live bench merges its ping-pong histograms before taking
-// trajectory quantiles). Safe against concurrent Observe on either
-// side; each side's counters are read atomically one at a time, so the
-// result is a near-point-in-time fold, same as Snapshot.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil || other == h {
-		return nil
-	}
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("telemetry: merging histograms with %d vs %d buckets", len(h.bounds), len(other.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != other.bounds[i] {
-			return fmt.Errorf("telemetry: merging histograms with different bounds at bucket %d (%g vs %g)",
-				i, h.bounds[i], other.bounds[i])
-		}
-	}
-	if other.count.Load() == 0 {
-		return nil
-	}
-	for i := range h.counts {
-		if c := other.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(other.count.Load())
-	os := math.Float64frombits(other.sum.Load())
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+os)) {
-			break
-		}
-	}
-	for _, fold := range []struct {
-		dst  *atomic.Uint64
-		v    float64
-		less bool // fold keeps dst if dst is less (min) / greater (max)
-	}{
-		{&h.min, math.Float64frombits(other.min.Load()), true},
-		{&h.max, math.Float64frombits(other.max.Load()), false},
-	} {
-		for {
-			old := fold.dst.Load()
-			cur := math.Float64frombits(old)
-			if (fold.less && cur <= fold.v) || (!fold.less && cur >= fold.v) {
-				break
-			}
-			if fold.dst.CompareAndSwap(old, math.Float64bits(fold.v)) {
-				break
-			}
-		}
-	}
-	return nil
 }
 
 // clamp bounds an interpolated estimate to the observed range.
