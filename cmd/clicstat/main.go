@@ -166,10 +166,14 @@ func render(w *os.File, doc, prev *health.Doc, sortBy string) {
 	for ni := range doc.Nodes {
 		node := &doc.Nodes[ni]
 		var extra []string
-		// One entry per RX shard: frames/bursts, plus the poll-mode hit
-		// rate when the adaptive ladder has been polling.
+		// One entry per RX shard: frames/bursts, the bursts an
+		// application goroutine read directly, and the poll-mode hit rate
+		// when the adaptive ladder has been polling.
 		for _, sh := range node.Shards {
 			s := fmt.Sprintf("shard%d %df/%db", sh.Shard, sh.Frames, sh.Bursts)
+			if sh.Direct > 0 {
+				s += fmt.Sprintf(" (%d direct)", sh.Direct)
+			}
 			if sh.Polls > 0 {
 				s += fmt.Sprintf(" (%d polls, %d empty)", sh.Polls, sh.PollEmpty)
 			}

@@ -58,7 +58,8 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 // round trip through Send and Recv — the paper's C6 ping-pong shape.
 // A zero-length message makes the delivery copy itself free, so this
 // guard covers the receive API path the send guard deliberately
-// bypasses.
+// bypasses, and with it the direct-call rung: the goroutine in Recv
+// reads the socket and runs the protocol itself.
 func TestSteadyStateRoundTripZeroAlloc(t *testing.T) {
 	a, b := wbPair(t, DefaultConfig())
 	const port = 21
@@ -72,6 +73,7 @@ func TestSteadyStateRoundTripZeroAlloc(t *testing.T) {
 	}
 	streamQuiesce(t, a, 1)
 
+	direct0 := b.rxDirect.Value()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	avg := testing.AllocsPerRun(200, func() {
 		if err := a.Send(1, port, nil); err != nil {
@@ -83,6 +85,9 @@ func TestSteadyStateRoundTripZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state round trip allocates %.2f allocs; the 0-copy datapath regressed", avg)
+	}
+	if b.rxDirect.Value() == direct0 {
+		t.Error("no Recv call read the socket itself: the direct path went unmeasured")
 	}
 }
 

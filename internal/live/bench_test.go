@@ -2,7 +2,9 @@ package live_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/live"
 )
@@ -30,6 +32,13 @@ func benchPair(b *testing.B, cfg live.Config) (*live.Node, *live.Node) {
 // the receiver drains them. bytes/op is the message size, so ns/op
 // converts directly to Mb/s; allocs/op tracks the per-message datapath
 // cost (fragmentation, framing, receive, reassembly).
+//
+// The port queue keeps its default depth, so a receiver that falls
+// behind loses acknowledged messages at the full queue (ROADMAP item
+// 2a) and the count-based Recv loop would wait forever for them. A
+// watchdog fails the run instead once nothing has been delivered for
+// streamStall, naming live_port_drops_total, and closes the nodes so
+// Recv returns.
 func BenchmarkLiveStream(b *testing.B) {
 	for _, mtu := range []int{1500, 9000} {
 		b.Run(fmt.Sprintf("mtu=%d", mtu), func(b *testing.B) {
@@ -43,6 +52,9 @@ func BenchmarkLiveStream(b *testing.B) {
 				payload[i] = byte(i)
 			}
 			errs := make(chan error, 1)
+			var got atomic.Int64
+			stalled := watchDelivery(&got, a, c)
+			defer close(stalled.stop)
 			b.SetBytes(msgSize)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -57,14 +69,58 @@ func BenchmarkLiveStream(b *testing.B) {
 			}()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Recv(40); err != nil {
-					b.Fatal(err)
+					select {
+					case <-stalled.fired:
+						b.Fatalf("no message delivered for %v after %d of %d: %d dropped at the full port queue (live_port_drops_total)",
+							streamStall, i, b.N, counterValue(b, c, "live_port_drops_total"))
+					default:
+						b.Fatal(err)
+					}
 				}
+				got.Add(1)
 			}
 			if err := <-errs; err != nil {
 				b.Fatal(err)
 			}
 		})
 	}
+}
+
+// streamStall is how long BenchmarkLiveStream waits without a delivery
+// before it declares the stream stuck.
+const streamStall = 5 * time.Second
+
+// deliveryWatch is the stuck-stream watchdog: fired closes when the
+// count stops moving for streamStall (the nodes are then closed), stop
+// ends the watch.
+type deliveryWatch struct{ fired, stop chan struct{} }
+
+// watchDelivery polls got until it stalls for streamStall, then closes
+// the nodes so every blocked Recv and Send returns.
+func watchDelivery(got *atomic.Int64, nodes ...*live.Node) deliveryWatch {
+	w := deliveryWatch{fired: make(chan struct{}), stop: make(chan struct{})}
+	go func() {
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		last, since := got.Load(), time.Now()
+		for {
+			select {
+			case <-w.stop:
+				return
+			case now := <-tick.C:
+				if g := got.Load(); g != last {
+					last, since = g, now
+				} else if now.Sub(since) >= streamStall {
+					close(w.fired)
+					for _, n := range nodes {
+						n.Close()
+					}
+					return
+				}
+			}
+		}
+	}()
+	return w
 }
 
 // BenchmarkLivePingPong measures request/response latency with empty

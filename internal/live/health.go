@@ -57,6 +57,7 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			Frames:    s.frames.Load(),
 			Polls:     s.polls.Load(),
 			PollEmpty: s.pollEmpty.Load(),
+			Direct:    s.direct.Load(),
 		})
 	}
 	n.pmu.RLock()

@@ -59,6 +59,8 @@ func (n *Node) Handshake(addr *net.UDPAddr, timeout time.Duration) (int, error) 
 	}
 	timer := time.NewTimer(per)
 	defer timer.Stop()
+	n.rxWait(1)
+	defer n.rxWait(-1)
 	for i := 0; i < tries; i++ {
 		n.transmit(n.shards[0].conn, ap, buf[:], 0)
 		select {

@@ -50,7 +50,8 @@ import (
 // time while the lockcheck wrappers assert it at runtime under
 // `-tags lockcheck`. Locks that share a rank (the per-channel tx/rx
 // mutexes) are order-free with respect to each other and must never
-// nest.
+// nest. The socket reader's token (rxShard.baton) is a channel, not a
+// mutex, and outermost: taken with no lock held, held across the read.
 const (
 	rankSendMu = 10 // per-channel message atomicity; declared blockok (spans socket writes)
 	rankLife   = 15 // lmu: handshake rendezvous + lifecycle bookkeeping
@@ -198,7 +199,7 @@ type Node struct {
 	cfg Config
 
 	// shards are the node's sockets: one, or Config.Shards SO_REUSEPORT
-	// sockets bound to the same port, each drained by its own rxLoop
+	// sockets bound to the same port, each with its own rxLoop
 	// goroutine. The slice is immutable after NewNode, so fast paths
 	// index it without a lock. TX channels pin to shardOf(peer) for
 	// their writes; any shard may transmit to any peer (all sockets
@@ -268,8 +269,8 @@ type Node struct {
 	wg     sync.WaitGroup
 	done   chan struct{}
 
-	// Metrics. Counters are atomic (telemetry.Counter), so the rxLoop
-	// goroutine, timer callbacks and sender goroutines may all touch
+	// Metrics. Counters are atomic (telemetry.Counter), so the socket's
+	// reader, timer callbacks and sender goroutines may all touch
 	// them without holding any lock — the live stack's counters are
 	// exactly the shared state -race used to flag with plain ints.
 	tel              *telemetry.Registry
@@ -292,6 +293,8 @@ type Node struct {
 	rxPollEmpty      telemetry.Counter
 	rxAggRuns        telemetry.Counter
 	rxAggFrames      telemetry.Counter
+	rxDirect         telemetry.Counter
+	rxHandoffs       telemetry.Counter
 	portDrops        telemetry.Counter
 	handshakes       telemetry.Counter
 	peerEvictions    telemetry.Counter
@@ -343,11 +346,16 @@ func NewNode(id int, cfg Config) (*Node, error) {
 			for _, c := range conns {
 				c.Close()
 			}
+			for _, s := range shards {
+				s.br.close()
+			}
 			return nil, fmt.Errorf("live: raw conn: %w", err)
 		}
 		conn.SetReadBuffer(sockBufBytes)  //nolint:errcheck // kernel clamps; degraded perf, not correctness
 		conn.SetWriteBuffer(sockBufBytes) //nolint:errcheck // kernel clamps; degraded perf, not correctness
-		shards = append(shards, &rxShard{id: i, conn: conn, raw: rawConn})
+		shards = append(shards, &rxShard{id: i, conn: conn, raw: rawConn, br: newBatchReader(conn, rawConn),
+			baton: make(chan struct{}, 1), handback: make(chan struct{}, 1),
+			nap: time.NewTimer(rxTakeover), shallow: rxDirectAfter, want: -1})
 	}
 	n := &Node{
 		ID:        id,
@@ -397,6 +405,8 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	n.tel.RegisterCounter("live_pool_puts_total", "frame buffers returned to the shared pool", &n.poolPuts, node)
 	n.tel.RegisterCounter("live_pool_allocs_total", "frame buffers newly allocated on pool miss", &n.poolAllocs, node)
 	n.tel.RegisterCounter("live_rx_bursts_total", "receive wakeups, each draining a burst of one or more datagrams", &n.rxBursts, node)
+	n.tel.RegisterCounter("live_rx_direct_bursts_total", "receive bursts read by an application goroutine blocked in Recv (the direct-call rung)", &n.rxDirect, node)
+	n.tel.RegisterCounter("live_rx_handoffs_total", "completed messages queued on a port for a Recv caller to take", &n.rxHandoffs, node)
 	n.tel.RegisterCounter("live_rx_burst_frames_total", "datagrams drained by burst receives", &n.rxBurstFrames, node)
 	n.tel.RegisterCounter("live_rx_polls_total", "non-blocking poll probes that drained datagrams (adaptive poll rung)", &n.rxPolls, node)
 	n.tel.RegisterCounter("live_rx_poll_empty_total", "non-blocking poll probes that found the socket empty", &n.rxPollEmpty, node)
@@ -649,14 +659,42 @@ func (n *Node) portChan(port uint16) chan Message {
 	return ch
 }
 
-// Recv blocks for the next message on port.
+// Recv blocks for the next message on port. On a single-socket node a
+// caller whose queue is empty waits for the message or for the socket's
+// reader role, whichever comes first, and with the role reads the
+// socket itself (readDirect). A multi-shard node keeps the bottom half:
+// a caller cannot know which socket its message will arrive on, and it
+// can park in only one poller.
 func (n *Node) Recv(port uint16) (Message, error) {
 	ch := n.portChan(port)
-	select {
-	case msg := <-ch:
-		return msg, nil
-	case <-n.done:
-		return Message{}, ErrClosed
+	if len(n.shards) > 1 {
+		select {
+		case msg := <-ch:
+			return msg, nil
+		case <-n.done:
+			return Message{}, ErrClosed
+		}
+	}
+	s := n.shards[0]
+	for {
+		select {
+		case <-s.baton: // nobody reads the socket: read it
+		default:
+			s.waiters.Add(1)
+			select {
+			case msg := <-ch:
+				s.waiters.Add(-1)
+				return msg, nil
+			case <-n.done:
+				s.waiters.Add(-1)
+				return Message{}, ErrClosed
+			case <-s.baton:
+				s.waiters.Add(-1)
+			}
+		}
+		if msg, ok, err := n.readDirect(s, port, ch); ok {
+			return msg, err
+		}
 	}
 }
 

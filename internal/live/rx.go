@@ -17,8 +17,9 @@ import (
 )
 
 // liveRxChan is the receive side of one peer channel, guarded by its
-// own mutex. It is driven almost exclusively by the rxLoop goroutine;
-// the lock exists for the delayed-ack timer and AddPeer.
+// own mutex. It is driven almost exclusively by the socket's current
+// reader (rxLoop, or a Recv caller on the direct-call rung); the lock
+// exists for the delayed-ack timer and AddPeer.
 type liveRxChan struct {
 	src int
 
@@ -33,10 +34,10 @@ type liveRxChan struct {
 	asm   liveAsm
 
 	// pending stages messages completed during the current locked
-	// dispatch run; the rxLoop drains it after releasing mu, so
+	// dispatch run; the reader drains it after releasing mu, so
 	// delivery (port-queue sends, region remote writes, the pmu port
-	// lookup) never happens under a channel lock. Owned by the rxLoop
-	// goroutine; the backing array is reused across runs.
+	// lookup) never happens under a channel lock. Owned by the socket's
+	// current reader; the backing array is reused across runs.
 	pending []pendingMsg
 
 	// emit is the persistent resequencer delivery hook: allocated once
@@ -46,7 +47,7 @@ type liveRxChan struct {
 	// Ack coalescing state: sinceAck counts delivered-but-unacked
 	// frames; ackNow forces a flush at burst end (duplicates and drops,
 	// where a prompt re-ack unsticks the peer); inBurst dedupes this
-	// channel into the rxLoop's touched set.
+	// channel into the reader's touched set.
 	sinceAck int
 	ackNow   bool
 	inBurst  bool
@@ -85,8 +86,9 @@ type liveRxChan struct {
 
 	// ackBuf is the preframed ack datagram: burst-flush acks are encoded
 	// into it under mu and written after release, so the hot path
-	// allocates nothing. rxLoop-exclusive — the delayed-ack timer frames
-	// on its own stack buffer, so the post-unlock write never races.
+	// allocates nothing. Exclusive to the socket's current reader — the
+	// delayed-ack timer frames on its own stack buffer, so the
+	// post-unlock write never races.
 	ackBuf [proto.HeaderBytes]byte
 }
 
@@ -132,7 +134,7 @@ func newRxChan(n *Node, src int, addr netip.AddrPort) *liveRxChan {
 			}
 			// Stage rather than deliver: delivery sends on port channels
 			// and takes pmu/region locks, none of which may happen under
-			// rc.mu. The rxLoop drains right after releasing the lock.
+			// rc.mu. The reader drains right after releasing the lock.
 			p := pendingMsg{src: rc.src, port: rc.asm.port, typ: rc.asm.typ,
 				seq: rc.asm.lastSeq, view: view, owned: owned}
 			if !owned && d.fb != nil {
@@ -151,14 +153,14 @@ func newRxChan(n *Node, src int, addr netip.AddrPort) *liveRxChan {
 }
 
 // drainPending delivers the messages staged during a locked dispatch
-// run. Called from the rxLoop goroutine with rc.mu released: borrowed
-// views alias either the reader's resident buffers — valid until the
-// next readBatch, which this same goroutine issues — or a transferred
-// pooled buffer, returned here once delivery is done.
-func (n *Node) drainPending(rc *liveRxChan) {
+// run. Called by the socket's current reader with rc.mu released:
+// borrowed views alias either the batch reader's resident buffers —
+// valid until the next read, which only the baton holder issues — or a
+// transferred pooled buffer, returned here once delivery is done.
+func (n *Node) drainPending(s *rxShard, rc *liveRxChan) {
 	for i := range rc.pending {
 		p := &rc.pending[i]
-		n.deliver(p.src, p.port, p.typ, p.seq, p.view, p.owned)
+		n.deliver(s, p.src, p.port, p.typ, p.seq, p.view, p.owned)
 		fb := p.fb
 		*p = pendingMsg{} // drop buffer refs so the reused array pins nothing
 		if fb != nil {
@@ -175,12 +177,24 @@ func (n *Node) drainPending(rc *liveRxChan) {
 // needs to stage its next burst; anything longer just burns the core.
 const rxPollIdleExit = 2
 
-// burstScratch is the rxLoop's per-burst decode state: headers and
+// rxDirectAfter is the direct-call rung's hysteresis: after a deep
+// burst rxLoop keeps the socket until this many shallow bursts in a
+// row, so a stream pausing between windows does not bounce readers.
+const rxDirectAfter = 8
+
+// rxTakeover is how long the token may sit free, with no Recv caller
+// taking it, before rxLoop reads the socket again. The clock starts
+// when the token is put back, so an unread socket is picked up within
+// two: under AckDelay and far under RTOMin, so a node whose application
+// stops calling Recv still acks.
+const rxTakeover = 500 * time.Microsecond
+
+// burstScratch is the reader's per-burst decode state: headers and
 // payload views for every frame of the current batch (the reader hands
 // out at most rxMaxFrames at a time), predecoded in one pass so the
 // dispatch pass can aggregate adjacent same-peer runs. Owned by the
-// rxLoop goroutine; the payload views alias the reader's resident
-// buffers and live only until the next read.
+// socket's current reader; the payload views alias the batch reader's
+// resident buffers and live only until the next read.
 type burstScratch struct {
 	hdrs     [rxMaxFrames]proto.Header
 	payloads [rxMaxFrames][]byte
@@ -188,98 +202,246 @@ type burstScratch struct {
 	data     [rxMaxFrames]bool // decoded, from a registered peer, data-bearing
 }
 
-// rxLoop reads datagram bursts and runs them through the receive path —
-// the live analogue of the driver ISR + CLIC_MODULE, climbing the
-// paper's RX ladder with offered load:
+// rxLoop is the socket's reader of last resort — the live analogue of
+// the driver ISR + CLIC_MODULE bottom half. Each turn is one rxBurst,
+// and the turns climb the paper's RX ladder with offered load:
 //
 //   - Idle and sparse traffic block in the poller: one wakeup per
 //     burst, the interrupt-coalescing rung (recvmmsg on Linux).
 //   - A deep burst (cnt >= rxBatchSize frames, be it a full recvmmsg of
 //     single datagrams or one superframe) signals line-rate traffic:
-//     the loop shifts to non-blocking tryReadBatch probes — the NAPI rung,
-//     where the receiver owns the schedule and wakeups cost nothing —
-//     until rxPollIdleExit consecutive probes come back empty.
+//     the reader shifts to non-blocking tryReadBatch probes — the NAPI
+//     rung, where the receiver owns the schedule and wakeups cost
+//     nothing — until rxPollIdleExit consecutive probes come back empty.
 //   - Within each burst, adjacent data datagrams from the same peer
 //     are dispatched as one run under a single channel-lock hold (the
 //     GRO rung), and ack decisions are deferred to burst end so a
 //     burst answers with one cumulative ack, not one per frame.
+//   - On a single-socket node, after rxDirectAfter shallow bursts, a
+//     burst that finds a Recv caller parked ends with rxLoop giving the
+//     socket away (napRx): the direct-call rung of Fig. 8b, where the
+//     application's goroutine runs the protocol itself (readDirect).
 func (n *Node) rxLoop(s *rxShard) {
 	defer n.wg.Done()
-	br, err := newBatchReader(s.conn)
-	if err != nil {
-		return
-	}
-	defer br.close()
 	// The loop goroutine carries the isr pprof stage (it is the live
 	// analogue of the driver ISR: socket reads and poll probes); each
 	// burst's protocol dispatch re-labels itself module-rx and restores
-	// loopCtx on return. One-time cost when profiling is off.
-	loopCtx := context.Background()
+	// ctx on return. One-time cost when profiling is off.
+	ctx := context.Background()
 	if perfreg.Enabled() {
-		loopCtx = perfreg.LabelGoroutine(loopCtx, trace.SpanISR)
+		ctx = perfreg.LabelGoroutine(ctx, trace.SpanISR)
 	}
-	var touched []*liveRxChan // channels with pending ack decisions; reused across bursts
-	var sc burstScratch
-	polling := false
-	idle := 0
+	direct := len(n.shards) == 1
 	for {
-		var cnt int
-		var err error
-		if polling {
-			cnt, err = br.tryReadBatch()
-		} else {
-			cnt, err = br.readBatch()
+		if err := n.rxBurst(ctx, s); err != nil {
+			break // socket closed
 		}
-		if err != nil {
-			return // socket closed
-		}
-		if cnt == 0 {
-			// Empty probe (poll rung only): yield the core and try again;
-			// after rxPollIdleExit misses, park in the poller.
-			n.rxPollEmpty.Inc()
-			s.pollEmpty.Add(1)
-			if idle++; idle >= rxPollIdleExit {
-				polling = false
-				idle = 0
-			} else {
-				runtime.Gosched()
+		if direct && !s.polling && s.shallow >= rxDirectAfter && s.waiters.Load() > 0 && !n.napRx(s) {
+			// Closing: only the token's holder may recycle the slab.
+			select {
+			case <-s.baton:
+			case <-s.handback:
 			}
-			continue
+			break
 		}
-		if polling {
-			n.rxPolls.Inc()
-			s.polls.Add(1)
+	}
+	s.br.close()
+}
+
+// napRx gives the token to the Recv callers and sleeps until rxLoop
+// must read again: the token is handed back, or it sat free for a whole
+// rxTakeover. The clock runs only while the token is free: it starts
+// when the token is offered, and when a check finds a Recv caller
+// holding the token rxLoop sleeps untimed until that caller's release
+// restarts it (releaseRx). So a reader waiting long in the poller is
+// never taken over, and rxLoop wakes once per such release or per
+// rxTakeover, never per message. It reports false when the node is
+// closing.
+func (n *Node) napRx(s *rxShard) bool {
+	for {
+		s.armed.Store(s.releases.Load())
+		select { // drop a fire left over from an earlier clock
+		case <-s.nap.C:
+		default:
 		}
-		idle = 0
-		if rxBatchSize > 1 && cnt >= rxBatchSize {
-			// A deep batch: the socket queue is likely still non-empty (or
-			// about to be refilled), so stay in (or enter) the poll rung.
-			polling = true
+		s.baton <- struct{}{}
+		s.nap.Reset(rxTakeover)
+		for offered := true; offered; {
+			select {
+			case <-s.nap.C:
+			case <-s.handback:
+				return true
+			case <-n.done:
+				return false
+			}
+			gen := s.armed.Load()
+			s.watch.Store(true) // before the probe: a release after it restarts the clock
+			select {
+			case <-s.baton:
+				if s.releases.Load() == gen {
+					return true // free since the clock started: read again
+				}
+				offered = false // read meanwhile: offer it again
+			case <-s.handback:
+				return true
+			default: // a Recv caller is reading
+			}
 		}
-		n.socketReads.Addn(int64(cnt))
-		n.rxBursts.Inc()
-		n.rxBurstFrames.Addn(int64(cnt))
-		s.bursts.Add(1)
-		s.frames.Add(int64(cnt))
-		if perfreg.Enabled() {
-			perfreg.Do(loopCtx, trace.SpanModuleRx, func() {
-				touched = n.dispatchBurst(s, br, cnt, &sc, touched)
-				touched = n.flushAcks(s, touched)
-			})
+	}
+}
+
+// rxBurst is one turn of the socket's reader, whoever holds the token:
+// read a burst (a blocking read, or a non-blocking probe on the poll
+// rung), account for it, and run it through dispatchBurst and
+// flushAcks. ctx is the label set the module-rx stage restores.
+func (n *Node) rxBurst(ctx context.Context, s *rxShard) error {
+	var cnt int
+	var err error
+	if s.polling {
+		cnt, err = s.br.tryReadBatch()
+	} else {
+		cnt, err = s.br.readBatch()
+	}
+	if err != nil {
+		return err
+	}
+	if cnt == 0 {
+		// Empty probe (poll rung only): yield the core and try again;
+		// after rxPollIdleExit misses, park in the poller.
+		n.rxPollEmpty.Inc()
+		s.pollEmpty.Add(1)
+		if s.idle++; s.idle >= rxPollIdleExit {
+			s.polling = false
+			s.idle = 0
 		} else {
-			touched = n.dispatchBurst(s, br, cnt, &sc, touched)
-			touched = n.flushAcks(s, touched)
+			runtime.Gosched()
 		}
+		return nil
+	}
+	if s.polling {
+		n.rxPolls.Inc()
+		s.polls.Add(1)
+	}
+	s.idle = 0
+	if rxBatchSize > 1 && cnt >= rxBatchSize {
+		// A deep batch: the socket queue is likely still non-empty (or
+		// about to be refilled), so stay in (or enter) the poll rung and
+		// restart the direct rung's hysteresis.
+		s.polling = true
+		s.shallow = 0
+	} else if s.shallow < rxDirectAfter {
+		s.shallow++
+	}
+	if s.want >= 0 {
+		n.rxDirect.Inc()
+		s.direct.Add(1)
+	}
+	n.socketReads.Addn(int64(cnt))
+	n.rxBursts.Inc()
+	n.rxBurstFrames.Addn(int64(cnt))
+	s.bursts.Add(1)
+	s.frames.Add(int64(cnt))
+	if perfreg.Enabled() {
+		perfreg.Do(ctx, trace.SpanModuleRx, func() {
+			n.dispatchBurst(s, cnt)
+			n.flushAcks(s)
+		})
+	} else {
+		n.dispatchBurst(s, cnt)
+		n.flushAcks(s)
+	}
+	return nil
+}
+
+// readDirect is the direct-call rung (Fig. 7b/8b: CLIC_MODULE runs from
+// the interrupt, not a bottom half). The Recv caller holding the token
+// reads the socket and runs the protocol itself until deliver leaves
+// its message in s.got: one wake-up per message, where a hand-off
+// through the port queue costs two. Other ports' messages are queued as
+// usual. With its message the caller puts the token back for the next
+// Recv caller; after a deep burst it hands it to rxLoop at once, since
+// line-rate traffic belongs on the poll rung, where rxLoop overlaps
+// protocol work with the application. ok is false when it handed back
+// without a message.
+func (n *Node) readDirect(s *rxShard, port uint16, ch chan Message) (msg Message, ok bool, err error) {
+	for {
+		select {
+		case msg = <-ch:
+			n.releaseRx(s)
+			return msg, true, nil
+		default:
+		}
+		s.want = int32(port)
+		err = n.rxBurst(context.Background(), s)
+		s.want = -1
+		if err != nil {
+			n.releaseRx(s)
+			return Message{}, true, ErrClosed
+		}
+		msg, ok = s.got, s.gotOK
+		s.got, s.gotOK = Message{}, false
+		if s.polling {
+			s.handback <- struct{}{}
+			return msg, ok, nil
+		}
+		if ok {
+			n.releaseRx(s)
+			return msg, true, nil
+		}
+	}
+}
+
+// releaseRx ends a Recv caller's turn as reader: the token goes back to
+// the baton channel for the next Recv caller, or straight to rxLoop
+// when a goroutine that cannot read is waiting on receive progress. If
+// rxLoop found this caller reading at its last check, the release
+// starts its takeover clock. The count is raised before the token is
+// free, so a check that takes the token sees every release before it.
+func (n *Node) releaseRx(s *rxShard) {
+	gen := s.releases.Add(1)
+	s.baton <- struct{}{}
+	if s.watch.Load() && s.watch.CompareAndSwap(true, false) {
+		s.armed.Store(gen)
+		s.nap.Reset(rxTakeover)
+	}
+	if s.stalled.Load() > 0 {
+		kickRx(s)
+	}
+}
+
+// kickRx hands a free token to rxLoop. It may run under a state lock,
+// so both channel operations are non-blocking; the inner one always
+// succeeds, since the token it just took is the only one.
+func kickRx(s *rxShard) {
+	select {
+	case <-s.baton:
+		select {
+		case s.handback <- struct{}{}:
+		default:
+		}
+	default:
+	}
+}
+
+// rxWait brackets (+1 before, -1 after) every blocking wait for receive
+// progress other than Recv's — window space, a confirmation, a hello
+// reply, remote writes. Such a waiter cannot read the socket, so on a
+// single-socket node a free token goes to rxLoop now, and a direct
+// reader leaving meanwhile hands it there too (releaseRx).
+func (n *Node) rxWait(delta int32) {
+	if len(n.shards) == 1 && n.shards[0].stalled.Add(delta) > 0 && delta > 0 {
+		kickRx(n.shards[0])
 	}
 }
 
 // dispatchBurst decodes a burst and dispatches it: control frames are
 // consumed in place, and maximal runs of adjacent data datagrams from
 // the same peer go through onDataRun under one channel-lock hold.
-func (n *Node) dispatchBurst(s *rxShard, br *batchReader, cnt int, sc *burstScratch, touched []*liveRxChan) []*liveRxChan {
+func (n *Node) dispatchBurst(s *rxShard, cnt int) {
+	sc := &s.sc
 	for i := 0; i < cnt; i++ {
 		sc.data[i] = false
-		dgram, from := br.datagram(i)
+		dgram, from := s.br.datagram(i)
 		hdr, payload, err := proto.DecodeHeader(dgram)
 		if err != nil {
 			continue // runt datagram
@@ -343,10 +505,9 @@ func (n *Node) dispatchBurst(s *rxShard, br *batchReader, cnt int, sc *burstScra
 		for j < cnt && sc.data[j] && sc.srcs[j] == sc.srcs[i] {
 			j++
 		}
-		touched = n.onDataRun(sc.srcs[i], sc.hdrs[i:j], sc.payloads[i:j], touched)
+		n.onDataRun(s, sc.srcs[i], sc.hdrs[i:j], sc.payloads[i:j])
 		i = j
 	}
-	return touched
 }
 
 // onDataRun runs an adjacent same-peer run of data datagrams through
@@ -355,12 +516,12 @@ func (n *Node) dispatchBurst(s *rxShard, br *batchReader, cnt int, sc *burstScra
 // and taking the channel lock (and the flight/resequencer bookkeeping
 // around it) once per run instead of once per frame keeps per-frame
 // cost flat as bursts deepen.
-func (n *Node) onDataRun(src int, hdrs []proto.Header, payloads [][]byte, touched []*liveRxChan) []*liveRxChan {
+func (n *Node) onDataRun(s *rxShard, src int, hdrs []proto.Header, payloads [][]byte) {
 	rc := n.rxFor(src)
 	rc.mu.Lock()
 	if !rc.inBurst {
 		rc.inBurst = true
-		touched = append(touched, rc)
+		s.touched = append(s.touched, rc)
 	}
 	if len(hdrs) > 1 {
 		n.rxAggRuns.Inc()
@@ -382,8 +543,7 @@ func (n *Node) onDataRun(src int, hdrs []proto.Header, payloads [][]byte, touche
 		}
 	}
 	rc.mu.Unlock()
-	n.drainPending(rc)
-	return touched
+	n.drainPending(s, rc)
 }
 
 // onData runs a data-bearing datagram through the reliable channel.
@@ -476,9 +636,9 @@ func (n *Node) ackHeader(rc *liveRxChan, typ proto.PacketType) proto.Header {
 // one redundant repair). Its ack goes out at once as a TypeNack, once
 // per hole: "the gap outlived the burst it was seen in" stands in for
 // the simulator's NackDelay timer.
-func (n *Node) flushAcks(s *rxShard, touched []*liveRxChan) []*liveRxChan {
+func (n *Node) flushAcks(s *rxShard) {
 	var nowNs int64 // lazily stamped once per burst
-	for _, rc := range touched {
+	for _, rc := range s.touched {
 		rc.mu.Lock()
 		rc.inBurst = false
 		cum := rc.reseq.CumAck()
@@ -513,8 +673,8 @@ func (n *Node) flushAcks(s *rxShard, touched []*liveRxChan) []*liveRxChan {
 				rc.ackArmed = false
 			}
 			// Frame under the lock, write after release: the socket write
-			// must not happen under rc.mu. ackBuf is rxLoop-exclusive, so
-			// the post-unlock read of it is race-free.
+			// must not happen under rc.mu. ackBuf is exclusive to the
+			// socket's reader, so the post-unlock read of it is race-free.
 			n.ackHeader(rc, typ).Put(rc.ackBuf[:])
 		} else if rc.sinceAck > 0 && !rc.ackArmed {
 			rc.ackTimer.Reset(n.cfg.AckDelay)
@@ -541,7 +701,7 @@ func (n *Node) flushAcks(s *rxShard, touched []*liveRxChan) []*liveRxChan {
 			n.sendControl(rc.src, proto.TypeConfirm, seq)
 		}
 	}
-	return touched[:0]
+	s.touched = s.touched[:0]
 }
 
 // fireDelayedAck is the delayed-ack timer callback: flush the
@@ -571,8 +731,8 @@ func (n *Node) delayedAckExpire(rc *liveRxChan) {
 	rc.ackArmed = false
 	rc.sinceAck = 0
 	rc.ackNow = false
-	// Frame on the stack, not into rc.ackBuf: that buffer is rxLoop-
-	// exclusive and the burst flush reads it outside the lock. This is
+	// Frame on the stack, not into rc.ackBuf: that buffer belongs to the
+	// socket's reader, whose burst flush reads it outside the lock. This is
 	// the cold path, so the escaping buffer's allocation is acceptable.
 	var buf [proto.HeaderBytes]byte
 	n.ackHeader(rc, proto.TypeAck).Put(buf[:])
@@ -637,18 +797,22 @@ func (a *liveAsm) add(d rxDatagram) (view []byte, owned, done bool) {
 // deliver routes a completed message by type. Unless owned (an
 // assembly-buffer handoff), view is borrowed — it aliases a read
 // buffer — and deliver copies it only once it knows the message will
-// actually be enqueued. Called from the rxLoop goroutine only — which
-// is what makes the occupancy check sound: no other goroutine sends on
-// port channels, so a non-full channel cannot become full under us.
-// seq is the message's closing sequence number, carried for drop
-// attribution only.
-func (n *Node) deliver(src int, port uint16, typ proto.PacketType, seq relwin.Seq, view []byte, owned bool) {
+// actually be kept. Called by the socket's current reader only — which
+// is what makes the occupancy check sound: on a single-socket node no
+// other goroutine sends on port channels, so a non-full channel cannot
+// become full under us. When the reader is a Recv caller waiting for
+// this port, the first such message goes to it (s.got) and not to the
+// queue: readDirect emptied the queue before reading, so queued
+// messages of this burst follow it in order. seq is the message's
+// closing sequence number, carried for drop attribution only.
+func (n *Node) deliver(s *rxShard, src int, port uint16, typ proto.PacketType, seq relwin.Seq, view []byte, owned bool) {
 	if typ == proto.TypeRemoteWrite {
 		n.remoteWrite(port, view)
 		return
 	}
 	ch := n.portChan(port)
-	if len(ch) == cap(ch) {
+	direct := s.want == int32(port) && !s.gotOK
+	if !direct && len(ch) == cap(ch) {
 		// Port queue full: the kernel-buffer analogue overran; this is an
 		// application-level overrun, dropped here — before the copy. The
 		// drop used to be silent, which made a slow consumer look like
@@ -663,12 +827,17 @@ func (n *Node) deliver(src int, port uint16, typ proto.PacketType, seq relwin.Se
 		data = make([]byte, len(view))
 		copy(data, view)
 	}
+	if direct {
+		s.got, s.gotOK = Message{Src: src, Port: port, Data: data}, true
+		return
+	}
 	// With several shards delivering to one port the occupancy check
 	// above is advisory (another shard may fill the last slot between
 	// check and send), so the send itself must not block: a blocked
 	// shard loop would stall every peer hashed to it.
 	select {
 	case ch <- Message{Src: src, Port: port, Data: data}:
+		n.rxHandoffs.Inc()
 	default:
 		n.portDrops.Inc()
 		n.hl.Warn("port_drop", src, seq, int64(port))
@@ -693,7 +862,7 @@ func (n *Node) sendControl(dst int, typ proto.PacketType, seq relwin.Seq) {
 type Region struct {
 	n *Node
 	// mu guards the window buffer and write counter. Remote writes land
-	// under it from the rxLoop's post-unlock drain, so it nests inside
+	// under it from the reader's post-unlock drain, so it nests inside
 	// nothing lower-ranked than pmu's read side.
 	//lockorder: rank=40 name=region.mu
 	mu     lockcheck.Mutex
@@ -747,6 +916,8 @@ func (n *Node) RemoteWrite(dst int, port uint16, offset int, data []byte) error 
 
 // WaitWrites blocks until at least k remote writes have landed.
 func (r *Region) WaitWrites(k int) {
+	r.n.rxWait(1)
+	defer r.n.rxWait(-1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for r.writes < k && !r.n.closed.Load() {

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 
+	"repro/internal/health"
 	"repro/internal/live"
 )
 
 // counterValue reads one counter from a node's telemetry registry.
-func counterValue(t *testing.T, n *live.Node, name string) int64 {
+func counterValue(t testing.TB, n *live.Node, name string) int64 {
 	t.Helper()
 	for _, m := range n.Telemetry().Snapshot() {
 		if m.Name == name && m.Value != nil {
@@ -34,10 +34,11 @@ func TestLivePortDropCountedNotSilent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for counterValue(t, b, "live_port_drops_total") == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Every message is delivered or dropped before it is acknowledged, so
+	// once the sender's window has drained the drop count is final; read
+	// earlier, it can miss the last drops and the drain below would wait
+	// for messages that no longer exist.
+	waitTx(t, a, 1, "window never drained", func(ch *health.ChannelSnapshot) bool { return ch.InFlight == 0 })
 	drops := counterValue(t, b, "live_port_drops_total")
 	if drops == 0 {
 		t.Fatal("port overrun moved no live_port_drops_total")
@@ -61,8 +62,9 @@ func TestLivePortDropCountedNotSilent(t *testing.T) {
 // TestLiveBulkEngagesPollAndAggregation: a bulk stream must climb the
 // RX ladder — full recvmmsg bursts flip the loop into non-blocking poll
 // probes, and adjacent same-peer datagrams dispatch as aggregated runs.
-// The counters only move with the Linux burst reader; other platforms
-// just verify correctness.
+// Deep bursts also keep the socket with rxLoop: the goroutine blocked
+// in Recv reads next to none of them itself. The counters only move
+// with the Linux burst reader; other platforms just verify correctness.
 func TestLiveBulkEngagesPollAndAggregation(t *testing.T) {
 	a, b := pair(t, live.DefaultConfig())
 	payload := pattern(2_000_000)
@@ -92,5 +94,9 @@ func TestLiveBulkEngagesPollAndAggregation(t *testing.T) {
 	probes := counterValue(t, b, "live_rx_polls_total") + counterValue(t, b, "live_rx_poll_empty_total")
 	if probes == 0 {
 		t.Error("bulk stream never engaged the poll rung (no non-blocking probes)")
+	}
+	bursts, direct := counterValue(t, b, "live_rx_bursts_total"), counterValue(t, b, "live_rx_direct_bursts_total")
+	if direct*20 > bursts {
+		t.Errorf("the Recv caller read %d of %d bursts of a bulk stream; deep bursts must hand the socket back to rxLoop", direct, bursts)
 	}
 }

@@ -4,16 +4,19 @@ import (
 	"net"
 	"sync/atomic"
 	"syscall"
+	"time"
 )
 
 // rxShard is one receive shard: a UDP socket bound (with SO_REUSEPORT
-// when the node runs more than one shard) to the node's port, drained
-// by a dedicated rxLoop goroutine with its own pooled batch reader.
-// The kernel's REUSEPORT flow hash routes all datagrams of one remote
-// 4-tuple to one socket, so a given peer's data and acks always land
-// on the same shard and per-channel receive state keeps exactly one
-// reader — the single-rxLoop ownership invariants (rc.ackBuf, pending
-// dispatch) hold per shard without new locks.
+// when the node runs more than one shard) to the node's port, with its
+// own pooled batch reader and rxLoop goroutine. The kernel's REUSEPORT
+// flow hash routes all datagrams of one remote 4-tuple to one socket,
+// so a given peer's data and acks always land on the same shard and
+// per-channel receive state keeps exactly one reader — the
+// single-reader ownership invariants (rc.ackBuf, pending dispatch) hold
+// per shard without new locks. The reader is whoever holds the shard's
+// token: always rxLoop on a multi-shard node; on a single-socket node
+// also a goroutine blocked in Recv (the direct-call rung, readDirect).
 type rxShard struct {
 	id   int
 	conn *net.UDPConn
@@ -22,12 +25,45 @@ type rxShard struct {
 	// through the runtime poller.
 	raw syscall.RawConn
 
+	// The reader role, a token of which exactly one exists (so no send
+	// blocks). baton holds it while nobody reads and a Recv caller may
+	// take it; handback carries it straight to rxLoop. waiters counts
+	// the Recv callers parked on it, stalled the goroutines blocked on
+	// receive progress that cannot read (rxWait). rxLoop's takeover
+	// clock (napRx): nap fires rxTakeover after the token was freed with
+	// releases at armed (a fire nobody took is dropped at the next
+	// arming); watch asks the next release to restart the clock.
+	baton    chan struct{}
+	handback chan struct{}
+	waiters  atomic.Int32
+	stalled  atomic.Int32
+	nap      *time.Timer
+	releases atomic.Uint64
+	armed    atomic.Uint64
+	watch    atomic.Bool
+
+	// Owned by the token's holder (the token's channel operations order
+	// one holder's writes before the next one's reads): the batch
+	// reader, burst scratch and poll-rung state, the port the holder is
+	// a Recv caller for (-1 for rxLoop), and got/gotOK, where deliver
+	// leaves that caller's message instead of queueing it.
+	br      *batchReader
+	sc      burstScratch
+	touched []*liveRxChan
+	polling bool
+	idle    int
+	shallow int
+	want    int32
+	got     Message
+	gotOK   bool
+
 	// Per-shard receive stats. Atomics: each is written by this shard's
-	// rxLoop and read by health snapshots.
+	// reader and read by health snapshots.
 	bursts    atomic.Int64
 	frames    atomic.Int64
 	polls     atomic.Int64
 	pollEmpty atomic.Int64
+	direct    atomic.Int64
 }
 
 // helloReply is what the receive loop hands a parked Handshake waiter:

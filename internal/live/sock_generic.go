@@ -5,11 +5,12 @@ package live
 import (
 	"net"
 	"net/netip"
+	"syscall"
 )
 
 // rxBatchSize and rxMaxFrames are 1 on the portable path: without
 // recvmmsg every wakeup yields a single datagram, so a deep burst
-// carries no load signal and the adaptive rxLoop never enters its poll
+// carries no load signal and the adaptive reader never enters its poll
 // rung (it requires rxBatchSize > 1).
 const (
 	rxBatchSize = 1
@@ -43,8 +44,8 @@ type batchReader struct {
 	n    int
 }
 
-func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
-	return &batchReader{conn: conn}, nil
+func newBatchReader(conn *net.UDPConn, _ syscall.RawConn) *batchReader {
+	return &batchReader{conn: conn}
 }
 
 // close has nothing to release: the buffer is part of the reader.
@@ -63,7 +64,7 @@ func (r *batchReader) readBatch() (int, error) {
 
 // tryReadBatch is the non-blocking poll probe; the portable path has no
 // cheap non-blocking read, so it always reports an empty batch and the
-// rxLoop's poll rung (never entered with rxBatchSize == 1) would fall
+// reader's poll rung (never entered with rxBatchSize == 1) would fall
 // straight back to blocking reads.
 func (r *batchReader) tryReadBatch() (int, error) {
 	return 0, nil

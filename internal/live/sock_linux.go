@@ -127,7 +127,7 @@ const groCmsgLen = syscall.SizeofCmsghdr + 4
 // between the nodes of a process. A recycled slab needs no zeroing —
 // frame views are cut to kernel-reported lengths — whereas a new 1 MiB
 // one is usually carved from freed heap and cleared, i.e. touched end
-// to end: ~0.5 ms before the rxLoop's first read, during which a new
+// to end: ~0.5 ms before the node's first read, during which a new
 // node's first hello sat in the socket (most of a loopback Handshake).
 // A channel rather than a sync.Pool because the GC empties those. Its
 // capacity bounds what an idle process retains (8 MiB), not how many
@@ -171,11 +171,7 @@ type batchReader struct {
 	errno  syscall.Errno
 }
 
-func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
-	rc, err := conn.SyscallConn()
-	if err != nil {
-		return nil, err
-	}
+func newBatchReader(conn *net.UDPConn, rc syscall.RawConn) *batchReader {
 	var slab []byte
 	select {
 	case slab = <-slabFree:
@@ -195,7 +191,7 @@ func newBatchReader(conn *net.UDPConn) (*batchReader, error) {
 		r.msgs[i].hdr.Iovlen = 1
 	}
 	r.readFn, r.tryFn = r.recvFn(true), r.recvFn(false)
-	return r, nil
+	return r
 }
 
 // close recycles the slab. Called when the rxLoop returns: every frame

@@ -401,10 +401,11 @@ func TestGROInteropPlainReader(t *testing.T) {
 	}
 	defer plain.Close()
 	a.AddPeer(1, plain.LocalAddr().(*net.UDPAddr))
-	br, err := newBatchReader(plain)
+	raw, err := plain.SyscallConn()
 	if err != nil {
 		t.Fatal(err)
 	}
+	br := newBatchReader(plain, raw)
 	defer br.close()
 
 	payload := wbPattern(64 << 10) // 45 fragments fit the window: Send returns without an ack

@@ -281,6 +281,8 @@ func (n *Node) SendConfirm(dst int, port uint16, data []byte) error {
 	if _, err := n.send(dst, port, proto.TypeData, proto.FlagConfirm, data, ch); err != nil {
 		return err
 	}
+	n.rxWait(1)
+	defer n.rxWait(-1)
 	select {
 	case err := <-ch:
 		return err
@@ -365,7 +367,9 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 				tc.mu.Lock()
 				continue
 			}
+			n.rxWait(1)
 			tc.slotFree.Wait()
+			n.rxWait(-1)
 		}
 		if n.closed.Load() || tc.failed {
 			failed := tc.failed
