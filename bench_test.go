@@ -17,6 +17,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/clic"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // reportBandwidth runs one 1 MB burst measurement per iteration.
@@ -102,12 +103,11 @@ func BenchmarkFig7(b *testing.B) {
 			opt.RxMode = mode.rx
 			var us float64
 			for i := 0; i < b.N; i++ {
-				rec := bench.PipelineTrace(nil, opt, 1400)
-				t, ok := rec.Find("app:recv-return")
-				if !ok {
+				pl := bench.PipelineTrace(nil, opt, 1400)
+				if _, ok := pl.Span(trace.SpanCopyToUser); !ok {
 					b.Fatal("pipeline trace incomplete")
 				}
-				us = float64(t) / 1000
+				us = float64(pl.OneWay()) / 1000
 			}
 			b.ReportMetric(us, "µs/packet")
 		})

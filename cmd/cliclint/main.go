@@ -18,8 +18,8 @@
 //	                global rand source
 //	bufown          zero-copy buffers must not be touched after handoff
 //	metricname      telemetry names/label keys constant and snake_case
-//	tracestage      trace marks and flight-journal stage names must be
-//	                the named constants from repro/internal/trace
+//	tracestage      flight-journal stage names must be the named
+//	                constants from repro/internal/trace
 //	lockorder       //lockorder: rank hierarchy: ranks strictly
 //	                increase along every acquisition chain
 //	blockunderlock  no blocking operation under a ranked lock (unless

@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chrometrace"
 	"repro/internal/clic"
 	"repro/internal/cluster"
 	"repro/internal/flight"
@@ -73,7 +72,6 @@ func main() {
 		corrupt    = flag.Float64("corrupt", 0, "injected frame corruption (FCS-discard) rate [0,1)")
 		maxRetries = flag.Int("max-retries", 0, "CLIC retransmissions before the channel fails (0 = unlimited)")
 		pcapPath   = flag.String("pcap", "", "write the switch's traffic to this libpcap file")
-		tracePath  = flag.String("chrometrace", "", "write resource-occupancy timeline as Chrome Trace JSON")
 		flightOut  = flag.String("flight-out", "", "record every frame's lifecycle and write the journal as Chrome Trace JSON")
 		metrics    = flag.String("metrics", "", "dump final telemetry snapshot: prom or json")
 		metricsOut = flag.String("metrics-out", "", "write metrics to this file instead of stdout")
@@ -128,7 +126,7 @@ func main() {
 
 	var journal *flight.Journal
 	if *flightOut != "" {
-		journal = flight.New(0)
+		journal = flight.New(flight.RunCapacity)
 	}
 	// The protocol event log stamps every event with simulated time;
 	// the engine clock is attached right after the cluster builds it.
@@ -172,20 +170,6 @@ func main() {
 	}
 	if journal != nil {
 		journal.InstrumentStages(c.Tel)
-		if *tracePath == "" {
-			// Fold the resource-occupancy timeline into the flight trace so
-			// frame spans and CPU/PCI/memory-bus busy spans share one view.
-			// Each resource has a single OnSpan slot, so -chrometrace keeps
-			// priority over it when both flags are given.
-			for _, n := range c.Nodes {
-				for _, r := range []*sim.Resource{n.Host.CPU, n.Host.PCI, n.Host.MemBus} {
-					res := r
-					res.OnSpan = func(start, end sim.Time) {
-						journal.Resource(res.Name(), int64(start), int64(end))
-					}
-				}
-			}
-		}
 		defer func() {
 			file, err := os.Create(*flightOut)
 			if err != nil {
@@ -195,8 +179,8 @@ func main() {
 			if err := flight.WriteChromeTrace(file, journal.Snapshot()); err != nil {
 				die(err)
 			}
-			fmt.Printf("wrote %d flight events to %s (open in ui.perfetto.dev)\n",
-				journal.Len(), *flightOut)
+			fmt.Printf("wrote %s to %s (open in ui.perfetto.dev)\n",
+				journal.Summary(), *flightOut)
 		}()
 	}
 
@@ -281,23 +265,6 @@ func main() {
 		pcap.Tap(c.Eng, c.Switch, capture)
 		defer func() {
 			fmt.Printf("wrote %d frames to %s\n", capture.Frames(), *pcapPath)
-		}()
-	}
-
-	if *tracePath != "" {
-		rec := chrometrace.NewRecorder()
-		chrometrace.WatchCluster(rec, c)
-		defer func() {
-			file, err := os.Create(*tracePath)
-			if err != nil {
-				die(err)
-			}
-			defer file.Close()
-			if err := rec.Flush(file); err != nil {
-				die(err)
-			}
-			fmt.Printf("wrote %d timeline events to %s (open in ui.perfetto.dev)\n",
-				rec.Events(), *tracePath)
 		}()
 	}
 

@@ -2,16 +2,16 @@
 // (the Fig. 7 instrumentation) for an arbitrary size and configuration —
 // the microscope next to clicbench's fixed 1400 B view.
 //
-// By default it traces one packet and prints its stage checkpoints. With
-// -frames N it instead streams N messages through the flight recorder and
-// prints the per-stage latency breakdown (p50/p99/mean/max — the automated
-// Fig. 7a/7b attribution), the slowest frames as span trees, and any
-// receive-path stalls; -flight-out also writes the journal as a Chrome
-// Trace JSON viewable in Perfetto.
+// By default it traces one packet and prints the span tree the flight
+// recorder kept for its frame. With -frames N it instead streams N
+// messages and prints the per-stage latency breakdown (p50/p99/mean/max —
+// the automated Fig. 7a/7b attribution), the slowest frames as span
+// trees, and any receive-path stalls. In either mode -flight-out also
+// writes the journal as a Chrome Trace JSON viewable in Perfetto.
 //
 // Usage:
 //
-//	clictrace [-size 1400] [-mtu 1500] [-rx bh|direct|poll] [-path 1..4] [-coalesce-us 40] [-json]
+//	clictrace [-size 1400] [-mtu 1500] [-rx bh|direct|poll] [-path 1..4] [-coalesce-us 40] [-flight-out trace.json]
 //	clictrace -frames 200 [-slowest 3] [-stall-us 100] [-flight-out trace.json] [...]
 package main
 
@@ -25,7 +25,6 @@ import (
 	"repro/internal/clic"
 	"repro/internal/flight"
 	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -35,11 +34,10 @@ func main() {
 		rxMode     = flag.String("rx", "bh", "receive mode: bh (Fig. 8a), direct (Fig. 8b) or poll (NAPI-style)")
 		path       = flag.Int("path", 2, "send path 1-4 (Fig. 1)")
 		coalesceUs = flag.Int("coalesce-us", 40, "interrupt coalescing window, µs")
-		asJSON     = flag.Bool("json", false, "emit the stage timings as JSON instead of a table")
 		frames     = flag.Int("frames", 0, "flight-recorder mode: stream this many messages and print the per-stage latency breakdown")
 		slowest    = flag.Int("slowest", 3, "with -frames: show the N slowest frames as span trees")
 		stallUs    = flag.Int("stall-us", 100, "with -frames: flag receive-path queueing spans longer than this, µs")
-		flightOut  = flag.String("flight-out", "", "with -frames: write the journal as Chrome Trace JSON to this file")
+		flightOut  = flag.String("flight-out", "", "write the journal as Chrome Trace JSON to this file")
 	)
 	flag.Parse()
 
@@ -64,19 +62,10 @@ func main() {
 		return
 	}
 
-	rec := bench.PipelineTrace(&params, opt, *size)
-	if *asJSON {
-		if err := rec.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "clictrace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Println(rec.Label)
-	fmt.Print(rec.Table())
-	if end, ok := rec.Find(trace.StageAppRecvReturn); ok {
-		fmt.Printf("one-way total: %.2f µs\n", float64(end)/1000)
-	}
+	pl := bench.PipelineTrace(&params, opt, *size)
+	fmt.Println(pl.Label)
+	fmt.Print(pl.Table())
+	writeFlight(pl.Journal, *flightOut)
 }
 
 // flightMode runs the always-on recorder over a message stream and prints
@@ -116,19 +105,25 @@ func flightMode(params *model.Params, opt clic.Options, size, frames, slowest, s
 		}
 	}
 
-	if flightOut != "" {
-		f, err := os.Create(flightOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clictrace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := flight.WriteChromeTrace(f, j.Snapshot()); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clictrace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote Chrome Trace JSON to %s (open in Perfetto: ui.perfetto.dev)\n", flightOut)
+	writeFlight(j, flightOut)
+}
+
+// writeFlight exports the journal as Chrome Trace JSON when path is set.
+func writeFlight(j *flight.Journal, path string) {
+	if path == "" {
+		return
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "clictrace: %v\n", err)
+		os.Exit(1)
+	}
+	if err := flight.WriteChromeTrace(f, j.Snapshot()); err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "clictrace: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("\nwrote %s to %s (open in Perfetto: ui.perfetto.dev)\n", j.Summary(), path)
 }

@@ -1,17 +1,10 @@
 // Package tracestage seeds the stage-vocabulary bug class: ad-hoc and
-// runtime-assembled stage names at trace and flight call sites.
+// runtime-assembled stage names at flight call sites.
 package tracestage
 
 import "fmt"
 
-// Rec and Journal mimic the repro/internal/trace and
-// repro/internal/flight surfaces.
-type Rec struct{}
-
-func (r *Rec) Mark(name string, at int64)        {}
-func (r *Rec) Find(name string) (int64, bool)    { return 0, false }
-func (r *Rec) Between(a, b string) (int64, bool) { return 0, false }
-
+// Journal mimics the repro/internal/flight surface.
 type Journal struct{}
 
 func (j *Journal) Begin(node string, frame uint64, stage string, at int64)        {}
@@ -20,28 +13,20 @@ func (j *Journal) Span(node string, frame uint64, stage string, begin, end int64
 func (j *Journal) Point(node string, frame uint64, name string, at, arg int64)    {}
 func (j *Journal) Resource(track string, begin, end int64)                        {}
 
-// The named constants stand in for trace.SpanModuleSend et al.
-const (
-	SpanModuleSend = "module-send"
-	StageTxDMA     = "nic:tx-dma"
-)
+// The named constant stands in for trace.SpanModuleSend et al.
+const SpanModuleSend = "module-send"
 
-func record(r *Rec, j *Journal, link string, at int64) {
-	r.Mark(StageTxDMA, at)
-	r.Mark("clic:ad-hoc", at)            // want `stage name "clic:ad-hoc" passed to Mark is an ad-hoc literal`
-	r.Mark("wire:"+link, at)             // want `stage name passed to Mark must be a named constant`
-	r.Mark("wire:"+link, at)             //nolint:tracestage // per-link wire marks are deliberately dynamic
-	r.Find(StageTxDMA)                   // constants are fine
-	r.Find(fmt.Sprintf("clic:%s", link)) // want `stage name passed to Find must be a named constant`
-	r.Between(StageTxDMA, "clic:typo")   // want `stage name "clic:typo" passed to Between is an ad-hoc literal`
-
+func record(j *Journal, link string, at int64) {
 	const alias = SpanModuleSend // a constant alias still resolves
 	j.Begin("n0", 1, alias, at)
 	j.Begin("n0", 1, SpanModuleSend, at)
 	j.Begin("n0", 1, "modul-send", at) // want `stage name "modul-send" passed to Begin is an ad-hoc literal`
 	j.End("n0", 1, link, at)           // want `stage name passed to End must be a named constant`
+	j.End("n0", 1, "wire:"+link, at)   // want `stage name passed to End must be a named constant`
+	j.End("n0", 1, "wire:"+link, at)   //nolint:tracestage // a deliberately dynamic name, justified
 	j.Span("n0", 1, SpanModuleSend, at, at+1)
-	j.Span("n0", 1, "rogue-span", at, at+1) // want `stage name "rogue-span" passed to Span is an ad-hoc literal`
-	j.Point("n0", 0, "rogue-point", at, 0)  // want `stage name "rogue-point" passed to Point is an ad-hoc literal`
-	j.Resource("cpu0", at, at+1)            // resource tracks are not stage names
+	j.Span("n0", 1, "rogue-span", at, at+1)            // want `stage name "rogue-span" passed to Span is an ad-hoc literal`
+	j.Point("n0", 0, fmt.Sprintf("p:%s", link), at, 0) // want `stage name passed to Point must be a named constant`
+	j.Point("n0", 0, "rogue-point", at, 0)             // want `stage name "rogue-point" passed to Point is an ad-hoc literal`
+	j.Resource("cpu0", at, at+1)                       // resource tracks are not stage names
 }

@@ -1,18 +1,17 @@
 // Package tracestage enforces the flight recorder's stage vocabulary at
 // compile time.
 //
-// The observability layer (PR 4) correlates three views of the same
-// pipeline stage by its name string: the trace.Rec single-packet marks,
-// the flight.Journal span/point events, and the
+// The observability layer correlates two views of the same pipeline
+// stage by its name string: the flight.Journal span/point events and the
 // clic_stage_latency_ns{stage=...} histograms derived from them. The
 // canonical names live as constants in repro/internal/trace
-// (trace.SpanWire, trace.StageModuleSend, ...); clictrace's Fig. 7
-// attribution and flight.Analysis.Breakdown key on them exactly. A stage
+// (trace.SpanWire, trace.SpanModuleSend, ...); the Fig. 7 figures,
+// clictrace's attribution and flight.Analysis.Breakdown key on them
+// exactly. A stage
 // name typed inline at one call site ("modul-send") silently forks a
 // stage: the span records fine, but no aggregation, ordering
 // (trace.SpanOrder), or stall detection ever sees it. tracestage flags,
-// at every trace.Rec mark call (Mark, Find, Between) and every
-// flight.Journal event call (Begin, End, Span, Point):
+// at every flight.Journal event call (Begin, End, Span, Point):
 //
 //   - a stage-name argument that is an ad-hoc string literal rather
 //     than a named constant;
@@ -21,8 +20,8 @@
 //
 // Identifiers and selector expressions that resolve to string constants
 // pass — that includes local aliases of the trace package's constants.
-// Deliberately dynamic names (the per-link wire marks in cluster)
-// carry //nolint:tracestage with a justification. Journal.Resource is
+// A deliberately dynamic name carries //nolint:tracestage with a
+// justification. Journal.Resource is
 // exempt: its track argument names a hardware resource timeline, not a
 // pipeline stage.
 package tracestage
@@ -38,7 +37,7 @@ import (
 // Analyzer is the tracestage pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "tracestage",
-	Doc:  "require named constants for trace.Rec marks and flight.Journal stage names",
+	Doc:  "require named constants for flight.Journal stage names",
 	Run:  run,
 }
 
@@ -50,16 +49,13 @@ type site struct {
 }
 
 // stageSites maps method names to the receiver type and stage-name
-// argument positions to check. Rec.Between compares two stage names;
-// the Journal methods all take (node, frame, stage, ...).
+// argument positions to check. The Journal methods all take
+// (node, frame, stage, ...).
 var stageSites = map[string]site{
-	"Mark":    {recv: "Rec", args: []int{0}},
-	"Find":    {recv: "Rec", args: []int{0}},
-	"Between": {recv: "Rec", args: []int{0, 1}},
-	"Begin":   {recv: "Journal", args: []int{2}},
-	"End":     {recv: "Journal", args: []int{2}},
-	"Span":    {recv: "Journal", args: []int{2}},
-	"Point":   {recv: "Journal", args: []int{2}},
+	"Begin": {recv: "Journal", args: []int{2}},
+	"End":   {recv: "Journal", args: []int{2}},
+	"Span":  {recv: "Journal", args: []int{2}},
+	"Point": {recv: "Journal", args: []int{2}},
 }
 
 func run(pass *analysis.Pass) error {
@@ -113,7 +109,7 @@ func checkStageArg(pass *analysis.Pass, expr ast.Expr, method string) {
 
 // receiverNamed reports whether expr's type (through pointers) is a
 // named type called name. Name-only matching keeps the analyzer usable
-// on its own testdata, which mimics the trace/flight surface locally.
+// on its own testdata, which mimics the flight surface locally.
 func receiverNamed(pass *analysis.Pass, expr ast.Expr, name string) bool {
 	tv, ok := pass.TypesInfo.Types[expr]
 	if !ok {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/clic"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 func TestSweepSizesGrid(t *testing.T) {
@@ -72,28 +73,31 @@ func TestBandwidthOrderingCLICvsTCP(t *testing.T) {
 }
 
 func TestPipelineTraceStages(t *testing.T) {
-	rec := PipelineTrace(nil, clic.DefaultOptions(), 1400)
+	pl := PipelineTrace(nil, clic.DefaultOptions(), 1400)
 	for _, stage := range []string{
-		"app:send-call", "clic:module-send", "clic:driver-posted",
-		"nic:tx-dma", "nic:rx-dma", "clic:isr-skb", "clic:bh-entry",
-		"clic:module-rx", "clic:copied-to-user", "app:recv-return",
+		trace.SpanSendSyscall, trace.SpanModuleSend, trace.SpanDriverTx,
+		trace.SpanTxDMA, trace.SpanWire, trace.SpanRxDMA, trace.SpanISR,
+		trace.SpanBHQueue, trace.SpanBottomHalf, trace.SpanModuleRx,
+		trace.SpanCopyToUser,
 	} {
-		if _, ok := rec.Find(stage); !ok {
-			t.Errorf("trace missing stage %q", stage)
+		if _, ok := pl.Span(stage); !ok {
+			t.Errorf("traced frame missing stage %q", stage)
 		}
+	}
+	if pl.SendCall >= pl.SendReturn || pl.SendReturn >= pl.RecvReturn {
+		t.Errorf("app times out of order: send call %d, send return %d, recv return %d",
+			pl.SendCall, pl.SendReturn, pl.RecvReturn)
 	}
 	// The Fig. 7 claim: the receiver ISR stage dominates the post-wire
 	// path in bottom-half mode.
-	isr, ok := rec.Between("nic:rx-complete", "clic:isr-skb")
+	isr, ok := pl.DriverStage()
 	if !ok || isr < 10_000 {
 		t.Errorf("ISR stage %d ns, want the dominant ~15-22 µs", isr)
 	}
 	direct := clic.DefaultOptions()
 	direct.RxMode = clic.RxDirectCall
-	recD := PipelineTrace(nil, direct, 1400)
-	ta, _ := rec.Find("app:recv-return")
-	tb, _ := recD.Find("app:recv-return")
-	if tb >= ta {
+	plD := PipelineTrace(nil, direct, 1400)
+	if ta, tb := pl.OneWay(), plD.OneWay(); tb >= ta {
 		t.Errorf("direct-call (%d) not faster than bottom-half (%d)", tb, ta)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/clic"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // TestPaperClaims pins the reproduction to the paper's headline results
@@ -72,8 +73,7 @@ func TestPaperClaims(t *testing.T) {
 	// end-to-end time by the better part of the driver stage.
 	bh := PipelineTrace(nil, clic.Options{RxMode: clic.RxBottomHalf, SendPath: clic.Path2ZeroCopy}, 1400)
 	dc := PipelineTrace(nil, clic.Options{RxMode: clic.RxDirectCall, SendPath: clic.Path2ZeroCopy}, 1400)
-	ta, _ := bh.Find("app:recv-return")
-	tb, _ := dc.Find("app:recv-return")
+	ta, tb := bh.OneWay(), dc.OneWay()
 	if improvement := float64(ta-tb) / 1000; improvement < 8 || improvement > 20 {
 		t.Errorf("C7: direct-call improvement %.1f µs, paper ≈ 13 µs (15+2 → 5+2 plus BH)", improvement)
 	}
@@ -106,13 +106,17 @@ func TestPaperClaims(t *testing.T) {
 		t.Errorf("C7': poll sparse latency %.1f µs regresses bottom-half's %.1f µs", pollLat, bhLat)
 	}
 
-	// C7'': the poll path's Fig. 7 attribution carries the new stages — a
-	// traced sparse packet is announced by the session-opening interrupt.
+	// C7'': the poll path's Fig. 7 attribution carries the new stage — a
+	// traced sparse packet is handled by the poll loop the session-opening
+	// interrupt started, not by a per-frame ISR.
 	pr := PipelineTrace(nil, pollOpt, 1400)
-	if _, ok := pr.Find("clic:isr-poll"); !ok {
-		t.Errorf("C7'': polled pipeline trace lacks the clic:isr-poll stage")
+	if _, ok := pr.Span(trace.SpanPoll); !ok {
+		t.Errorf("C7'': polled pipeline trace lacks the %s stage", trace.SpanPoll)
 	}
-	if _, ok := pr.Find("app:recv-return"); !ok {
+	if _, ok := pr.Span(trace.SpanISR); ok {
+		t.Errorf("C7'': polled pipeline trace has a per-frame %s stage", trace.SpanISR)
+	}
+	if _, ok := pr.Span(trace.SpanCopyToUser); !ok || pr.RecvReturn == 0 {
 		t.Errorf("C7'': polled pipeline trace did not complete")
 	}
 }

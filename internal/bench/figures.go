@@ -6,7 +6,6 @@ import (
 	"repro/internal/clic"
 	"repro/internal/model"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // base returns a copy of the cost model to mutate per configuration.
@@ -195,19 +194,18 @@ func Fig7(params *model.Params) *Report {
 		opt := clic.DefaultOptions()
 		opt.RxMode = mode
 		p := base(params)
-		rec := PipelineTrace(&p, opt, 1400)
-		r.Notef("--- %s", rec.Label)
-		for _, line := range splitLines(rec.Table()) {
+		pl := PipelineTrace(&p, opt, 1400)
+		r.Notef("--- %s", pl.Label)
+		for _, line := range splitLines(pl.Table()) {
 			r.Notef("%s", line)
 		}
-		if d, ok := rec.Between(trace.StageISRSkb, trace.StageCopiedToUser); ok {
+		if d, ok := pl.PostISR(); ok && mode == clic.RxBottomHalf {
 			r.Notef("receiver post-ISR stages: %.1f µs", float64(d)/1000)
 		}
 	}
 	a := PipelineTrace(params, clic.Options{RxMode: clic.RxBottomHalf, SendPath: clic.Path2ZeroCopy}, 1400)
 	b := PipelineTrace(params, clic.Options{RxMode: clic.RxDirectCall, SendPath: clic.Path2ZeroCopy}, 1400)
-	ta, _ := a.Find(trace.StageAppRecvReturn)
-	tb, _ := b.Find(trace.StageAppRecvReturn)
+	ta, tb := a.OneWay(), b.OneWay()
 	r.Notef("end-to-end 1400 B: bottom-half %.1f µs, direct-call %.1f µs (improvement %.1f µs)",
 		float64(ta)/1000, float64(tb)/1000, float64(ta-tb)/1000)
 	return r
@@ -374,18 +372,10 @@ func rxModeName(m clic.RxMode) string {
 	return "bh"
 }
 
-// driverStageUs extracts the traced packet's receiver driver stage: NIC
-// completion to the end of the mode's ISR-side work (Fig. 7's ~15 µs row
-// that the direct call cuts to ~5 µs).
-func driverStageUs(rec *trace.Rec, mode clic.RxMode) float64 {
-	stage := trace.StageISRSkb
-	switch mode {
-	case clic.RxDirectCall:
-		stage = trace.StageISRDirect
-	case clic.RxPoll:
-		stage = trace.StageISRPoll
-	}
-	d, ok := rec.Between(trace.StageRxComplete, stage) //nolint:tracestage // stage selected from the named constants in the switch above
+// driverStageUs is the traced packet's receiver driver stage in µs
+// (Fig. 7's ~15 µs row that the direct call cuts to ~5 µs).
+func driverStageUs(pl *Pipeline) float64 {
+	d, ok := pl.DriverStage()
 	if !ok {
 		return math.NaN()
 	}
@@ -412,11 +402,11 @@ func RxModes(params *model.Params) *Report {
 		opt.RxMode = mode
 		p := base(params)
 		lat := Latency(CLICPair(opt), &p, 0, 20)
-		rec := PipelineTrace(&p, opt, 1400)
+		pl := PipelineTrace(&p, opt, 1400)
 		_, bw, irqPerFrame := irqRateAndBWOpt(opt, &p)
-		r.AddRow(float64(mode), float64(lat)/1000, driverStageUs(rec, mode), irqPerFrame, bw)
+		r.AddRow(float64(mode), float64(lat)/1000, driverStageUs(pl), irqPerFrame, bw)
 		r.Notef("%-6s: 0B latency %5.1f µs, driver stage %5.1f µs, bulk %.3f IRQ/frame, %.0f Mb/s",
-			rxModeName(mode), float64(lat)/1000, driverStageUs(rec, mode), irqPerFrame, bw)
+			rxModeName(mode), float64(lat)/1000, driverStageUs(pl), irqPerFrame, bw)
 	}
 	r.Notef("expected: direct cuts the driver stage ~3x vs bh; poll has the lowest bulk IRQ/frame with sparse latency ≈ bh")
 	return r

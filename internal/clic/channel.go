@@ -216,7 +216,7 @@ func (tc *txChan) onAck(cum relwin.Seq) {
 type rxFrame struct {
 	hdr     proto.Header
 	payload []byte
-	frame   *ether.Frame // retained for trace marks
+	frame   *ether.Frame // retained for its flight spans and points
 }
 
 // assembly rebuilds one in-flight message from its in-order fragments.

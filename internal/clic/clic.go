@@ -32,7 +32,6 @@ import (
 	"repro/internal/relwin"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // NodeID identifies a cluster node.
@@ -218,10 +217,6 @@ type Endpoint struct {
 	asyncQ    *sim.Queue[asyncSend]
 
 	sysBufUsed int
-
-	// TraceNext, when non-nil, is attached to the next data frame sent
-	// and collects Fig. 7 pipeline timestamps end to end.
-	TraceNext *trace.Rec
 
 	// fr caches the host's flight recorder (nil when disabled) and
 	// nodeName the host name, so hot paths avoid the double indirection.

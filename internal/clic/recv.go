@@ -35,7 +35,6 @@ func (ep *Endpoint) wireISR(n *nic.NIC) {
 			for _, f := range frames {
 				i0 := p.Now()
 				ep.K.Host.CPUWork(p, ep.M.Driver.RxISRTime(len(f.Payload)), sim.PriIRQ)
-				f.Trace.Mark(trace.StageISRSkb, p.Now())
 				if f.FlightID != 0 {
 					ep.fr.Span(ep.nodeName, f.FlightID, trace.SpanISR, int64(i0), int64(p.Now()))
 					// The bh-queue span measures how long the frame sits
@@ -49,7 +48,6 @@ func (ep *Endpoint) wireISR(n *nic.NIC) {
 					if f.FlightID != 0 {
 						ep.fr.End(ep.nodeName, f.FlightID, trace.SpanBHQueue, int64(bp.Now()))
 					}
-					f.Trace.Mark(trace.StageBHEntry, bp.Now())
 					b0 := bp.Now()
 					ep.moduleRx(bp, sim.PriKernel, f)
 					if f.FlightID != 0 {
@@ -63,7 +61,6 @@ func (ep *Endpoint) wireISR(n *nic.NIC) {
 			for _, f := range frames {
 				i0 := p.Now()
 				ep.K.Host.CPUWork(p, ep.M.Driver.RxDirect, sim.PriIRQ)
-				f.Trace.Mark(trace.StageISRDirect, p.Now())
 				if f.FlightID != 0 {
 					ep.fr.Span(ep.nodeName, f.FlightID, trace.SpanISR, int64(i0), int64(p.Now()))
 				}
@@ -135,13 +132,12 @@ func (ep *Endpoint) pollDrain(p *sim.Proc, n *nic.NIC) {
 	if idleExit <= 0 {
 		idleExit = 2
 	}
-	empty, drained, first := 0, 0, true
+	empty, drained := 0, 0
 	for empty < idleExit {
 		ep.K.Host.CPUWork(p, ep.M.Driver.PollCheck, sim.PriKernel)
 		frames := n.DrainBudget(budget)
 		if len(frames) == 0 {
 			empty++
-			first = false
 			// Load-adaptive exit: a session that only ever saw a single
 			// frame is a sparse arrival (a ping) — give up after two
 			// empty checks so the post-delivery spin stays off the reply
@@ -155,16 +151,8 @@ func (ep *Endpoint) pollDrain(p *sim.Proc, n *nic.NIC) {
 		}
 		empty = 0
 		drained += len(frames)
-		// The first batch was announced by the interrupt that opened this
-		// session; everything after it is picked up by pure polling.
-		stage := trace.StagePollEntry
-		if first {
-			stage = trace.StageISRPoll
-			first = false
-		}
 		t0 := p.Now()
 		for _, f := range frames {
-			f.Trace.Mark(stage, t0) //nolint:tracestage // ISR-poll vs poll-entry, both named constants chosen above
 			if f.FlightID != 0 {
 				ep.fr.Begin(ep.nodeName, f.FlightID, trace.SpanPoll, int64(t0))
 			}
@@ -240,7 +228,6 @@ func (ep *Endpoint) moduleRxBatch(p *sim.Proc, pri int, src NodeID,
 	ep.K.Host.CPUWork(p, ep.M.CLIC.ModuleRecv, pri)
 	in := make([]rxFrame, len(frames))
 	for i, f := range frames {
-		f.Trace.Mark(trace.StageModuleRx, p.Now())
 		if f.FlightID != 0 {
 			ep.fr.Span(ep.nodeName, f.FlightID, trace.SpanModuleRx, int64(r0), int64(p.Now()))
 		}
@@ -259,7 +246,6 @@ func (ep *Endpoint) moduleRxBatch(p *sim.Proc, pri int, src NodeID,
 func (ep *Endpoint) moduleRx(p *sim.Proc, pri int, f *ether.Frame) {
 	r0 := p.Now()
 	ep.K.Host.CPUWork(p, ep.M.CLIC.ModuleRecv, pri)
-	f.Trace.Mark(trace.StageModuleRx, p.Now())
 	if f.FlightID != 0 {
 		// The span covers only the header-inspection CPU work so the
 		// copy-to-user stage stays separately attributed, as in Fig. 7.
@@ -459,9 +445,6 @@ func (ep *Endpoint) deliverMessage2(p *sim.Proc, pri int, msg *message, f *ether
 	case proto.TypeKernelFn:
 		ep.handleKernelFn(p, pri, msg)
 	default:
-		if f != nil {
-			f.Trace.Mark(trace.StageMsgComplete, p.Now())
-		}
 		ep.deliverToPort(p, pri, msg, f, copied)
 	}
 }
@@ -479,11 +462,8 @@ func (ep *Endpoint) deliverToPort(p *sim.Proc, pri int, msg *message, f *ether.F
 		if !copied {
 			ep.K.Host.Memcpy(p, len(msg.Data), pri) // system → user memory
 		}
-		if f != nil {
-			f.Trace.Mark(trace.StageCopiedToUser, p.Now())
-			if f.FlightID != 0 {
-				ep.fr.Span(ep.nodeName, f.FlightID, trace.SpanCopyToUser, int64(c0), int64(p.Now()))
-			}
+		if f != nil && f.FlightID != 0 {
+			ep.fr.Span(ep.nodeName, f.FlightID, trace.SpanCopyToUser, int64(c0), int64(p.Now()))
 		}
 		w.msg = msg
 		ep.K.Wake(p, w.sig)

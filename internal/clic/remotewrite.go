@@ -7,7 +7,6 @@ import (
 	"repro/internal/ether"
 	"repro/internal/proto"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Region is a receiver-side user-memory window that remote nodes can
@@ -100,9 +99,6 @@ func (ep *Endpoint) deliverRemoteWrite(p *sim.Proc, pri int, msg *message, f *et
 	// call pending (Fig. 3 step 7).
 	ep.K.Host.Memcpy(p, len(data), pri)
 	copy(r.buf[offset:], data)
-	if f != nil {
-		f.Trace.Mark(trace.StageRemoteWriteDone, p.Now())
-	}
 	r.writes++
 	if r.sig.Waiting() > 0 {
 		ep.K.Host.CPUWork(p, ep.M.Host.SchedulerWake, pri)

@@ -158,11 +158,6 @@ func (ep *Endpoint) sendMessage(p *sim.Proc, dst NodeID, port uint16,
 			Dst: ep.resolve(dst, stripe), Src: n.MAC,
 			Type: ether.TypeCLIC, Payload: payload, FlightID: fid,
 		}
-		if ep.TraceNext != nil {
-			frame.Trace = ep.TraceNext
-			ep.TraceNext = nil
-			frame.Trace.Mark(trace.StageModuleSend, p.Now())
-		}
 		lastSeq = tc.win.Push(frame)
 		tc.sentAt[lastSeq] = p.Now()
 		tc.armRTO()
@@ -178,7 +173,6 @@ func (ep *Endpoint) sendMessage(p *sim.Proc, dst NodeID, port uint16,
 			// transference starts" (§3.1).
 			d0 := p.Now()
 			ep.K.Host.CPUWork(p, ep.M.Driver.Send, sim.PriKernel)
-			frame.Trace.Mark(trace.StageDriverPosted, p.Now())
 			n.PostTx(p, sim.PriKernel, &nic.TxReq{Frame: frame, Mode: mode})
 			if fid != 0 {
 				ep.fr.Span(ep.nodeName, fid, trace.SpanDriverTx, int64(d0), int64(p.Now()))

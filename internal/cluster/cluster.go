@@ -39,7 +39,8 @@ type Config struct {
 	// Flight, when non-nil, is shared by every node and link as the
 	// cluster-wide flight recorder: per-frame lifecycle spans from the
 	// send syscall to the copy to user memory land in one journal, so
-	// cross-node spans stitch in a single export. Nil disables recording.
+	// cross-node spans stitch in a single export. Every host's CPU, PCI
+	// and memory-bus busy spans are journaled too. Nil disables recording.
 	Flight *flight.Journal
 
 	// Health, when non-nil, is shared by every node as the cluster-wide
@@ -120,6 +121,16 @@ func New(cfg Config) *Cluster {
 		// before any subsystem registers metrics into it.
 		host.Tel = c.Tel
 		host.FR = cfg.Flight
+		if j := cfg.Flight; j != nil {
+			// The journal also takes the host's CPU, PCI and memory-bus
+			// busy spans, so one export shows each frame and what was
+			// busy under it.
+			for _, r := range []*sim.Resource{host.CPU, host.PCI, host.MemBus} {
+				r.OnSpan = func(start, end sim.Time) {
+					j.Resource(r.Name(), int64(start), int64(end))
+				}
+			}
+		}
 		host.HL = cfg.Health
 		host.Instrument()
 		node := &Node{

@@ -6,6 +6,8 @@ import (
 	"repro/internal/clic"
 	"repro/internal/cluster"
 	"repro/internal/ether"
+	"repro/internal/flight"
+	"repro/internal/sim"
 )
 
 func TestNewBuildsTopology(t *testing.T) {
@@ -63,5 +65,40 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if c.Eng == nil {
 		t.Fatal("no engine")
+	}
+}
+
+// TestFlightRecordsResourceSpans checks that a flight-recorded cluster
+// journals every host's CPU, PCI and memory-bus busy spans: each one
+// with a positive duration, and each track's spans in time order
+// without overlap.
+func TestFlightRecordsResourceSpans(t *testing.T) {
+	j := flight.New(0)
+	c := cluster.New(cluster.Config{Nodes: 2, Seed: 1, Flight: j})
+	c.EnableCLIC(clic.DefaultOptions())
+	c.Go("sender", func(p *sim.Proc) {
+		if err := c.Nodes[0].CLIC.Send(p, 1, 7, make([]byte, 10_000)); err != nil {
+			t.Error(err)
+		}
+	})
+	c.Go("receiver", func(p *sim.Proc) { c.Nodes[1].CLIC.Recv(p, 7) })
+	c.Run()
+
+	ends := map[string]int64{}
+	for _, ev := range flight.Analyze(j.Snapshot()).Resources {
+		if ev.Arg <= 0 {
+			t.Errorf("%s: busy span at %d has duration %d", ev.Name, ev.At, ev.Arg)
+		}
+		if end, seen := ends[ev.Name]; seen && ev.At < end {
+			t.Errorf("%s: span at %d starts before the previous one ends (%d)", ev.Name, ev.At, end)
+		}
+		ends[ev.Name] = ev.At + ev.Arg
+	}
+	for _, node := range []string{"node0", "node1"} {
+		for _, res := range []string{"cpu", "pci", "membus"} {
+			if _, ok := ends[node+":"+res]; !ok {
+				t.Errorf("no busy spans journaled for %s:%s", node, res)
+			}
+		}
 	}
 }

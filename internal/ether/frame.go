@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // MAC is a 48-bit Ethernet address.
@@ -76,10 +75,6 @@ type Frame struct {
 	FragID    uint64
 	FragIdx   int
 	FragTotal int
-
-	// Trace, when non-nil, collects pipeline stage timestamps for this
-	// frame (the Fig. 7 instrumentation). Components mark as it passes.
-	Trace *trace.Rec
 
 	// FlightID is the flight recorder's correlation key, assigned by the
 	// sending CLIC_MODULE when a journal is attached. The id rides the

@@ -98,9 +98,6 @@ func (d *dir) send(p *sim.Proc, f *Frame) {
 		d.fr.Begin(d.wire.Name(), f.FlightID, trace.SpanWire, int64(p.Now()))
 	}
 	d.wire.Acquire(p)
-	// The per-link mark name is intentionally dynamic: the single-packet
-	// table shows which physical hop each serialisation used.
-	f.Trace.Mark("wire:"+d.wire.Name(), p.Now()) //nolint:tracestage
 	p.Sleep(f.WireTime(d.bits))
 	d.wire.Release(p.Engine())
 	d.frames.Inc()

@@ -44,30 +44,23 @@ type Analysis struct {
 // adjacently, so LIFO pairing is exact.
 func Analyze(events []Event) *Analysis {
 	a := &Analysis{byFrame: map[uint64][]Span{}}
-	type open struct {
-		at   int64
-		node string
-	}
-	opens := map[spanKey][]open{}
-	openEvs := map[spanKey][]Event{}
-	for _, ev := range events {
+	opens := map[spanKey][]int{} // indices of unmatched Begin events
+	for i, ev := range events {
 		key := spanKey{frame: ev.Frame, stage: ev.Name}
 		switch ev.Kind {
 		case KindBegin:
-			opens[key] = append(opens[key], open{at: ev.At, node: ev.Node})
-			openEvs[key] = append(openEvs[key], ev)
+			opens[key] = append(opens[key], i)
 		case KindEnd:
 			stack := opens[key]
 			if len(stack) == 0 {
 				continue // Begin was overwritten by the ring
 			}
-			o := stack[len(stack)-1]
+			o := events[stack[len(stack)-1]]
 			opens[key] = stack[:len(stack)-1]
-			openEvs[key] = openEvs[key][:len(openEvs[key])-1]
 			a.Spans = append(a.Spans, Span{
 				Frame: ev.Frame, Stage: ev.Name,
-				Node: o.node, EndNode: ev.Node,
-				Begin: o.at, End: ev.At,
+				Node: o.Node, EndNode: ev.Node,
+				Begin: o.At, End: ev.At,
 			})
 		case KindPoint:
 			a.Points = append(a.Points, ev)
@@ -75,8 +68,15 @@ func Analyze(events []Event) *Analysis {
 			a.Resources = append(a.Resources, ev)
 		}
 	}
-	for _, evs := range openEvs {
-		a.Opens = append(a.Opens, evs...)
+	var unmatched []int
+	for _, idx := range opens {
+		unmatched = append(unmatched, idx...)
+	}
+	// Recording order, then a stable sort by time, so one snapshot always
+	// yields the same Opens (and the same Chrome export).
+	sort.Ints(unmatched)
+	for _, i := range unmatched {
+		a.Opens = append(a.Opens, events[i])
 	}
 	// Ties on Begin sort longest-first so a containing span precedes the
 	// spans it encloses — the order FrameSummary.Tree nests by.
@@ -86,7 +86,7 @@ func Analyze(events []Event) *Analysis {
 		}
 		return a.Spans[i].End > a.Spans[k].End
 	})
-	sort.Slice(a.Opens, func(i, k int) bool { return a.Opens[i].At < a.Opens[k].At })
+	sort.SliceStable(a.Opens, func(i, k int) bool { return a.Opens[i].At < a.Opens[k].At })
 	for _, s := range a.Spans {
 		if s.Frame != 0 {
 			a.byFrame[s.Frame] = append(a.byFrame[s.Frame], s)
@@ -182,21 +182,36 @@ type FrameSummary struct {
 	Spans []Span
 }
 
+// Frame returns one frame's summary: every span it left in the
+// snapshot, in begin order.
+func (a *Analysis) Frame(id uint64) (FrameSummary, bool) {
+	spans, ok := a.byFrame[id]
+	if !ok {
+		return FrameSummary{}, false
+	}
+	return summarize(id, spans), true
+}
+
+// summarize spans a frame's end-to-end time over its spans.
+func summarize(frame uint64, spans []Span) FrameSummary {
+	lo, hi := spans[0].Begin, spans[0].End
+	for _, s := range spans[1:] {
+		if s.Begin < lo {
+			lo = s.Begin
+		}
+		if s.End > hi {
+			hi = s.End
+		}
+	}
+	return FrameSummary{Frame: frame, Total: hi - lo, Spans: spans}
+}
+
 // SlowestFrames returns the n frames with the largest end-to-end time,
-// slowest first — the tail the single-packet trace.Rec could never see.
+// slowest first — the tail a single traced packet never shows.
 func (a *Analysis) SlowestFrames(n int) []FrameSummary {
 	out := make([]FrameSummary, 0, len(a.byFrame))
 	for frame, spans := range a.byFrame {
-		lo, hi := spans[0].Begin, spans[0].End
-		for _, s := range spans[1:] {
-			if s.Begin < lo {
-				lo = s.Begin
-			}
-			if s.End > hi {
-				hi = s.End
-			}
-		}
-		out = append(out, FrameSummary{Frame: frame, Total: hi - lo, Spans: spans})
+		out = append(out, summarize(frame, spans))
 	}
 	sort.Slice(out, func(i, k int) bool {
 		if out[i].Total != out[k].Total {

@@ -76,11 +76,17 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 
 	out := make([]map[string]any, 0, 2*len(a.Spans)+len(a.Points)+len(a.Resources))
-	for name, pid := range pidOf {
+	nameProcess := func(pid int, name string) {
 		out = append(out, map[string]any{
 			"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
 			"args": map[string]string{"name": name},
 		})
+	}
+	for i, name := range nodes {
+		nameProcess(i+1, name)
+	}
+	if len(a.Resources) > 0 {
+		nameProcess(resourcePID, "resources")
 	}
 	threadNamed := map[[2]int]bool{}
 	nameThread := func(pid, tid int, name string) {

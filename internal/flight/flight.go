@@ -4,12 +4,11 @@
 // backoff, coalesce flush, drop) — correlated by a frame id that rides the
 // frame from send syscall to the receiver's copy-to-user.
 //
-// Unlike internal/trace (one hand-labeled packet per run) the journal
-// records every frame, cheaply: the ring overwrites its oldest events
-// like an aircraft flight recorder, so memory is bounded no matter how
-// long the run, and a nil *Journal is a fully functional disabled
-// recorder whose methods cost one nil check (benchmark-guarded in
-// bench_test.go). All methods are safe for concurrent use — the live UDP
+// The journal records every frame, cheaply: the ring grows on demand up
+// to its capacity and then overwrites its oldest events like an aircraft
+// flight recorder, so memory is bounded no matter how long the run, and
+// a nil *Journal is a fully functional disabled recorder whose methods
+// cost one nil check (benchmark-guarded in bench_test.go). All methods are safe for concurrent use — the live UDP
 // stack records from several goroutines — and the critical sections are
 // a few slice/map operations.
 //
@@ -20,6 +19,7 @@
 package flight
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -41,8 +41,8 @@ const (
 	KindPoint
 
 	// KindResource marks a hardware-resource busy span: Name is the
-	// resource track, At..At+Arg the busy interval, Frame 0. It subsumes
-	// the chrometrace recorder's view inside the same export.
+	// resource track, At..At+Arg the busy interval, Frame 0. It puts CPU,
+	// PCI and memory-bus occupancy inside the same export as the frames.
 	KindResource
 )
 
@@ -84,28 +84,36 @@ const maxOpen = 4096
 type Journal struct {
 	frameID atomic.Uint64
 
-	mu    sync.Mutex
-	ring  []Event
-	total uint64 // events ever appended; ring holds the last len(ring)
-	open  map[spanKey]openSpan
-	reg   *telemetry.Registry
-	hists map[string]*telemetry.Histogram
+	mu       sync.Mutex
+	ring     []Event
+	capacity int    // len(ring) never exceeds it
+	total    uint64 // events ever appended; ring holds the last len(ring)
+	open     map[spanKey]openSpan
+	reg      *telemetry.Registry
+	hists    map[string]*telemetry.Histogram
 }
 
 // DefaultCapacity holds ~64k events — roughly 4k frames at the CLIC
 // pipeline's ~16 events per frame.
 const DefaultCapacity = 1 << 16
 
+// RunCapacity sizes a journal that records a whole simulated run for
+// export, resource busy spans included: a 100-message stream of 64 KiB
+// (~150k events) fits with room to spare. The ring grows as events
+// arrive, so a short run pays only for what it records.
+const RunCapacity = 1 << 20
+
 // New creates a journal holding the last capacity events (DefaultCapacity
-// when capacity <= 0).
+// when capacity <= 0). The ring grows as events arrive, so a large
+// capacity costs memory only for a run that fills it.
 func New(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	return &Journal{
-		ring:  make([]Event, 0, capacity),
-		open:  map[spanKey]openSpan{},
-		hists: map[string]*telemetry.Histogram{},
+		capacity: capacity,
+		open:     map[spanKey]openSpan{},
+		hists:    map[string]*telemetry.Histogram{},
 	}
 }
 
@@ -149,10 +157,10 @@ func (j *Journal) NewFrameID() uint64 {
 // append adds one event to the ring, overwriting the oldest once full.
 // Called with j.mu held.
 func (j *Journal) append(ev Event) {
-	if len(j.ring) < cap(j.ring) {
+	if len(j.ring) < j.capacity {
 		j.ring = append(j.ring, ev)
 	} else {
-		j.ring[j.total%uint64(cap(j.ring))] = ev
+		j.ring[j.total%uint64(j.capacity)] = ev
 	}
 	j.total++
 }
@@ -259,6 +267,16 @@ func (j *Journal) Total() uint64 {
 	return j.total
 }
 
+// Summary says how many events the ring holds and, once it has wrapped,
+// how many older ones it overwrote — the bound on what an export shows.
+func (j *Journal) Summary() string {
+	n, total := j.Len(), j.Total()
+	if lost := total - uint64(n); lost > 0 {
+		return fmt.Sprintf("%d flight events (%d older events overwritten)", n, lost)
+	}
+	return fmt.Sprintf("%d flight events", n)
+}
+
 // Snapshot copies the journal's events in recording order, oldest first.
 func (j *Journal) Snapshot() []Event {
 	if j == nil {
@@ -266,10 +284,10 @@ func (j *Journal) Snapshot() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.total <= uint64(cap(j.ring)) {
+	if j.total <= uint64(j.capacity) {
 		return append([]Event(nil), j.ring...)
 	}
-	head := int(j.total % uint64(cap(j.ring)))
+	head := int(j.total % uint64(j.capacity))
 	out := make([]Event, 0, len(j.ring))
 	out = append(out, j.ring[head:]...)
 	return append(out, j.ring[:head]...)

@@ -59,6 +59,19 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 }
 
+func TestRingGrowsOnDemand(t *testing.T) {
+	j := New(1 << 20)
+	for i := 0; i < 3; i++ {
+		j.Point("node0", uint64(i), trace.PointRetransmit, int64(i), 0)
+	}
+	if j.Len() != 3 || j.Total() != 3 {
+		t.Fatalf("Len = %d, Total = %d; want 3, 3", j.Len(), j.Total())
+	}
+	if c := cap(j.ring); c >= 1<<20 {
+		t.Fatalf("ring preallocated %d slots for 3 events", c)
+	}
+}
+
 func TestSpanStitching(t *testing.T) {
 	j := New(0)
 	fid := j.NewFrameID()
@@ -225,6 +238,54 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if !cross {
 		t.Fatal("no cross-process flow arrow found")
+	}
+}
+
+// TestChromeTraceDeterministic exports one snapshot several times: the
+// bytes must not vary, and every pid an event uses must carry a
+// process_name (the resource process included).
+func TestChromeTraceDeterministic(t *testing.T) {
+	j := New(0)
+	for n, node := range []string{"node0", "node1", "node2", "node3", "node4"} {
+		fid := j.NewFrameID()
+		j.Span(node, fid, trace.SpanISR, 100, 200)
+		j.Begin(node, fid, trace.SpanWire, 300) // unfinished, all at one time
+		j.Resource(node+":cpu", int64(n), int64(n)+50)
+	}
+	snap := j.Snapshot()
+	export := func() []byte {
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := export()
+	for i := 0; i < 10; i++ {
+		if !bytes.Equal(first, export()) {
+			t.Fatal("two exports of one snapshot differ")
+		}
+	}
+	var evs []map[string]any
+	if err := json.Unmarshal(first, &evs); err != nil {
+		t.Fatal(err)
+	}
+	named := map[float64]bool{}
+	used := map[float64]bool{}
+	for _, ev := range evs {
+		pid := ev["pid"].(float64)
+		used[pid] = true
+		if ev["name"] == "process_name" {
+			named[pid] = true
+		}
+	}
+	if len(used) != 6 { // five nodes and the resource process
+		t.Fatalf("%d pids used, want 6", len(used))
+	}
+	for pid := range used {
+		if !named[pid] {
+			t.Errorf("pid %v has no process_name", pid)
+		}
 	}
 }
 

@@ -193,7 +193,6 @@ func (n *NIC) txEngine(p *sim.Proc) {
 		if req.Mode == TxDMA {
 			// One scatter/gather transaction pulls header + payload.
 			t0 := p.Now()
-			f.Trace.Mark(trace.StageTxDMA, t0)
 			n.Host.DMA(p, need)
 			if f.FlightID != 0 {
 				n.Host.FR.Span(n.Host.Name, f.FlightID, trace.SpanTxDMA, int64(t0), int64(p.Now()))
@@ -361,12 +360,10 @@ func (n *NIC) reassemble(p *sim.Proc, f *ether.Frame) *ether.Frame {
 // system memory and runs the interrupt-coalescing decision.
 func (n *NIC) dmaToHost(p *sim.Proc, f *ether.Frame) {
 	t0 := p.Now()
-	f.Trace.Mark(trace.StageRxDMA, t0)
 	n.Host.DMA(p, ether.HeaderBytes+len(f.Payload))
 	n.RxFrames.Inc()
 	n.rxRingUsed++
 	n.completed = append(n.completed, f)
-	f.Trace.Mark(trace.StageRxComplete, p.Now())
 	if f.FlightID != 0 {
 		n.Host.FR.Span(n.Host.Name, f.FlightID, trace.SpanRxDMA, int64(t0), int64(p.Now()))
 	}

@@ -1,31 +1,12 @@
+// Package trace names the stages of CLIC's packet pipeline — the rows of
+// the paper's Fig. 7, which times a 1400-byte packet through CLIC's send
+// syscall, module, driver, buses, wire, interrupt, bottom half and final
+// copy — and the protocol incidents the flight recorder journals.
+//
+// The names live in one place so the flight recorder's spans/points, the
+// Fig. 7 figures and the clictrace reports all speak the same names (and
+// the cliclint tracestage analyzer can reject ad-hoc literals).
 package trace
-
-// The pipeline stage taxonomy, hoisted into one place so trace.Rec marks,
-// the flight recorder's spans/points and the clictrace reports all speak
-// the same names (and the cliclint tracestage analyzer can reject ad-hoc
-// literals).
-
-// Checkpoint mark names for trace.Rec — the single-packet Fig. 7 view.
-// The strings are frozen: clicbench figures and tests select on them.
-const (
-	StageAppSendCall     = "app:send-call"
-	StageAppSendReturn   = "app:send-return"
-	StageAppRecvReturn   = "app:recv-return"
-	StageModuleSend      = "clic:module-send"
-	StageDriverPosted    = "clic:driver-posted"
-	StageTxDMA           = "nic:tx-dma"
-	StageRxDMA           = "nic:rx-dma"
-	StageRxComplete      = "nic:rx-complete"
-	StageISRSkb          = "clic:isr-skb"
-	StageISRDirect       = "clic:isr-direct"
-	StageISRPoll         = "clic:isr-poll"   // frame announced by the interrupt that opened a poll session
-	StagePollEntry       = "clic:poll-entry" // frame picked up by a later poll iteration (no interrupt)
-	StageBHEntry         = "clic:bh-entry"
-	StageModuleRx        = "clic:module-rx"
-	StageMsgComplete     = "clic:msg-complete"
-	StageCopiedToUser    = "clic:copied-to-user"
-	StageRemoteWriteDone = "clic:remote-write-done"
-)
 
 // Span stage names for the flight recorder — one per pipeline stage a
 // frame occupies for a duration (begin/end pairs), named after the rows
