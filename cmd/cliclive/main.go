@@ -33,7 +33,7 @@ import (
 )
 
 // die reports a fatal error through the same structured handler the
-// protocol events use, then exits.
+// watchdog's verdict lines use, then exits.
 func die(logger *slog.Logger, msg string, err error) {
 	logger.Error(msg, slog.Any("err", err))
 	os.Exit(1)
@@ -55,7 +55,6 @@ func main() {
 		flightOn    = flag.Bool("flight", false, "record per-datagram lifecycle spans (wall clock); served at /debug/flight as Chrome Trace JSON")
 		logLevel    = flag.String("log-level", "info", "minimum log severity: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
-		eventRate   = flag.Int("event-rate", 0, "protocol event rate limit per second (0 = default)")
 		profileOn   = flag.Bool("profile", false, "arm pprof stage labels and mutex/block contention profiling")
 	)
 	flag.Parse()
@@ -83,7 +82,6 @@ func main() {
 		journal = flight.New(0)
 		journal.InstrumentStages(reg)
 	}
-	events := health.NewLog(logger, *eventRate)
 
 	cfg := live.DefaultConfig()
 	cfg.MTU = *mtu
@@ -95,7 +93,6 @@ func main() {
 	cfg.RetransmitTimeout = 10 * time.Millisecond
 	cfg.Telemetry = reg
 	cfg.Flight = journal
-	cfg.Health = events
 
 	a, err := live.NewNode(0, cfg)
 	if err != nil {
@@ -111,8 +108,8 @@ func main() {
 
 	// The stall watchdog scans both nodes' snapshots on the wall clock,
 	// classifying window stalls, RTO storms, pool leaks and RX
-	// starvation into clic_health_* metrics and watchdog_verdict events.
-	wd := health.NewWatchdog(health.WatchdogConfig{}, nil, events, reg)
+	// starvation into clic_health_* metrics and watchdog_verdict lines.
+	wd := health.NewWatchdog(health.WatchdogConfig{}, nil, logger, reg)
 	wd.Watch(a, b)
 	wdDone := make(chan struct{})
 	defer close(wdDone)

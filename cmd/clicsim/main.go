@@ -128,12 +128,8 @@ func main() {
 	if *flightOut != "" {
 		journal = flight.New(flight.RunCapacity)
 	}
-	// The protocol event log stamps every event with simulated time;
-	// the engine clock is attached right after the cluster builds it.
-	events := health.NewLog(logger, 0)
 	c := cluster.New(cluster.Config{Nodes: 2, NICsPerNode: *nics, Seed: *seed, Params: &params,
-		Flight: journal, Health: events})
-	events.WithClock(func() int64 { return int64(c.Eng.Now()) })
+		Flight: journal})
 	perfreg.RegisterMetrics(c.Tel)
 
 	// /debug/clic serves the final health document. Unlike the live
@@ -190,7 +186,7 @@ func main() {
 	var wd *health.Watchdog
 	if *healthUs > 0 {
 		wd = health.NewWatchdog(health.WatchdogConfig{},
-			func() int64 { return int64(c.Eng.Now()) }, events, c.Tel)
+			func() int64 { return int64(c.Eng.Now()) }, logger, c.Tel)
 	}
 
 	// driveMeasured drives the measurement phase. With -metrics-every-us

@@ -20,12 +20,12 @@
 // bounded per-node/per-NIC identity, which is the registry's job to
 // hold.
 //
-// The same discipline covers the structured event log (internal/health):
-// event names at Event/Warn/EventAttrs/WarnAttrs call sites on a Log
-// must be constant snake_case strings — log pipelines index on the
-// message the way dashboards index on the family name — and the slog
-// attr keys passed to EventAttrs/WarnAttrs must be constant snake_case
-// too. Attr values stay free, like label values.
+// The same discipline covers structured log lines: the slog attr keys
+// passed to (*slog.Logger).LogAttrs — the watchdog's verdict lines —
+// must be constant snake_case, because log pipelines index on them the
+// way dashboards index on label keys. Attr values stay free, like label
+// values. (Flight point names, the other per-incident record, are
+// checked by tracestage.)
 package metricname
 
 import (
@@ -56,21 +56,9 @@ var registerMethods = map[string]int{
 	"RegisterHistogram": 0,
 }
 
-// eventMethods maps health.Log method names to the index of their event
-// name argument.
-var eventMethods = map[string]int{
-	"Event":      0,
-	"Warn":       0,
-	"EventAttrs": 0,
-	"WarnAttrs":  0,
-}
-
-// attrMethods names the Log methods whose trailing arguments are slog
-// attrs, each with a key that must be constant snake_case.
-var attrMethods = map[string]bool{
-	"EventAttrs": true,
-	"WarnAttrs":  true,
-}
+// logAttrsFirst is the index of LogAttrs's first attr argument, after
+// (ctx, level, msg).
+const logAttrsFirst = 3
 
 var snakeRe = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 
@@ -115,17 +103,12 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 		return
 	}
-	if argIdx, ok := eventMethods[name]; ok && recv != nil && receiverNamed(pass, recv, "Log") {
-		if argIdx < len(call.Args) {
-			checkNameArg(pass, call.Args[argIdx], "event name", name)
-		}
-		if attrMethods[name] {
-			// Each trailing argument is a slog attr; its constructor's
-			// first argument is the key (slog.String("peer", ...)).
-			for _, arg := range call.Args[1:] {
-				if ac, ok := arg.(*ast.CallExpr); ok && returnsNamed(pass, ac, "Attr") && len(ac.Args) >= 1 {
-					checkNameArg(pass, ac.Args[0], "attr key", name)
-				}
+	if name == "LogAttrs" && recv != nil && receiverNamed(pass, recv, "Logger") && len(call.Args) > logAttrsFirst {
+		// Each trailing argument is a slog attr; its constructor's
+		// first argument is the key (slog.String("peer", ...)).
+		for _, arg := range call.Args[logAttrsFirst:] {
+			if ac, ok := arg.(*ast.CallExpr); ok && returnsNamed(pass, ac, "Attr") && len(ac.Args) >= 1 {
+				checkNameArg(pass, ac.Args[0], "attr key", name)
 			}
 		}
 		return

@@ -1,35 +1,17 @@
-// Seeds the event-log naming bug class: runtime-assembled event names
-// and non-snake_case slog attr keys.
+// Seeds the log-line naming bug class: runtime-assembled and
+// non-snake_case slog attr keys.
 package metricname
 
-import "fmt"
+import (
+	"context"
+	"log/slog"
+)
 
-// Log and Attr mimic the repro/internal/health event surface (and
-// log/slog's Attr constructors).
-type Log struct{}
-
-func (l *Log) Event(event string, peer int, seq uint32, arg int64) {}
-func (l *Log) Warn(event string, peer int, seq uint32, arg int64)  {}
-func (l *Log) EventAttrs(event string, attrs ...Attr)              {}
-func (l *Log) WarnAttrs(event string, attrs ...Attr)               {}
-
-type Attr struct{ Key string }
-
-func String(key, value string) Attr  { return Attr{Key: key} }
-func Int(key string, value int) Attr { return Attr{Key: key} }
-
-const goodEvent = "rto_backoff" // constants are fine
-
-func emit(l *Log, peer string, n int) {
-	l.Event("retransmit", 1, 2, 3)
-	l.Warn(goodEvent, 1, 2, 3)
-	l.Event(fmt.Sprintf("retransmit_%s", peer), 1, 2, 3) // want `event name passed to Event must be a compile-time constant`
-	l.Warn("peer-"+peer, 1, 2, 3)                        // want `event name passed to Warn must be a compile-time constant`
-	l.Event("CamelEvent", 1, 2, 3)                       // want `event name "CamelEvent" passed to Event is not snake_case`
-
-	l.EventAttrs("watchdog_verdict", String("condition", "rto_storm"), Int("peer", n))
-	l.WarnAttrs("bad-name", String("x", "y"))        // want `event name "bad-name" passed to WarnAttrs is not snake_case`
-	l.EventAttrs("ok_event", String(peer, "v"))      // want `attr key passed to EventAttrs must be a compile-time constant`
-	l.WarnAttrs("ok_event2", String("Bad-Key", "v")) // want `attr key "Bad-Key" passed to WarnAttrs is not snake_case`
-	l.EventAttrs("ok_event3", Int("since_ns", n))    // dynamic values are allowed
+func logVerdict(l *slog.Logger, key string, n int) {
+	ctx := context.Background()
+	l.LogAttrs(ctx, slog.LevelWarn, "watchdog_verdict", slog.String("condition", "rto_storm"), slog.Int("peer", n))
+	l.LogAttrs(ctx, slog.LevelInfo, "ok_line", slog.String(key, "v"))         // want `attr key passed to LogAttrs must be a compile-time constant`
+	l.LogAttrs(ctx, slog.LevelInfo, "ok_line2", slog.String("Bad-Key", "v"))  // want `attr key "Bad-Key" passed to LogAttrs is not snake_case`
+	l.LogAttrs(ctx, slog.LevelInfo, "ok_line3", slog.Int64("since_ns", 0))    // dynamic values are allowed
+	l.LogAttrs(ctx, slog.LevelInfo, "no attrs")
 }

@@ -111,8 +111,6 @@ func (tc *txChan) fireRTO() {
 	// goBackN emits next identify which frames the expiry replays.
 	tc.ep.fr.Point(tc.ep.nodeName, 0, trace.PointRTOBackoff,
 		int64(tc.ep.K.Host.Eng.Now()), tc.ctrl.RTO())
-	tc.ep.hl.Event("rto_backoff", tc.dst, tc.win.Base(), tc.ctrl.RTO())
-	tc.ep.hl.Event("retransmit", tc.dst, tc.win.Base(), int64(tc.win.InFlight()))
 	tc.goBackN()
 	tc.armRTO() // the controller's RTO has doubled
 }
@@ -125,7 +123,6 @@ func (tc *txChan) fail() {
 	tc.ep.S.ChannelFailures.Inc()
 	tc.ep.fr.Point(tc.ep.nodeName, 0, trace.PointChannelFailed,
 		int64(tc.ep.K.Host.Eng.Now()), int64(tc.dst))
-	tc.ep.hl.Warn("channel_failed", tc.dst, tc.win.Base(), int64(tc.ctrl.Retries()))
 	if tc.rto != nil {
 		tc.rto.Cancel()
 		tc.rto = nil
@@ -188,7 +185,6 @@ func (tc *txChan) onNack(cum relwin.Seq) {
 	}
 	now := tc.ep.K.Host.Eng.Now()
 	tc.ep.fr.Point(tc.ep.nodeName, 0, trace.PointNackRecv, int64(now), int64(cum))
-	tc.ep.hl.Event("nack", tc.dst, cum, int64(tc.win.InFlight()))
 	debounce := tc.lastGoBN != 0 && now-tc.lastGoBN < 500*sim.Microsecond
 	if !debounce {
 		tc.goBackN()

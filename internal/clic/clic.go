@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/ether"
 	"repro/internal/flight"
-	"repro/internal/health"
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/nic"
@@ -223,10 +222,6 @@ type Endpoint struct {
 	fr       *flight.Journal
 	nodeName string
 
-	// hl caches the host's structured event log (nil when disabled),
-	// like fr.
-	hl *health.Log
-
 	// lastFlight is the flight id of the most recent data fragment this
 	// endpoint composed; the send syscall span is attributed to it.
 	lastFlight uint64
@@ -276,7 +271,6 @@ func New(k *kernel.Kernel, node NodeID, nics []*nic.NIC, opt Options,
 		asyncQ:      sim.NewQueue[asyncSend](fmt.Sprintf("clic%d:async", node)),
 		fr:          k.Host.FR,
 		nodeName:    k.Host.Name,
-		hl:          k.Host.HL,
 	}
 	labels := []telemetry.Label{
 		telemetry.L("node", k.Host.Name),

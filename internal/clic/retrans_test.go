@@ -8,9 +8,22 @@ import (
 	"repro/internal/clic"
 	"repro/internal/cluster"
 	"repro/internal/ether"
+	"repro/internal/flight"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
+
+// points returns j's point events named name, in recording order.
+func points(j *flight.Journal, name string) []flight.Event {
+	var out []flight.Event
+	for _, ev := range j.Snapshot() {
+		if ev.Kind == flight.KindPoint && ev.Name == name {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
 
 // dropOnce returns a link filter that drops the first CLIC data frame
 // carrying sequence seq and passes everything else.
@@ -45,7 +58,8 @@ func TestNackRecoveryUnblocksSender(t *testing.T) {
 	params.CLIC.RetransmitTimeout = 200 * sim.Millisecond
 	params.CLIC.RTOMin = 200 * sim.Millisecond
 	params.CLIC.RTOMax = sim.Second
-	c := cluster.New(cluster.Config{Nodes: 2, Seed: 3, Params: &params})
+	j := flight.New(0)
+	c := cluster.New(cluster.Config{Nodes: 2, Seed: 3, Params: &params, Flight: j})
 	c.EnableCLIC(clic.DefaultOptions())
 	c.Nodes[0].NICs[0].Link().FilterFromA(dropOnce(2))
 
@@ -69,6 +83,11 @@ func TestNackRecoveryUnblocksSender(t *testing.T) {
 	}
 	if c.Nodes[0].CLIC.S.Retransmits.Value() == 0 {
 		t.Error("no retransmissions; the drop filter never engaged")
+	}
+	// The sender journals the gap report with its cumulative ack.
+	nacks := points(j, trace.PointNackRecv)
+	if len(nacks) == 0 || nacks[0].Node != c.Nodes[0].Host.Name || nacks[0].Arg != 2 {
+		t.Errorf("nack-recv points %+v, want the first on the sender with cum 2", nacks)
 	}
 }
 
@@ -128,7 +147,8 @@ func TestChannelFailsAfterMaxRetries(t *testing.T) {
 	params.CLIC.RTOMin = sim.Millisecond
 	params.CLIC.RTOMax = 10 * sim.Millisecond
 	params.CLIC.MaxRetries = 3
-	c := cluster.New(cluster.Config{Nodes: 2, Seed: 1, Params: &params})
+	j := flight.New(0)
+	c := cluster.New(cluster.Config{Nodes: 2, Seed: 1, Params: &params, Flight: j})
 	c.EnableCLIC(clic.DefaultOptions())
 	c.Nodes[0].NICs[0].Link().FilterFromA(func(f *ether.Frame) bool {
 		if f.Type != ether.TypeCLIC {
@@ -163,6 +183,31 @@ func TestChannelFailsAfterMaxRetries(t *testing.T) {
 	if rto := ep.ChannelRTO(1); rto <= params.CLIC.RetransmitTimeout {
 		t.Errorf("final RTO %v never backed off above the initial %v",
 			rto, params.CLIC.RetransmitTimeout)
+	}
+	// Each expiry journals the RTO it doubled to, and each frame it
+	// replays; the failure journals the peer.
+	backoffs := points(j, trace.PointRTOBackoff)
+	if int64(len(backoffs)) != ep.S.RTOBackoffs.Value() {
+		t.Errorf("%d rto-backoff points for %d counted backoffs", len(backoffs), ep.S.RTOBackoffs.Value())
+	}
+	rto := int64(params.CLIC.RetransmitTimeout)
+	for i, ev := range backoffs {
+		rto *= 2
+		if ev.Arg != rto {
+			t.Errorf("rto-backoff %d arg %d, want the doubled RTO %d", i, ev.Arg, rto)
+		}
+	}
+	resent := points(j, trace.PointRetransmit)
+	if int64(len(resent)) != ep.S.Retransmits.Value() {
+		t.Errorf("%d retransmit points for %d counted retransmits", len(resent), ep.S.Retransmits.Value())
+	}
+	for _, ev := range resent {
+		if ev.Frame == 0 || ev.Arg <= 0 {
+			t.Fatalf("retransmit point %+v names no frame or length", ev)
+		}
+	}
+	if failed := points(j, trace.PointChannelFailed); len(failed) != 1 || failed[0].Arg != 1 {
+		t.Errorf("channel-failed points %+v, want one naming peer 1", failed)
 	}
 	// The channel stays dead: later sends fail immediately.
 	var again error

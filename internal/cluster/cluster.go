@@ -42,11 +42,6 @@ type Config struct {
 	// cross-node spans stitch in a single export. Every host's CPU, PCI
 	// and memory-bus busy spans are journaled too. Nil disables recording.
 	Flight *flight.Journal
-
-	// Health, when non-nil, is shared by every node as the cluster-wide
-	// structured protocol event log (retransmits, backoffs, failures),
-	// the slog analogue of Flight. Nil disables it.
-	Health *health.Log
 }
 
 // Node is one cluster machine.
@@ -131,7 +126,6 @@ func New(cfg Config) *Cluster {
 				}
 			}
 		}
-		host.HL = cfg.Health
 		host.Instrument()
 		node := &Node{
 			ID:     id,

@@ -1,8 +1,10 @@
 // Package health is the introspection layer the protocol stacks expose
 // themselves through: point-in-time state snapshots ("what state is the
-// channel to peer 3 in, and why is it stalled?"), a watchdog that scans
-// those snapshots and classifies stall conditions, and a structured,
-// rate-limited protocol event log on log/slog.
+// channel to peer 3 in, and why is it stalled?") and a watchdog that
+// scans those snapshots, classifies stall conditions and logs each
+// verdict's raise and clear on log/slog. Single protocol incidents
+// (retransmits, backoffs, NACKs, failures) are not logged: each one is
+// a telemetry counter and a flight-recorder point.
 //
 // The package deliberately knows nothing about the stacks. Each stateful
 // layer (live node, sim CLIC endpoint, ether link) implements a cheap,
@@ -14,10 +16,6 @@
 // internal/live, simulated time for the sim cluster — and the Doc labels
 // which (Clock), so the watchdog works identically over both through a
 // now() seam.
-//
-// Like the flight recorder, the event log's disabled state is a nil
-// handle: every method on a nil *Log is a nil-check no-op, cheap enough
-// to leave in the hot paths (benchmark- and AllocsPerRun-guarded).
 package health
 
 // ChannelSnapshot is the state of one direction of one peer channel.

@@ -1,8 +1,11 @@
 package health
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -93,6 +96,14 @@ type condKey struct {
 	peer int
 }
 
+// sortKeys puts keys in (condition, node, peer) order, the order Scan
+// returns verdicts and logs transitions in.
+func sortKeys(keys []condKey) {
+	slices.SortFunc(keys, func(a, b condKey) int {
+		return cmp.Or(cmp.Compare(a.cond, b.cond), cmp.Compare(a.node, b.node), cmp.Compare(a.peer, b.peer))
+	})
+}
+
 // Watchdog periodically scans Source snapshots and classifies stall
 // conditions. It is clock-agnostic through the now seam: the live stack
 // hands it wall time and drives it from a goroutine (Run); the sim
@@ -101,7 +112,7 @@ type condKey struct {
 type Watchdog struct {
 	cfg WatchdogConfig
 	now func() int64
-	log *Log
+	log *slog.Logger
 
 	scans    *telemetry.Counter
 	stalled  *telemetry.Gauge
@@ -122,9 +133,11 @@ type starveMark struct{ tx, wake int64 }
 // NewWatchdog builds a watchdog reading time through now (wall or sim
 // nanoseconds — whatever clock the watched stacks stamp LastProgressNs
 // with). Verdicts are counted in reg (when non-nil) under
-// clic_health_verdicts_total{condition=...} and emitted on log (when
-// non-nil) as watchdog_verdict / watchdog_clear events.
-func NewWatchdog(cfg WatchdogConfig, now func() int64, log *Log, reg *telemetry.Registry) *Watchdog {
+// clic_health_verdicts_total{condition=...} and written to log (when
+// non-nil) as watchdog_verdict / watchdog_clear lines, each stamped
+// t_ns from now (simulated time for the sim cluster, where slog's own
+// wall timestamps mean nothing).
+func NewWatchdog(cfg WatchdogConfig, now func() int64, log *slog.Logger, reg *telemetry.Registry) *Watchdog {
 	cfg.defaults()
 	if now == nil {
 		now = func() int64 { return time.Now().UnixNano() }
@@ -174,10 +187,11 @@ func (w *Watchdog) Run(done <-chan struct{}) {
 }
 
 // Scan captures every watched source and classifies stall conditions,
-// returning the currently active verdicts. Transitions — a condition
-// newly raised, or one previously raised now cleared — are logged and
-// counted; a persisting condition stays in the returned set without
-// re-emitting its event.
+// returning the currently active verdicts in (condition, node, peer)
+// order. Transitions — a condition newly raised, or one previously
+// raised now cleared — are logged and counted in that order too, so the
+// same snapshots give the same output; a persisting condition stays in
+// the returned set without being logged again.
 func (w *Watchdog) Scan() []Verdict {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -192,26 +206,42 @@ func (w *Watchdog) Scan() []Verdict {
 	}
 
 	// Transition bookkeeping: raise the new, clear the vanished.
-	var out []Verdict
-	for key, v := range current {
+	keys := make([]condKey, 0, len(current))
+	for key := range current {
+		keys = append(keys, key)
+	}
+	sortKeys(keys)
+	out := make([]Verdict, 0, len(keys))
+	for _, key := range keys {
+		v := current[key]
 		first, wasActive := w.active[key]
 		if !wasActive {
 			first = now
 			w.active[key] = first
 			w.countVerdict(key.cond)
-			w.log.WarnAttrs("watchdog_verdict",
-				slog.String("condition", v.Condition), slog.String("node", v.Node),
-				slog.Int("peer", v.Peer), slog.String("detail", v.Detail))
+			if w.log != nil {
+				w.log.LogAttrs(context.Background(), slog.LevelWarn, "watchdog_verdict",
+					slog.String("condition", v.Condition), slog.String("node", v.Node),
+					slog.Int("peer", v.Peer), slog.String("detail", v.Detail),
+					slog.Int64("t_ns", now))
+			}
 		}
 		v.SinceNs = now - first
 		out = append(out, v)
 	}
+	var cleared []condKey
 	for key := range w.active {
 		if _, still := current[key]; !still {
-			delete(w.active, key)
-			w.log.EventAttrs("watchdog_clear",
+			cleared = append(cleared, key)
+		}
+	}
+	sortKeys(cleared)
+	for _, key := range cleared {
+		delete(w.active, key)
+		if w.log != nil {
+			w.log.LogAttrs(context.Background(), slog.LevelInfo, "watchdog_clear",
 				slog.String("condition", key.cond), slog.String("node", key.node),
-				slog.Int("peer", key.peer))
+				slog.Int("peer", key.peer), slog.Int64("t_ns", now))
 		}
 	}
 	if w.stalled != nil {

@@ -2,6 +2,7 @@ package health_test
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"testing"
 
@@ -30,7 +31,7 @@ func newHarness(t *testing.T, cfg health.WatchdogConfig) *wdHarness {
 		reg: telemetry.NewRegistry(),
 		buf: &bytes.Buffer{},
 	}
-	log := health.NewLog(slog.New(slog.NewJSONHandler(h.buf, nil)), 0).Unlimited()
+	log := slog.New(slog.NewJSONHandler(h.buf, nil))
 	h.wd = health.NewWatchdog(cfg, func() int64 { return h.now }, log, h.reg)
 	h.wd.Watch(h.src)
 	return h
@@ -212,5 +213,54 @@ func TestWatchdogMetrics(t *testing.T) {
 	}
 	if scans != 2 || verdicts != 1 || active != 1 {
 		t.Fatalf("scans=%d verdicts=%d active=%d, want 2/1/1", scans, verdicts, active)
+	}
+}
+
+// TestWatchdogVerdictOrder: Scan returns its verdicts, and logs raises
+// and clears, in (condition, node, peer) order whatever order the
+// snapshot lists the channels in, each line stamped t_ns from the
+// watchdog's clock — so two identical sim runs print identical lines.
+func TestWatchdogVerdictOrder(t *testing.T) {
+	var want []string
+	for _, cond := range []string{health.CondRTOStorm, health.CondWindowStall} {
+		for peer := 1; peer <= 4; peer++ {
+			want = append(want, fmt.Sprintf("%s/%d", cond, peer))
+		}
+	}
+	for run := 0; run < 20; run++ {
+		h := newHarness(t, health.WatchdogConfig{})
+		for _, peer := range []int{3, 1, 4, 2} {
+			h.src.snap.Channels = append(h.src.snap.Channels, health.ChannelSnapshot{
+				Peer: peer, Dir: "tx", Window: 4, InFlight: 4, Retries: 5, RTONs: 1_000_000,
+			})
+		}
+		h.src.snap.Node = "n0"
+		h.now = 10_000_000
+		var got []string
+		for _, v := range h.wd.Scan() {
+			got = append(got, fmt.Sprintf("%s/%d", v.Condition, v.Peer))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: verdicts %v, want %v", run, got, want)
+		}
+		h.src.snap.Channels = nil
+		h.now = 11_000_000
+		h.wd.Scan()
+
+		recs := decodeLines(t, h.buf)
+		if len(recs) != 2*len(want) {
+			t.Fatalf("run %d: %d log lines, want %d raises then %d clears", run, len(recs), len(want), len(want))
+		}
+		for i, r := range recs {
+			msg, at := "watchdog_verdict", float64(10_000_000)
+			if i >= len(want) {
+				msg, at = "watchdog_clear", 11_000_000
+			}
+			line := fmt.Sprintf("%v/%v", r["condition"], r["peer"])
+			if r["msg"] != msg || line != want[i%len(want)] || r["t_ns"] != at {
+				t.Fatalf("run %d: log line %d is %v %s t_ns=%v, want %s %s t_ns=%v",
+					run, i, r["msg"], line, r["t_ns"], msg, want[i%len(want)], at)
+			}
+		}
 	}
 }

@@ -18,7 +18,6 @@ package hw
 
 import (
 	"repro/internal/flight"
-	"repro/internal/health"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -42,12 +41,6 @@ type Host struct {
 	// cluster.New points every host at one shared journal when
 	// Config.Flight is set, so cross-node spans stitch in one export.
 	FR *flight.Journal
-
-	// HL is the node's structured protocol event log, the slog analogue
-	// of FR: nil (the default) disables it at the cost of a nil check on
-	// the protocol slow paths; cluster.New points every host at one
-	// shared log when Config.Health is set.
-	HL *health.Log
 
 	// CPU is the single processor; kernel and interrupt work queue-jumps
 	// via sim.PriKernel / sim.PriIRQ.

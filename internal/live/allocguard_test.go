@@ -73,7 +73,7 @@ func TestSteadyStateRoundTripZeroAlloc(t *testing.T) {
 	}
 	streamQuiesce(t, a, 1)
 
-	direct0 := b.rxDirect.Value()
+	direct0 := directBursts(b)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	avg := testing.AllocsPerRun(200, func() {
 		if err := a.Send(1, port, nil); err != nil {
@@ -86,7 +86,7 @@ func TestSteadyStateRoundTripZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state round trip allocates %.2f allocs; the 0-copy datapath regressed", avg)
 	}
-	if b.rxDirect.Value() == direct0 {
+	if directBursts(b) == direct0 {
 		t.Error("no Recv call read the socket itself: the direct path went unmeasured")
 	}
 }

@@ -26,6 +26,16 @@ func echoLoop(n *Node, peer int, port uint16, k int) {
 	}
 }
 
+// directBursts sums n's shards' direct-rung burst counters
+// (live_rx_direct_bursts_total across its shard series).
+func directBursts(n *Node) int64 {
+	var sum int64
+	for _, s := range n.shards {
+		sum += s.direct.Value()
+	}
+	return sum
+}
+
 // rungTimed reports whether a mean round trip of rtt leaves the rung's
 // timing claims testable: they assume the application re-enters Recv
 // well within rxTakeover. Under -tags lockcheck every lock acquisition
@@ -73,10 +83,10 @@ func TestDirectRungPingPongTakesMessagesDirectly(t *testing.T) {
 	rtt := pingPong(t, a, port, 200)
 
 	hand0 := a.rxHandoffs.Value() + b.rxHandoffs.Value()
-	direct0 := a.rxDirect.Value() + b.rxDirect.Value()
+	direct0 := directBursts(a) + directBursts(b)
 	pingPong(t, a, port, rounds)
 	hand := a.rxHandoffs.Value() + b.rxHandoffs.Value() - hand0
-	direct := a.rxDirect.Value() + b.rxDirect.Value() - direct0
+	direct := directBursts(a) + directBursts(b) - direct0
 
 	const msgs = 2 * rounds
 	t.Logf("%d hand-offs and %d direct bursts for %d messages", hand, direct, msgs)
@@ -108,12 +118,12 @@ func TestDirectRungPacedServerStaysDirect(t *testing.T) {
 	go echoLoop(b, 0, port, 100+rounds)
 	rtt := pingPong(t, a, port, 100)
 
-	hand0, direct0 := b.rxHandoffs.Value(), b.rxDirect.Value()
+	hand0, direct0 := b.rxHandoffs.Value(), directBursts(b)
 	for i := 0; i < rounds; i++ {
 		time.Sleep(gap)
 		pingPong(t, a, port, 1)
 	}
-	hand, direct := b.rxHandoffs.Value()-hand0, b.rxDirect.Value()-direct0
+	hand, direct := b.rxHandoffs.Value()-hand0, directBursts(b)-direct0
 	t.Logf("echo side: %d hand-offs and %d direct bursts for %d requests %v apart", hand, direct, rounds, gap)
 	if !rungTimed(t, rtt) {
 		return
@@ -192,7 +202,7 @@ func TestDirectRungReaderLeavesStillAcks(t *testing.T) {
 	a, b := wbPair(t, cfg)
 	go echoLoop(b, 0, port, 50)
 	rtt := pingPong(t, a, port, 50)
-	if b.rxDirect.Value() == 0 {
+	if directBursts(b) == 0 {
 		t.Fatal("the Recv caller never read the socket itself")
 	}
 	streamQuiesce(t, a, 1)
@@ -220,7 +230,7 @@ func TestDirectRungReaderLeavesStillAcks(t *testing.T) {
 func TestDirectRungCloseUnblocksReader(t *testing.T) {
 	const port, other = 57, 58
 	a, b := wbPair(t, DefaultConfig())
-	d0 := b.rxDirect.Value()
+	d0 := directBursts(b)
 	errc := make(chan error, 1)
 	go func() {
 		_, err := b.Recv(port)
@@ -230,7 +240,7 @@ func TestDirectRungCloseUnblocksReader(t *testing.T) {
 	// caller parked; a message to a port nobody reads makes that burst,
 	// and once the caller reads, the next such message is its burst.
 	deadline := time.Now().Add(5 * time.Second)
-	for b.rxDirect.Value() == d0 {
+	for directBursts(b) == d0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the parked Recv caller never took the reader role")
 		}

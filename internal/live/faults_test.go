@@ -2,10 +2,14 @@ package live_test
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/live"
+	"repro/internal/proto"
+	"repro/internal/trace"
 )
 
 // TestLiveSoakLossDupReorder drives the UDP stack through every injected
@@ -81,5 +85,75 @@ func TestLiveDeadPeer(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Error("send on a failed channel re-ran the retry ladder instead of failing fast")
+	}
+}
+
+// TestRTOExpiryPoints: against a peer that never answers, every RTO
+// expiry leaves an rto-backoff point (arg = the new, doubled RTO, which
+// live_rto_ns publishes) and a retransmit point on the resent frame
+// (arg = its length), each counted once; the failure leaves a
+// channel-failed point naming the peer.
+func TestRTOExpiryPoints(t *testing.T) {
+	cfg := live.DefaultConfig()
+	cfg.RetransmitTimeout = 5 * time.Millisecond
+	cfg.RTOMin = 5 * time.Millisecond
+	cfg.RTOMax = time.Second
+	cfg.MaxRetries = 3
+	cfg.Flight = flight.New(0)
+	a := node(t, 0, cfg)
+
+	// A dead port: bind, read the address, close. Unlike a closed node,
+	// it sends no bye, so only the RTO ladder can fail the channel.
+	dead, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.AddPeer(1, dead.LocalAddr().(*net.UDPAddr))
+	dead.Close()
+	if err := a.SendConfirm(1, 21, pattern(100)); !errors.Is(err, live.ErrPeerDead) {
+		t.Fatalf("SendConfirm returned %v, want ErrPeerDead", err)
+	}
+
+	var backoffs []int64
+	var resent, failed int
+	for _, ev := range cfg.Flight.Snapshot() {
+		if ev.Kind != flight.KindPoint {
+			continue
+		}
+		switch ev.Name {
+		case trace.PointRTOBackoff:
+			backoffs = append(backoffs, ev.Arg)
+		case trace.PointRetransmit:
+			resent++
+			if ev.Frame != flight.FrameID(0, 0) || ev.Arg != proto.HeaderBytes+100 {
+				t.Errorf("retransmit point %+v, want frame (node 0, seq 0) arg %d", ev, proto.HeaderBytes+100)
+			}
+		case trace.PointChannelFailed:
+			failed++
+			if ev.Arg != 1 {
+				t.Errorf("channel-failed point arg %d, want peer 1", ev.Arg)
+			}
+		}
+	}
+	if len(backoffs) != cfg.MaxRetries || resent != cfg.MaxRetries || failed != 1 {
+		t.Fatalf("%d rto-backoff, %d retransmit, %d channel-failed points; want %d, %d, 1",
+			len(backoffs), resent, failed, cfg.MaxRetries, cfg.MaxRetries)
+	}
+	rto := cfg.RetransmitTimeout.Nanoseconds()
+	for i, arg := range backoffs {
+		rto *= 2
+		if arg != rto {
+			t.Errorf("rto-backoff %d arg %v, want the doubled RTO %v", i, time.Duration(arg), time.Duration(rto))
+		}
+	}
+	for name, want := range map[string]int64{
+		"live_rto_backoffs_total":     int64(len(backoffs)),
+		"live_retransmits_total":      int64(resent),
+		"live_channel_failures_total": 1,
+		"live_rto_ns":                 rto,
+	} {
+		if got := counterValue(t, a, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -33,32 +33,33 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			Outstanding: gets - puts,
 		},
 		Counters: map[string]int64{
-			health.CounterTxFrames:  n.framesSent.Value(),
-			health.CounterRxWakeups: n.rxBursts.Value(),
-			"rx_frames":             n.framesRecv.Value(),
-			"retransmits":           n.retransmits.Value(),
-			"acks_sent":             n.acksSent.Value(),
-			"rto_backoffs":          n.rtoBackoffs.Value(),
-			"channel_failures":      n.channelFailures.Value(),
-			"handshakes":            n.handshakes.Value(),
-			"peer_evictions":        n.peerEvictions.Value(),
-			"idle_evictions":        n.idleEvictions.Value(),
-			"pace_deferrals":        n.paceDeferrals.Value(),
-			"nacks_sent":            n.nacksSent.Value(),
-			"fast_retransmits":      n.fastRetransmits.Value(),
-			"unknown_frames":        n.unknownFrames.Value(),
-			"port_drops":            n.portDrops.Value(),
+			health.CounterTxFrames: n.framesSent.Value(),
+			"rx_frames":            n.framesRecv.Value(),
+			"retransmits":          n.retransmits.Value(),
+			"acks_sent":            n.acksSent.Value(),
+			"rto_backoffs":         n.rtoBackoffs.Value(),
+			"channel_failures":     n.channelFailures.Value(),
+			"handshakes":           n.handshakes.Value(),
+			"peer_evictions":       n.peerEvictions.Value(),
+			"idle_evictions":       n.idleEvictions.Value(),
+			"pace_deferrals":       n.paceDeferrals.Value(),
+			"nacks_sent":           n.nacksSent.Value(),
+			"fast_retransmits":     n.fastRetransmits.Value(),
+			"unknown_frames":       n.unknownFrames.Value(),
+			"port_drops":           n.portDrops.Value(),
 		},
 	}
 	for _, s := range n.shards {
-		snap.Shards = append(snap.Shards, health.ShardSnapshot{
+		sh := health.ShardSnapshot{
 			Shard:     s.id,
-			Bursts:    s.bursts.Load(),
-			Frames:    s.frames.Load(),
-			Polls:     s.polls.Load(),
-			PollEmpty: s.pollEmpty.Load(),
-			Direct:    s.direct.Load(),
-		})
+			Bursts:    s.bursts.Value(),
+			Frames:    s.frames.Value(),
+			Polls:     s.polls.Value(),
+			PollEmpty: s.pollEmpty.Value(),
+			Direct:    s.direct.Value(),
+		}
+		snap.Counters[health.CounterRxWakeups] += sh.Bursts // every node has a shard
+		snap.Shards = append(snap.Shards, sh)
 	}
 	n.pmu.RLock()
 	txs := make([]*liveTxChan, 0, len(n.tx))

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/proto"
 	"repro/internal/relwin"
+	"repro/internal/trace"
 )
 
 // Connection lifecycle: a lightweight hello/bye exchange plus idle
@@ -74,7 +75,7 @@ func (n *Node) Handshake(addr *net.UDPAddr, timeout time.Duration) (int, error) 
 				}
 			}
 			n.handshakes.Inc()
-			n.hl.Event("handshake", r.peer, 0, int64(r.credit))
+			n.fr.Point(n.nodeName, 0, trace.PointHello, time.Now().UnixNano(), int64(r.peer))
 			return r.peer, nil
 		case <-timer.C:
 			timer.Reset(per)
@@ -120,7 +121,7 @@ func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 		reply.Put(buf[:])
 		n.transmit(s.conn, from, buf[:], 0)
 		n.handshakes.Inc()
-		n.hl.Event("handshake", peer, 0, int64(credit))
+		n.fr.Point(n.nodeName, 0, trace.PointHello, time.Now().UnixNano(), int64(peer))
 		return
 	}
 	credit := int(hdr.Len)
@@ -147,7 +148,7 @@ func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 // a restarted peer re-opens fresh channels (see onHello).
 func (n *Node) onBye(src int) {
 	n.peerEvictions.Inc()
-	n.hl.Event("bye", src, 0, 0)
+	n.fr.Point(n.nodeName, 0, trace.PointBye, time.Now().UnixNano(), int64(src))
 	n.pmu.Lock()
 	tc := n.tx[src]
 	rc := n.rx[src]
@@ -306,7 +307,7 @@ func (n *Node) evictIdle(nowNs int64) {
 			n.reclaimRxLocked(rc)
 			rc.evictions++
 			n.idleEvictions.Inc()
-			n.hl.Event("idle_evict", rc.src, rc.reseq.CumAck(), rc.evictions)
+			n.fr.Point(n.nodeName, 0, trace.PointIdleEvict, nowNs, int64(rc.src))
 		}
 		rc.mu.Unlock()
 	}

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/flight"
-	"repro/internal/health"
 	"repro/internal/lockcheck"
 	"repro/internal/proto"
 	"repro/internal/relwin"
@@ -152,12 +151,6 @@ type Config struct {
 	// to stitch; the frame id is derived from (sender, sequence) so the
 	// two ends agree without any extra bytes on the wire.
 	Flight *flight.Journal
-
-	// Health, when non-nil, is the structured protocol event log:
-	// retransmission rounds, RTO backoffs and channel failures are
-	// emitted with per-peer attributes. Nil (the default) disables
-	// event logging at the cost of a nil check on the slow paths.
-	Health *health.Log
 }
 
 // DefaultConfig returns sensible loopback settings.
@@ -287,13 +280,8 @@ type Node struct {
 	poolGets         telemetry.Counter
 	poolPuts         telemetry.Counter
 	poolAllocs       telemetry.Counter
-	rxBursts         telemetry.Counter
-	rxBurstFrames    telemetry.Counter
-	rxPolls          telemetry.Counter
-	rxPollEmpty      telemetry.Counter
 	rxAggRuns        telemetry.Counter
 	rxAggFrames      telemetry.Counter
-	rxDirect         telemetry.Counter
 	rxHandoffs       telemetry.Counter
 	portDrops        telemetry.Counter
 	handshakes       telemetry.Counter
@@ -306,10 +294,8 @@ type Node struct {
 	ackLatency       *telemetry.Histogram
 
 	// fr is the optional flight recorder (nil disables); nodeName labels
-	// this node's spans in the shared journal. hl is the optional
-	// structured event log (nil disables), carried the same way.
+	// this node's spans in the shared journal.
 	fr       *flight.Journal
-	hl       *health.Log
 	nodeName string
 }
 
@@ -374,7 +360,6 @@ func NewNode(id int, cfg Config) (*Node, error) {
 		done:      make(chan struct{}),
 		tel:       cfg.Telemetry,
 		fr:        cfg.Flight,
-		hl:        cfg.Health,
 		nodeName:  fmt.Sprintf("live%d", id),
 	}
 	n.lmu.SetRank(rankLife, "lmu")
@@ -404,12 +389,15 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	n.tel.RegisterCounter("live_pool_gets_total", "frame buffers taken from the shared pool", &n.poolGets, node)
 	n.tel.RegisterCounter("live_pool_puts_total", "frame buffers returned to the shared pool", &n.poolPuts, node)
 	n.tel.RegisterCounter("live_pool_allocs_total", "frame buffers newly allocated on pool miss", &n.poolAllocs, node)
-	n.tel.RegisterCounter("live_rx_bursts_total", "receive wakeups, each draining a burst of one or more datagrams", &n.rxBursts, node)
-	n.tel.RegisterCounter("live_rx_direct_bursts_total", "receive bursts read by an application goroutine blocked in Recv (the direct-call rung)", &n.rxDirect, node)
+	for _, s := range n.shards {
+		shard := telemetry.L("shard", fmt.Sprint(s.id))
+		n.tel.RegisterCounter("live_rx_bursts_total", "receive wakeups, each draining a burst of one or more datagrams", &s.bursts, node, shard)
+		n.tel.RegisterCounter("live_rx_direct_bursts_total", "receive bursts read by an application goroutine blocked in Recv (the direct-call rung)", &s.direct, node, shard)
+		n.tel.RegisterCounter("live_rx_burst_frames_total", "datagrams drained by burst receives", &s.frames, node, shard)
+		n.tel.RegisterCounter("live_rx_polls_total", "non-blocking poll probes that drained datagrams (adaptive poll rung)", &s.polls, node, shard)
+		n.tel.RegisterCounter("live_rx_poll_empty_total", "non-blocking poll probes that found the socket empty", &s.pollEmpty, node, shard)
+	}
 	n.tel.RegisterCounter("live_rx_handoffs_total", "completed messages queued on a port for a Recv caller to take", &n.rxHandoffs, node)
-	n.tel.RegisterCounter("live_rx_burst_frames_total", "datagrams drained by burst receives", &n.rxBurstFrames, node)
-	n.tel.RegisterCounter("live_rx_polls_total", "non-blocking poll probes that drained datagrams (adaptive poll rung)", &n.rxPolls, node)
-	n.tel.RegisterCounter("live_rx_poll_empty_total", "non-blocking poll probes that found the socket empty", &n.rxPollEmpty, node)
 	n.tel.RegisterCounter("live_rx_agg_runs_total", "aggregated same-peer data runs dispatched under one lock hold", &n.rxAggRuns, node)
 	n.tel.RegisterCounter("live_rx_agg_frames_total", "datagrams carried by aggregated same-peer runs", &n.rxAggFrames, node)
 	n.tel.RegisterCounter("live_port_drops_total", "completed messages dropped because the port queue was full", &n.portDrops, node)

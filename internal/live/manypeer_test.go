@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/health"
 	"repro/internal/live"
 	"repro/internal/proto"
+	"repro/internal/trace"
 )
 
 // node builds one live node with a cleanup hook.
@@ -451,6 +453,78 @@ func TestIdleEvictionReclaimsParked(t *testing.T) {
 			t.Fatalf("resumed delivery %d: got %q", want, msg.Data)
 		}
 	}
+}
+
+// waitPoint polls j until it holds a point event with want's name, node,
+// frame and arg; after 2 s it fails the test listing the points of that
+// name it did find.
+func waitPoint(t *testing.T, j *flight.Journal, want flight.Event) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		var seen []flight.Event
+		for _, ev := range j.Snapshot() {
+			if ev.Kind != flight.KindPoint || ev.Name != want.Name {
+				continue
+			}
+			if ev.Node == want.Node && ev.Frame == want.Frame && ev.Arg == want.Arg {
+				return
+			}
+			seen = append(seen, ev)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s point on %s frame %#x arg %d; recorded %+v",
+				want.Name, want.Node, want.Frame, want.Arg, seen)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestLifecyclePoints: each lifecycle incident and a port drop leave a
+// flight point — hello on both ends and bye and idle-evict on the node
+// they happen to (arg = the peer), and a drop on the dropped message's
+// closing frame (arg = the port).
+func TestLifecyclePoints(t *testing.T) {
+	cfg := live.DefaultConfig()
+	cfg.Flight = flight.New(0)
+	cfg.IdleTimeout = 60 * time.Millisecond
+	cfg.PortDepth = 1
+	j := cfg.Flight
+	a := node(t, 0, cfg)
+	b := node(t, 1, cfg)
+
+	if _, err := b.Handshake(a.Addr(), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitPoint(t, j, flight.Event{Name: trace.PointHello, Node: "live0", Arg: 1})
+	waitPoint(t, j, flight.Event{Name: trace.PointHello, Node: "live1", Arg: 0})
+
+	// Nobody reads port 9 and it queues one message: sequences 1 and 2
+	// are dropped.
+	for i := 0; i < 3; i++ {
+		if err := b.Send(0, 9, []byte("m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, seq := range []uint32{1, 2} {
+		waitPoint(t, j, flight.Event{Name: trace.PointDrop, Node: "live0", Frame: flight.FrameID(1, seq), Arg: 9})
+	}
+
+	// A raw peer parks a frame behind a gap and falls silent.
+	peer, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	a.AddPeer(5, peer.LocalAddr().(*net.UDPAddr))
+	hdr := proto.Header{Type: proto.TypeData, Flags: proto.FlagFirst | proto.FlagLast, Port: 9, Seq: 1, Len: 1}
+	if _, err := peer.WriteToUDPAddrPort(append(hdr.Encode(nil), 'x'), a.Addr().AddrPort()); err != nil {
+		t.Fatal(err)
+	}
+	waitPoint(t, j, flight.Event{Name: trace.PointIdleEvict, Node: "live0", Arg: 5})
+
+	b.Close()
+	waitPoint(t, j, flight.Event{Name: trace.PointBye, Node: "live0", Arg: 1})
 }
 
 // TestCreditAdvertised: every ack carries the receiver's credit, so a

@@ -2,11 +2,8 @@ package live_test
 
 import (
 	"bytes"
-	"log/slog"
 	"net"
 	"net/netip"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -386,33 +383,12 @@ func TestUnknownTypeNotSequenced(t *testing.T) {
 	}
 }
 
-// lockedBuf is a bytes.Buffer the node's goroutines may log into while
-// the test reads it.
-type lockedBuf struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (l *lockedBuf) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Write(p)
-}
-
-func (l *lockedBuf) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.String()
-}
-
 // TestNackObservability: both ends of a recovery leave the traces the
-// simulator's does — nack-sent / nack-recv / retransmit flight points
-// and the nack health event with (peer, cum, in flight).
+// simulator's does — nack-sent / nack-recv / retransmit flight points —
+// and the head repair is counted as a fast retransmit.
 func TestNackObservability(t *testing.T) {
 	cfg := parkedTimers()
 	cfg.Flight = flight.New(0)
-	var events lockedBuf
-	cfg.Health = health.NewLog(slog.New(slog.NewJSONHandler(&events, nil)), 0).Unlimited()
 	a := node(t, 0, cfg)
 	p := newWirePeer(t, a, 5)
 
@@ -438,7 +414,7 @@ func TestNackObservability(t *testing.T) {
 	if ev, ok := points[trace.PointRetransmit]; !ok || ev.Frame != flight.FrameID(0, 1) {
 		t.Errorf("flight point retransmit: %+v (recorded %v), want frame (node 0, seq 1)", ev, ok)
 	}
-	if log := events.String(); !strings.Contains(log, `"msg":"nack","peer":5,"seq":1,"arg":3`) {
-		t.Errorf("no nack event with peer 5, cum 1, 3 in flight in the health log:\n%s", log)
+	if got := counterValue(t, a, "live_fast_retransmits_total"); got != 1 {
+		t.Errorf("live_fast_retransmits_total = %d, want 1", got)
 	}
 }

@@ -308,8 +308,7 @@ func (n *Node) rxBurst(ctx context.Context, s *rxShard) error {
 	if cnt == 0 {
 		// Empty probe (poll rung only): yield the core and try again;
 		// after rxPollIdleExit misses, park in the poller.
-		n.rxPollEmpty.Inc()
-		s.pollEmpty.Add(1)
+		s.pollEmpty.Inc()
 		if s.idle++; s.idle >= rxPollIdleExit {
 			s.polling = false
 			s.idle = 0
@@ -319,8 +318,7 @@ func (n *Node) rxBurst(ctx context.Context, s *rxShard) error {
 		return nil
 	}
 	if s.polling {
-		n.rxPolls.Inc()
-		s.polls.Add(1)
+		s.polls.Inc()
 	}
 	s.idle = 0
 	if rxBatchSize > 1 && cnt >= rxBatchSize {
@@ -333,14 +331,11 @@ func (n *Node) rxBurst(ctx context.Context, s *rxShard) error {
 		s.shallow++
 	}
 	if s.want >= 0 {
-		n.rxDirect.Inc()
-		s.direct.Add(1)
+		s.direct.Inc()
 	}
 	n.socketReads.Addn(int64(cnt))
-	n.rxBursts.Inc()
-	n.rxBurstFrames.Addn(int64(cnt))
-	s.bursts.Add(1)
-	s.frames.Add(int64(cnt))
+	s.bursts.Inc()
+	s.frames.Addn(int64(cnt))
 	if perfreg.Enabled() {
 		perfreg.Do(ctx, trace.SpanModuleRx, func() {
 			n.dispatchBurst(s, cnt)
@@ -816,10 +811,9 @@ func (n *Node) deliver(s *rxShard, src int, port uint16, typ proto.PacketType, s
 		// Port queue full: the kernel-buffer analogue overran; this is an
 		// application-level overrun, dropped here — before the copy. The
 		// drop used to be silent, which made a slow consumer look like
-		// wire loss with no counter movement anywhere; count it and log
-		// it (health.Log rate-limits, so a wedged consumer cannot flood).
-		n.portDrops.Inc()
-		n.hl.Warn("port_drop", src, seq, int64(port))
+		// wire loss with no counter movement anywhere; count it and
+		// journal it against the message's closing frame.
+		n.portDrop(src, port, seq)
 		return
 	}
 	data := view
@@ -839,9 +833,17 @@ func (n *Node) deliver(s *rxShard, src int, port uint16, typ proto.PacketType, s
 	case ch <- Message{Src: src, Port: port, Data: data}:
 		n.rxHandoffs.Inc()
 	default:
-		n.portDrops.Inc()
-		n.hl.Warn("port_drop", src, seq, int64(port))
+		n.portDrop(src, port, seq)
 	}
+}
+
+// portDrop accounts for a completed message dropped at a full port
+// queue: the counter, and a drop point on the message's closing frame
+// (arg = port).
+func (n *Node) portDrop(src int, port uint16, seq relwin.Seq) {
+	n.portDrops.Inc()
+	n.fr.Point(n.nodeName, flight.FrameID(src, seq), trace.PointDrop,
+		time.Now().UnixNano(), int64(port))
 }
 
 // sendControl emits an unsequenced internal packet (confirmations).

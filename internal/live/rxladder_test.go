@@ -9,15 +9,17 @@ import (
 	"repro/internal/live"
 )
 
-// counterValue reads one counter from a node's telemetry registry.
+// counterValue reads one counter from a node's telemetry registry,
+// summed over its series (the rx counters have one per shard).
 func counterValue(t testing.TB, n *live.Node, name string) int64 {
 	t.Helper()
+	var sum float64
 	for _, m := range n.Telemetry().Snapshot() {
 		if m.Name == name && m.Value != nil {
-			return int64(*m.Value)
+			sum += *m.Value
 		}
 	}
-	return 0
+	return int64(sum)
 }
 
 // TestLivePortDropCountedNotSilent: a full port queue used to drop

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // rxShard is one receive shard: a UDP socket bound (with SO_REUSEPORT
@@ -57,13 +59,13 @@ type rxShard struct {
 	got     Message
 	gotOK   bool
 
-	// Per-shard receive stats. Atomics: each is written by this shard's
-	// reader and read by health snapshots.
-	bursts    atomic.Int64
-	frames    atomic.Int64
-	polls     atomic.Int64
-	pollEmpty atomic.Int64
-	direct    atomic.Int64
+	// Per-shard receive stats, written by this shard's reader and
+	// exported with a shard label; the node-level figures are their sums.
+	bursts    telemetry.Counter
+	frames    telemetry.Counter
+	polls     telemetry.Counter
+	pollEmpty telemetry.Counter
+	direct    telemetry.Counter
 }
 
 // helloReply is what the receive loop hands a parked Handshake waiter:

@@ -258,14 +258,15 @@ func FuzzGROSplit(f *testing.F) {
 	})
 }
 
-// metric reads one of n's telemetry counters.
+// metric reads one of n's telemetry counters, summed over its series.
 func metric(n *Node, name string) float64 {
+	var sum float64
 	for _, m := range n.Telemetry().Snapshot() {
 		if m.Name == name && m.Value != nil {
-			return *m.Value
+			sum += *m.Value
 		}
 	}
-	return 0
+	return sum
 }
 
 func TestGROEndToEnd(t *testing.T) {

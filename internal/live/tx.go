@@ -686,8 +686,6 @@ func (n *Node) rtoExpire(tc *liveTxChan) {
 		}
 	}
 	tc.pacedBacklog = len(unacked) - quota
-	n.hl.Event("rto_backoff", tc.peer, base, tc.ctrl.RTO())
-	n.hl.Event("retransmit", tc.peer, base, int64(quota))
 	tc.publishRTO() // the timeout doubled
 	// Karn's rule: acks for anything below this watermark are ambiguous.
 	tc.sampleFloor = tc.win.NextSeq()
@@ -712,7 +710,6 @@ func (n *Node) rtoExpire(tc *liveTxChan) {
 func (n *Node) failChannel(tc *liveTxChan) []chan error {
 	tc.failed = true
 	n.channelFailures.Inc()
-	n.hl.Warn("peer_dead", tc.peer, tc.win.Base(), int64(tc.ctrl.Retries()))
 	if n.fr != nil {
 		n.fr.Point(n.nodeName, 0, trace.PointChannelFailed,
 			time.Now().UnixNano(), int64(tc.peer))
@@ -749,7 +746,6 @@ func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 	n.absorbAck(tc, hdr)
 	var repair *frameBuf
 	if hdr.Type == proto.TypeNack {
-		n.hl.Event("nack", tc.peer, hdr.Seq, int64(tc.win.InFlight()))
 		if n.fr != nil {
 			n.fr.Point(n.nodeName, 0, trace.PointNackRecv, time.Now().UnixNano(), int64(hdr.Seq))
 		}
@@ -845,6 +841,5 @@ func (n *Node) headRepair(tc *liveTxChan, cum relwin.Seq) *frameBuf {
 	tc.rtoArmed = true
 	n.retransmits.Inc()
 	n.fastRetransmits.Inc()
-	n.hl.Event("retransmit", tc.peer, base, 1)
 	return repair
 }

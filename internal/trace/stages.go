@@ -39,7 +39,10 @@ const (
 	PointDrop          = "drop"
 	PointChannelFailed = "channel-failed"
 	PointDeferred      = "deferred-tx"
-	PointGROBatch      = "gro-batch" // aggregated run handed to module-rx in one call (arg = run length)
+	PointGROBatch      = "gro-batch"  // aggregated run handed to module-rx in one call (arg = run length)
+	PointHello         = "hello"      // handshake completed, either side (arg = peer)
+	PointBye           = "bye"        // peer announced its departure (arg = peer)
+	PointIdleEvict     = "idle-evict" // idle receive channel's state reclaimed (arg = peer)
 )
 
 // SpanOrder is the canonical pipeline order for breakdown tables and
