@@ -170,14 +170,13 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	sent, _, retrans, _, drops := a.Stats()
-	_, recvd, _, acksSent, _ := b.Stats()
 	fmt.Printf("transferred %d x %d B over lossy loopback UDP in %v\n", *count, *size, elapsed.Round(time.Millisecond))
 	fmt.Printf("corrupted messages: %d (must be 0)\n", bad)
 	txc, rxc := a.HealthSnapshot().Counters, b.HealthSnapshot().Counters
+	sent, drops := txc[health.CounterTxFrames], txc["loss_injected"]
 	fmt.Printf("sender: %d datagrams sent, %d dropped by injection (%.0f%%), %d retransmitted (%d NACK repairs, %d RTO expiries)\n",
-		sent, drops, 100*float64(drops)/float64(sent+drops), retrans, txc["fast_retransmits"], txc["rto_backoffs"])
-	fmt.Printf("receiver: %d datagrams received, %d acknowledgements returned (%d as NACKs)\n", recvd, acksSent, rxc["nacks_sent"])
+		sent, drops, 100*float64(drops)/float64(sent+drops), txc["retransmits"], txc["fast_retransmits"], txc["rto_backoffs"])
+	fmt.Printf("receiver: %d datagrams received, %d acknowledgements returned (%d as NACKs)\n", rxc["rx_frames"], rxc["acks_sent"], rxc["nacks_sent"])
 	if bad != 0 {
 		die(logger, "integrity failure", fmt.Errorf("%d corrupted messages", bad))
 	}

@@ -166,16 +166,12 @@ func render(w *os.File, doc, prev *health.Doc, sortBy string) {
 	for ni := range doc.Nodes {
 		node := &doc.Nodes[ni]
 		var extra []string
-		// One entry per RX shard: frames/bursts, the bursts an
-		// application goroutine read directly, and the poll-mode hit rate
-		// when the adaptive ladder has been polling.
+		// One entry per RX shard: frames/bursts and the bursts an
+		// application goroutine read directly.
 		for _, sh := range node.Shards {
 			s := fmt.Sprintf("shard%d %df/%db", sh.Shard, sh.Frames, sh.Bursts)
 			if sh.Direct > 0 {
 				s += fmt.Sprintf(" (%d direct)", sh.Direct)
-			}
-			if sh.Polls > 0 {
-				s += fmt.Sprintf(" (%d polls, %d empty)", sh.Polls, sh.PollEmpty)
 			}
 			extra = append(extra, s)
 		}

@@ -10,6 +10,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/live"
 )
 
@@ -71,11 +72,10 @@ func main() {
 	}
 	<-done
 
-	sentA, _, retransA, _, dropsA := alice.Stats()
-	sentB, _, retransB, _, dropsB := bob.Stats()
+	ca, cb := alice.HealthSnapshot().Counters, bob.HealthSnapshot().Counters
 	fmt.Printf("\nalice: %d datagrams sent, %d dropped by injection, %d retransmitted\n",
-		sentA, dropsA, retransA)
+		ca[health.CounterTxFrames], ca["loss_injected"], ca["retransmits"])
 	fmt.Printf("bob:   %d datagrams sent, %d dropped by injection, %d retransmitted\n",
-		sentB, dropsB, retransB)
+		cb[health.CounterTxFrames], cb["loss_injected"], cb["retransmits"])
 	fmt.Println("transcript complete and in order despite the loss.")
 }

@@ -99,12 +99,10 @@ const (
 // is how many of its bursts an application goroutine blocked in Recv
 // read itself (the live direct-call rung); they count in Bursts too.
 type ShardSnapshot struct {
-	Shard     int   `json:"shard"`
-	Bursts    int64 `json:"bursts"`
-	Frames    int64 `json:"frames"`
-	Polls     int64 `json:"polls,omitempty"`
-	PollEmpty int64 `json:"poll_empty,omitempty"`
-	Direct    int64 `json:"direct,omitempty"`
+	Shard  int   `json:"shard"`
+	Bursts int64 `json:"bursts"`
+	Frames int64 `json:"frames"`
+	Direct int64 `json:"direct,omitempty"`
 }
 
 // NodeSnapshot is one endpoint's full state capture.

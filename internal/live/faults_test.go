@@ -22,7 +22,6 @@ func TestLiveSoakLossDupReorder(t *testing.T) {
 	cfg.LossRate = 0.15
 	cfg.DupRate = 0.2
 	cfg.ReorderRate = 0.3
-	cfg.ReorderDelay = 2 * time.Millisecond
 	cfg.Seed = 9
 	cfg.RetransmitTimeout = 5 * time.Millisecond
 	cfg.MaxRetries = 0 // the soak must converge, never declare the peer dead
@@ -49,8 +48,8 @@ func TestLiveSoakLossDupReorder(t *testing.T) {
 	if _, ok := b.TryRecv(20); ok {
 		t.Error("a duplicate message leaked through the resequencer")
 	}
-	_, _, retrans, _, drops := a.Stats()
-	if drops == 0 || retrans == 0 {
+	c := a.HealthSnapshot().Counters
+	if drops, retrans := c["loss_injected"], c["retransmits"]; drops == 0 || retrans == 0 {
 		t.Errorf("drops=%d retransmits=%d; fault injection never engaged", drops, retrans)
 	}
 }

@@ -37,6 +37,7 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			"rx_frames":            n.framesRecv.Value(),
 			"retransmits":          n.retransmits.Value(),
 			"acks_sent":            n.acksSent.Value(),
+			"loss_injected":        n.dropsInjected.Value(),
 			"rto_backoffs":         n.rtoBackoffs.Value(),
 			"channel_failures":     n.channelFailures.Value(),
 			"handshakes":           n.handshakes.Value(),
@@ -51,12 +52,10 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 	}
 	for _, s := range n.shards {
 		sh := health.ShardSnapshot{
-			Shard:     s.id,
-			Bursts:    s.bursts.Value(),
-			Frames:    s.frames.Value(),
-			Polls:     s.polls.Value(),
-			PollEmpty: s.pollEmpty.Value(),
-			Direct:    s.direct.Value(),
+			Shard:  s.id,
+			Bursts: s.bursts.Value(),
+			Frames: s.frames.Value(),
+			Direct: s.direct.Value(),
 		}
 		snap.Counters[health.CounterRxWakeups] += sh.Bursts // every node has a shard
 		snap.Shards = append(snap.Shards, sh)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/proto"
@@ -145,8 +146,11 @@ func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 // departed peer will never continue — is removed outright, returning
 // every pooled frame. The address registration stays: bye reports the
 // peer process's death, not a topology change, and a later hello from
-// a restarted peer re-opens fresh channels (see onHello).
-func (n *Node) onBye(src int) {
+// a restarted peer re-opens fresh channels (see onHello). The RX
+// channel also leaves the current burst's touched set: its data earlier
+// in the burst is delivered, and flushAcks must neither ack it to the
+// departed peer nor re-arm its delayed-ack timer.
+func (n *Node) onBye(s *rxShard, src int) {
 	n.peerEvictions.Inc()
 	n.fr.Point(n.nodeName, 0, trace.PointBye, time.Now().UnixNano(), int64(src))
 	n.pmu.Lock()
@@ -174,6 +178,10 @@ func (n *Node) onBye(src int) {
 		if rc.ackArmed {
 			rc.ackTimer.Stop()
 			rc.ackArmed = false
+		}
+		if rc.inBurst {
+			rc.inBurst = false
+			s.touched = slices.DeleteFunc(s.touched, func(c *liveRxChan) bool { return c == rc })
 		}
 		rc.mu.Unlock()
 	}

@@ -131,13 +131,12 @@ type Config struct {
 
 	// LossRate, DupRate inject datagram loss/duplication on the send
 	// side, in [0,1). ReorderRate delays individual datagrams by a random
-	// amount up to ReorderDelay so later traffic overtakes them. All
+	// amount up to reorderDelay so later traffic overtakes them. All
 	// deterministic per Seed.
-	LossRate     float64
-	DupRate      float64
-	ReorderRate  float64
-	ReorderDelay time.Duration
-	Seed         int64
+	LossRate    float64
+	DupRate     float64
+	ReorderRate float64
+	Seed        int64
 
 	// Telemetry, when non-nil, is the registry the node's metrics are
 	// registered into (with a node=<id> label), letting several
@@ -164,7 +163,6 @@ func DefaultConfig() Config {
 		RTOMin:            5 * time.Millisecond,
 		RTOMax:            2 * time.Second,
 		MaxRetries:        8,
-		ReorderDelay:      2 * time.Millisecond,
 	}
 }
 
@@ -280,8 +278,6 @@ type Node struct {
 	poolGets         telemetry.Counter
 	poolPuts         telemetry.Counter
 	poolAllocs       telemetry.Counter
-	rxAggRuns        telemetry.Counter
-	rxAggFrames      telemetry.Counter
 	rxHandoffs       telemetry.Counter
 	portDrops        telemetry.Counter
 	handshakes       telemetry.Counter
@@ -394,12 +390,8 @@ func NewNode(id int, cfg Config) (*Node, error) {
 		n.tel.RegisterCounter("live_rx_bursts_total", "receive wakeups, each draining a burst of one or more datagrams", &s.bursts, node, shard)
 		n.tel.RegisterCounter("live_rx_direct_bursts_total", "receive bursts read by an application goroutine blocked in Recv (the direct-call rung)", &s.direct, node, shard)
 		n.tel.RegisterCounter("live_rx_burst_frames_total", "datagrams drained by burst receives", &s.frames, node, shard)
-		n.tel.RegisterCounter("live_rx_polls_total", "non-blocking poll probes that drained datagrams (adaptive poll rung)", &s.polls, node, shard)
-		n.tel.RegisterCounter("live_rx_poll_empty_total", "non-blocking poll probes that found the socket empty", &s.pollEmpty, node, shard)
 	}
 	n.tel.RegisterCounter("live_rx_handoffs_total", "completed messages queued on a port for a Recv caller to take", &n.rxHandoffs, node)
-	n.tel.RegisterCounter("live_rx_agg_runs_total", "aggregated same-peer data runs dispatched under one lock hold", &n.rxAggRuns, node)
-	n.tel.RegisterCounter("live_rx_agg_frames_total", "datagrams carried by aggregated same-peer runs", &n.rxAggFrames, node)
 	n.tel.RegisterCounter("live_port_drops_total", "completed messages dropped because the port queue was full", &n.portDrops, node)
 	n.tel.RegisterCounter("live_handshakes_total", "hello exchanges completed (either side)", &n.handshakes, node)
 	n.tel.RegisterCounter("live_peer_evictions_total", "peers fully removed by bye teardown", &n.peerEvictions, node)
@@ -564,12 +556,6 @@ func (n *Node) Close() error {
 	}
 	n.wg.Wait()
 	return err
-}
-
-// Stats reports node activity counters.
-func (n *Node) Stats() (framesSent, framesRecv, retransmits, acksSent, dropsInjected int64) {
-	return n.framesSent.Value(), n.framesRecv.Value(), n.retransmits.Value(),
-		n.acksSent.Value(), n.dropsInjected.Value()
 }
 
 // ErrClosed reports an operation on a closed node.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/live"
 )
 
@@ -115,11 +116,11 @@ func TestLiveLossRecovery(t *testing.T) {
 			t.Fatalf("message %d: header %d len %d", i, msg.Data[0], len(msg.Data))
 		}
 	}
-	_, _, retrans, _, drops := a.Stats()
-	if drops == 0 {
+	c := a.HealthSnapshot().Counters
+	if c["loss_injected"] == 0 {
 		t.Error("loss injection never dropped anything; test is vacuous")
 	}
-	if retrans == 0 {
+	if c["retransmits"] == 0 {
 		t.Error("no retransmissions despite injected loss")
 	}
 }
@@ -298,8 +299,7 @@ func TestLiveJumboMTUFewerDatagrams(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		sent, _, _, _, _ := a.Stats()
-		return sent
+		return a.HealthSnapshot().Counters[health.CounterTxFrames]
 	}
 	std := run(1500)
 	jumbo := run(9000)

@@ -91,7 +91,6 @@ func TestPoolOwnershipSoak(t *testing.T) {
 	cfg.LossRate = 0.12
 	cfg.DupRate = 0.15
 	cfg.ReorderRate = 0.25
-	cfg.ReorderDelay = 2 * time.Millisecond
 	cfg.Seed = 41
 	cfg.RetransmitTimeout = 5 * time.Millisecond
 	cfg.MaxRetries = 0 // the soak must converge, never declare the peer dead

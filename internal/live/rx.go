@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"net/netip"
-	"runtime"
 	"sync"
 	"time"
 
@@ -34,10 +33,10 @@ type liveRxChan struct {
 	asm   liveAsm
 
 	// pending stages messages completed during the current locked
-	// dispatch run; the reader drains it after releasing mu, so
+	// dispatch; the reader drains it after releasing mu, so
 	// delivery (port-queue sends, region remote writes, the pmu port
 	// lookup) never happens under a channel lock. Owned by the socket's
-	// current reader; the backing array is reused across runs.
+	// current reader; the backing array is reused across datagrams.
 	pending []pendingMsg
 
 	// emit is the persistent resequencer delivery hook: allocated once
@@ -152,8 +151,8 @@ func newRxChan(n *Node, src int, addr netip.AddrPort) *liveRxChan {
 	return rc
 }
 
-// drainPending delivers the messages staged during a locked dispatch
-// run. Called by the socket's current reader with rc.mu released:
+// drainPending delivers the messages staged during a locked dispatch.
+// Called by the socket's current reader with rc.mu released:
 // borrowed views alias either the batch reader's resident buffers —
 // valid until the next read, which only the baton holder issues — or a
 // transferred pooled buffer, returned here once delivery is done.
@@ -171,12 +170,6 @@ func (n *Node) drainPending(s *rxShard, rc *liveRxChan) {
 	rc.pending = rc.pending[:0]
 }
 
-// rxPollIdleExit is how many consecutive empty non-blocking probes the
-// poll rung tolerates before falling back to a blocking read. Two
-// probes with a scheduler yield between them bridge the gap a sender
-// needs to stage its next burst; anything longer just burns the core.
-const rxPollIdleExit = 2
-
 // rxDirectAfter is the direct-call rung's hysteresis: after a deep
 // burst rxLoop keeps the socket until this many shallow bursts in a
 // row, so a stream pausing between windows does not bounce readers.
@@ -189,44 +182,28 @@ const rxDirectAfter = 8
 // stops calling Recv still acks.
 const rxTakeover = 500 * time.Microsecond
 
-// burstScratch is the reader's per-burst decode state: headers and
-// payload views for every frame of the current batch (the reader hands
-// out at most rxMaxFrames at a time), predecoded in one pass so the
-// dispatch pass can aggregate adjacent same-peer runs. Owned by the
-// socket's current reader; the payload views alias the batch reader's
-// resident buffers and live only until the next read.
-type burstScratch struct {
-	hdrs     [rxMaxFrames]proto.Header
-	payloads [rxMaxFrames][]byte
-	srcs     [rxMaxFrames]int
-	data     [rxMaxFrames]bool // decoded, from a registered peer, data-bearing
-}
-
 // rxLoop is the socket's reader of last resort — the live analogue of
 // the driver ISR + CLIC_MODULE bottom half. Each turn is one rxBurst,
 // and the turns climb the paper's RX ladder with offered load:
 //
-//   - Idle and sparse traffic block in the poller: one wakeup per
-//     burst, the interrupt-coalescing rung (recvmmsg on Linux).
-//   - A deep burst (cnt >= rxBatchSize frames, be it a full recvmmsg of
-//     single datagrams or one superframe) signals line-rate traffic:
-//     the reader shifts to non-blocking tryReadBatch probes — the NAPI
-//     rung, where the receiver owns the schedule and wakeups cost
-//     nothing — until rxPollIdleExit consecutive probes come back empty.
-//   - Within each burst, adjacent data datagrams from the same peer
-//     are dispatched as one run under a single channel-lock hold (the
-//     GRO rung), and ack decisions are deferred to burst end so a
-//     burst answers with one cumulative ack, not one per frame.
+//   - Every burst is one blocking read: it parks in the poller until
+//     the socket queue is non-empty and drains it in one wake-up, the
+//     interrupt-coalescing rung (recvmmsg on Linux). Ack decisions are
+//     deferred to burst end, so a burst answers with one cumulative ack
+//     per channel, not one per frame.
 //   - On a single-socket node, after rxDirectAfter shallow bursts, a
 //     burst that finds a Recv caller parked ends with rxLoop giving the
 //     socket away (napRx): the direct-call rung of Fig. 8b, where the
-//     application's goroutine runs the protocol itself (readDirect).
+//     application's goroutine runs the protocol itself (readDirect). A
+//     deep burst (cnt >= rxBatchSize frames, be it a full recvmmsg of
+//     single datagrams or one superframe) signals line-rate traffic and
+//     brings the socket back to rxLoop.
 func (n *Node) rxLoop(s *rxShard) {
 	defer n.wg.Done()
 	// The loop goroutine carries the isr pprof stage (it is the live
-	// analogue of the driver ISR: socket reads and poll probes); each
-	// burst's protocol dispatch re-labels itself module-rx and restores
-	// ctx on return. One-time cost when profiling is off.
+	// analogue of the driver ISR: socket reads); each burst's protocol
+	// dispatch re-labels itself module-rx and restores ctx on return.
+	// One-time cost when profiling is off.
 	ctx := context.Background()
 	if perfreg.Enabled() {
 		ctx = perfreg.LabelGoroutine(ctx, trace.SpanISR)
@@ -236,7 +213,7 @@ func (n *Node) rxLoop(s *rxShard) {
 		if err := n.rxBurst(ctx, s); err != nil {
 			break // socket closed
 		}
-		if direct && !s.polling && s.shallow >= rxDirectAfter && s.waiters.Load() > 0 && !n.napRx(s) {
+		if direct && s.shallow >= rxDirectAfter && s.waiters.Load() > 0 && !n.napRx(s) {
 			// Closing: only the token's holder may recycle the slab.
 			select {
 			case <-s.baton:
@@ -291,41 +268,16 @@ func (n *Node) napRx(s *rxShard) bool {
 }
 
 // rxBurst is one turn of the socket's reader, whoever holds the token:
-// read a burst (a blocking read, or a non-blocking probe on the poll
-// rung), account for it, and run it through dispatchBurst and
+// read a burst, account for it, and run it through dispatchBurst and
 // flushAcks. ctx is the label set the module-rx stage restores.
 func (n *Node) rxBurst(ctx context.Context, s *rxShard) error {
-	var cnt int
-	var err error
-	if s.polling {
-		cnt, err = s.br.tryReadBatch()
-	} else {
-		cnt, err = s.br.readBatch()
-	}
+	cnt, err := s.br.readBatch()
 	if err != nil {
 		return err
 	}
-	if cnt == 0 {
-		// Empty probe (poll rung only): yield the core and try again;
-		// after rxPollIdleExit misses, park in the poller.
-		s.pollEmpty.Inc()
-		if s.idle++; s.idle >= rxPollIdleExit {
-			s.polling = false
-			s.idle = 0
-		} else {
-			runtime.Gosched()
-		}
-		return nil
-	}
-	if s.polling {
-		s.polls.Inc()
-	}
-	s.idle = 0
 	if rxBatchSize > 1 && cnt >= rxBatchSize {
 		// A deep batch: the socket queue is likely still non-empty (or
-		// about to be refilled), so stay in (or enter) the poll rung and
-		// restart the direct rung's hysteresis.
-		s.polling = true
+		// about to be refilled), so restart the direct rung's hysteresis.
 		s.shallow = 0
 	} else if s.shallow < rxDirectAfter {
 		s.shallow++
@@ -354,10 +306,10 @@ func (n *Node) rxBurst(ctx context.Context, s *rxShard) error {
 // its message in s.got: one wake-up per message, where a hand-off
 // through the port queue costs two. Other ports' messages are queued as
 // usual. With its message the caller puts the token back for the next
-// Recv caller; after a deep burst it hands it to rxLoop at once, since
-// line-rate traffic belongs on the poll rung, where rxLoop overlaps
-// protocol work with the application. ok is false when it handed back
-// without a message.
+// Recv caller; after a deep burst (rxBurst reset s.shallow) it hands it
+// to rxLoop at once, since line-rate traffic belongs with rxLoop, which
+// overlaps protocol work with the application. ok is false when it
+// handed back without a message.
 func (n *Node) readDirect(s *rxShard, port uint16, ch chan Message) (msg Message, ok bool, err error) {
 	for {
 		select {
@@ -375,7 +327,7 @@ func (n *Node) readDirect(s *rxShard, port uint16, ch chan Message) (msg Message
 		}
 		msg, ok = s.got, s.gotOK
 		s.got, s.gotOK = Message{}, false
-		if s.polling {
+		if s.shallow == 0 {
 			s.handback <- struct{}{}
 			return msg, ok, nil
 		}
@@ -429,13 +381,13 @@ func (n *Node) rxWait(delta int32) {
 	}
 }
 
-// dispatchBurst decodes a burst and dispatches it: control frames are
-// consumed in place, and maximal runs of adjacent data datagrams from
-// the same peer go through onDataRun under one channel-lock hold.
+// dispatchBurst decodes a burst and dispatches its datagrams one at a
+// time, in the order they arrived: control frames are consumed in
+// place, and each data datagram goes through dispatchData. Arrival
+// order is the peer's send order, so a bye never overtakes the data its
+// peer sent before it.
 func (n *Node) dispatchBurst(s *rxShard, cnt int) {
-	sc := &s.sc
 	for i := 0; i < cnt; i++ {
-		sc.data[i] = false
 		dgram, from := s.br.datagram(i)
 		hdr, payload, err := proto.DecodeHeader(dgram)
 		if err != nil {
@@ -457,8 +409,7 @@ func (n *Node) dispatchBurst(s *rxShard, cnt int) {
 		switch hdr.Type {
 		case proto.TypeAck, proto.TypeNack:
 			// Control frames are decoded and consumed entirely in place —
-			// no copy, no retention, no effect on data-run adjacency
-			// beyond splitting the run at their position.
+			// no copy, no retention.
 			n.pmu.RLock()
 			tc := n.tx[src]
 			n.pmu.RUnlock()
@@ -466,7 +417,7 @@ func (n *Node) dispatchBurst(s *rxShard, cnt int) {
 				n.onAck(tc, hdr)
 			}
 		case proto.TypeBye:
-			n.onBye(src)
+			n.onBye(s, src)
 		case proto.TypeConfirm:
 			key := confirmKey{peer: src, seq: hdr.Seq}
 			n.cmu.Lock()
@@ -482,7 +433,7 @@ func (n *Node) dispatchBurst(s *rxShard, cnt int) {
 				ch <- nil
 			}
 		case proto.TypeData, proto.TypeRemoteWrite:
-			sc.hdrs[i], sc.payloads[i], sc.srcs[i], sc.data[i] = hdr, payload, src, true
+			n.dispatchData(s, src, hdr, payload)
 		default:
 			// Only the types send() frames are sequenced. Anything else
 			// carries a Seq from some other space; run through the
@@ -491,51 +442,30 @@ func (n *Node) dispatchBurst(s *rxShard, cnt int) {
 			n.unknownFrames.Inc()
 		}
 	}
-	for i := 0; i < cnt; {
-		if !sc.data[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < cnt && sc.data[j] && sc.srcs[j] == sc.srcs[i] {
-			j++
-		}
-		n.onDataRun(s, sc.srcs[i], sc.hdrs[i:j], sc.payloads[i:j])
-		i = j
-	}
 }
 
-// onDataRun runs an adjacent same-peer run of data datagrams through
-// the reliable channel under a single lock hold — the live analogue of
-// GRO: at line rate a full burst is usually one peer's window stride,
-// and taking the channel lock (and the flight/resequencer bookkeeping
-// around it) once per run instead of once per frame keeps per-frame
-// cost flat as bursts deepen.
-func (n *Node) onDataRun(s *rxShard, src int, hdrs []proto.Header, payloads [][]byte) {
+// dispatchData runs one data-bearing datagram from src through the
+// reliable channel under the channel lock, then delivers the messages
+// it completed with the lock released.
+func (n *Node) dispatchData(s *rxShard, src int, hdr proto.Header, payload []byte) {
 	rc := n.rxFor(src)
 	rc.mu.Lock()
 	if !rc.inBurst {
 		rc.inBurst = true
 		s.touched = append(s.touched, rc)
 	}
-	if len(hdrs) > 1 {
-		n.rxAggRuns.Inc()
-		n.rxAggFrames.Addn(int64(len(hdrs)))
-	}
-	for k := range hdrs {
-		if n.fr != nil {
-			// Close the wire span the sender opened — the id derives from
-			// (sender, sequence) identically on both ends — and wrap the
-			// protocol processing in a module-rx span.
-			fid := flight.FrameID(src, hdrs[k].Seq)
-			n.fr.End(n.nodeName, fid, trace.SpanWire, time.Now().UnixNano())
-			r0 := time.Now()
-			n.onData(rc, hdrs[k], payloads[k])
-			n.fr.Span(n.nodeName, fid, trace.SpanModuleRx,
-				r0.UnixNano(), time.Now().UnixNano())
-		} else {
-			n.onData(rc, hdrs[k], payloads[k])
-		}
+	if n.fr != nil {
+		// Close the wire span the sender opened — the id derives from
+		// (sender, sequence) identically on both ends — and wrap the
+		// protocol processing in a module-rx span.
+		fid := flight.FrameID(src, hdr.Seq)
+		n.fr.End(n.nodeName, fid, trace.SpanWire, time.Now().UnixNano())
+		r0 := time.Now()
+		n.onData(rc, hdr, payload)
+		n.fr.Span(n.nodeName, fid, trace.SpanModuleRx,
+			r0.UnixNano(), time.Now().UnixNano())
+	} else {
+		n.onData(rc, hdr, payload)
 	}
 	rc.mu.Unlock()
 	n.drainPending(s, rc)

@@ -46,14 +46,12 @@ type rxShard struct {
 
 	// Owned by the token's holder (the token's channel operations order
 	// one holder's writes before the next one's reads): the batch
-	// reader, burst scratch and poll-rung state, the port the holder is
-	// a Recv caller for (-1 for rxLoop), and got/gotOK, where deliver
-	// leaves that caller's message instead of queueing it.
+	// reader, the channels the current burst touched, the direct rung's
+	// count of shallow bursts in a row, the port the holder is a Recv
+	// caller for (-1 for rxLoop), and got/gotOK, where deliver leaves
+	// that caller's message instead of queueing it.
 	br      *batchReader
-	sc      burstScratch
 	touched []*liveRxChan
-	polling bool
-	idle    int
 	shallow int
 	want    int32
 	got     Message
@@ -61,11 +59,9 @@ type rxShard struct {
 
 	// Per-shard receive stats, written by this shard's reader and
 	// exported with a shard label; the node-level figures are their sums.
-	bursts    telemetry.Counter
-	frames    telemetry.Counter
-	polls     telemetry.Counter
-	pollEmpty telemetry.Counter
-	direct    telemetry.Counter
+	bursts telemetry.Counter
+	frames telemetry.Counter
+	direct telemetry.Counter
 }
 
 // helloReply is what the receive loop hands a parked Handshake waiter:

@@ -8,14 +8,10 @@ import (
 	"syscall"
 )
 
-// rxBatchSize and rxMaxFrames are 1 on the portable path: without
-// recvmmsg every wakeup yields a single datagram, so a deep burst
-// carries no load signal and the adaptive reader never enters its poll
-// rung (it requires rxBatchSize > 1).
-const (
-	rxBatchSize = 1
-	rxMaxFrames = 1
-)
+// rxBatchSize is 1 on the portable path: without recvmmsg every wakeup
+// yields a single datagram, so a burst is never deep and the direct-call
+// rung never hands back on depth (that requires rxBatchSize > 1).
+const rxBatchSize = 1
 
 // shardsSupported is 1 on the portable path: setting SO_REUSEPORT
 // portably isn't possible without golang.org/x/sys, so Config.Shards
@@ -60,14 +56,6 @@ func (r *batchReader) readBatch() (int, error) {
 	r.n = n
 	r.from = canonAddrPort(from)
 	return 1, nil
-}
-
-// tryReadBatch is the non-blocking poll probe; the portable path has no
-// cheap non-blocking read, so it always reports an empty batch and the
-// reader's poll rung (never entered with rxBatchSize == 1) would fall
-// straight back to blocking reads.
-func (r *batchReader) tryReadBatch() (int, error) {
-	return 0, nil
 }
 
 // datagram returns the i'th datagram of the current batch and its

@@ -157,14 +157,11 @@ type batchReader struct {
 	frames [rxMaxFrames][]byte
 	slotOf [rxMaxFrames]uint8
 
-	// readFn/tryFn are the persistent poller callbacks (per-call
-	// closures would allocate on every wakeup); both report through
-	// count/errno. readFn parks in the poller on EAGAIN; tryFn reports
-	// an empty batch instead, so the adaptive poll rung can spin
-	// without ever sleeping in the kernel. count is the slots the last
-	// recvmmsg filled; slot and off are decode's cursor through them.
+	// readFn is the persistent poller callback (a per-call closure
+	// would allocate on every wakeup); it reports through count/errno.
+	// count is the slots the last recvmmsg filled; slot and off are
+	// decode's cursor through them.
 	readFn func(uintptr) bool
-	tryFn  func(uintptr) bool
 	count  int
 	slot   int
 	off    int
@@ -190,7 +187,7 @@ func newBatchReader(conn *net.UDPConn, rc syscall.RawConn) *batchReader {
 		r.msgs[i].hdr.Iov = &r.iovecs[i]
 		r.msgs[i].hdr.Iovlen = 1
 	}
-	r.readFn, r.tryFn = r.recvFn(true), r.recvFn(false)
+	r.readFn = r.recv
 	return r
 }
 
@@ -203,48 +200,45 @@ func (r *batchReader) close() {
 	}
 }
 
-// recvFn builds a poller callback around one non-blocking recvmmsg. On
-// an empty socket it either parks (returning false lets the poller wait
-// for readability) or reports a zero-entry batch, so the caller keeps
-// ownership of the schedule.
-func (r *batchReader) recvFn(park bool) func(uintptr) bool {
-	return func(fd uintptr) bool {
-		for {
-			nn, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&r.msgs[0])), rxBatchSize,
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				r.count, r.errno = int(nn), 0
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				if park {
-					return false
-				}
-				r.count, r.errno = 0, 0
-			default:
-				r.count, r.errno = 0, errno
-			}
-			return true
+// recv is the poller callback around one non-blocking recvmmsg. On an
+// empty socket it returns false, which parks the caller in the poller
+// until the socket is readable.
+func (r *batchReader) recv(fd uintptr) bool {
+	for {
+		nn, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+			uintptr(unsafe.Pointer(&r.msgs[0])), rxBatchSize,
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			r.count, r.errno = int(nn), 0
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		default:
+			r.count, r.errno = 0, errno
 		}
+		return true
 	}
 }
 
-// read returns the next batch of frames: what is left of the previous
-// recvmmsg if decode's frame table filled up before its slots ran out,
-// else a fresh recvmmsg through fn. Before the syscall it resets the
-// value-result msg_namelen and msg_controllen the kernel shrank — only
-// in the slots the previous read filled, so a one-datagram exchange
-// pays for one slot, not sixteen.
-func (r *batchReader) read(fn func(uintptr) bool) (int, error) {
+// readBatch returns the next batch of frames: what is left of the
+// previous recvmmsg if decode's frame table filled up before its slots
+// ran out, else a fresh recvmmsg that blocks until the socket queue is
+// non-empty and drains up to rxBatchSize entries — the
+// interrupt-coalescing analogue: one wakeup, one syscall, a burst of
+// frames. Before the syscall it resets the value-result msg_namelen and
+// msg_controllen the kernel shrank — only in the slots the previous
+// read filled, so a one-datagram exchange pays for one slot, not
+// sixteen.
+func (r *batchReader) readBatch() (int, error) {
 	if r.slot == r.count {
 		for i := 0; i < r.count; i++ {
 			r.msgs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[0]))
 			r.msgs[i].hdr.SetControllen(int(unsafe.Sizeof(r.ctrls[0])))
 		}
 		r.count, r.slot = 0, 0
-		if err := r.rc.Read(fn); err != nil {
+		if err := r.rc.Read(r.readFn); err != nil {
 			return 0, err // socket closed
 		}
 		if r.errno != 0 {
@@ -292,19 +286,6 @@ func (r *batchReader) decode() int {
 	}
 	return nf
 }
-
-// readBatch blocks until the socket queue is non-empty and drains up to
-// rxBatchSize entries in a single recvmmsg — the interrupt-coalescing
-// analogue: one wakeup, one syscall, a burst of frames.
-func (r *batchReader) readBatch() (int, error) { return r.read(r.readFn) }
-
-// tryReadBatch is readBatch without blocking: an empty socket returns
-// (0, nil) immediately instead of parking in the poller. This is the
-// poll rung of the adaptive receive ladder — after a deep burst the
-// rxLoop assumes more traffic is in flight and keeps draining on its
-// own schedule, the way the NAPI driver polls the ring with its
-// interrupt line masked.
-func (r *batchReader) tryReadBatch() (int, error) { return r.read(r.tryFn) }
 
 // datagram returns the i'th frame of the current batch and its source.
 // The slice aliases the reader's slab and is valid until the next

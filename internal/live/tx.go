@@ -526,9 +526,14 @@ func (n *Node) transmit(c *net.UDPConn, addr netip.AddrPort, dgram []byte, fid u
 	c.WriteToUDPAddrPort(dgram, addr) //nolint:errcheck // lossy channel by design
 }
 
+// reorderDelay bounds the random delay reorder injection adds to a
+// datagram: far above a loopback round trip, so later traffic overtakes
+// it, and under the default RTOMin.
+const reorderDelay = 2 * time.Millisecond
+
 // transmitFaulty applies loss/duplication/reordering injection. A
 // reordered datagram's write is deferred by a random delay up to
-// ReorderDelay so traffic sent after it overtakes it; because the
+// reorderDelay so traffic sent after it overtakes it; because the
 // caller reclaims its buffer as soon as transmit returns, the deferred
 // write snapshots the datagram into a pooled buffer of its own. The
 // deferred callback touches only the socket, the pool and atomic
@@ -552,11 +557,7 @@ func (n *Node) transmitFaulty(c *net.UDPConn, addr netip.AddrPort, dgram []byte,
 	reorders := 0
 	for i := 0; i < writes; i++ {
 		if n.cfg.ReorderRate > 0 && n.rng.Float64() < n.cfg.ReorderRate {
-			delay := n.cfg.ReorderDelay
-			if delay <= 0 {
-				delay = 2 * time.Millisecond
-			}
-			delays[i] = time.Duration(n.rng.Int63n(int64(delay))) + time.Microsecond
+			delays[i] = time.Duration(n.rng.Int63n(int64(reorderDelay))) + time.Microsecond
 			reorders++
 		}
 	}
