@@ -13,7 +13,6 @@
 //	frag        NIC fragmentation offload                     (E9)
 //	bonding     channel bonding + intra-node                  (E10)
 //	loss        injected-loss sweep: recovery cost            (E12)
-//	rxmode      adaptive RX ladder: bh/direct/poll            (E16)
 //	profile     live workload under CPU profile, per-stage table (E17)
 //	all         every simulated experiment above (not profile)
 //
@@ -54,13 +53,12 @@ var experiments = map[string]func(*model.Params) *bench.Report{
 	"jitter":      bench.Jitter,
 	"latency":     bench.LatencyDistribution,
 	"loss":        bench.LossSweep,
-	"rxmode":      bench.RxModes,
 }
 
 var order = []string{
 	"fig4", "fig5", "fig6", "fig7", "headline",
 	"compare", "interrupts", "paths", "frag", "bonding", "multiprog",
-	"collectives", "jitter", "latency", "loss", "rxmode",
+	"collectives", "jitter", "latency", "loss",
 }
 
 func fatalf(format string, args ...any) {

@@ -61,7 +61,7 @@ func main() {
 		size       = flag.Int("size", 65536, "message size in bytes")
 		count      = flag.Int("count", 16, "messages to transfer")
 		nics       = flag.Int("nics", 1, "NICs per node (channel bonding)")
-		rxMode     = flag.String("rx", "bh", "CLIC receive mode: bh (bottom halves), direct or poll (NAPI-style)")
+		rxMode     = flag.String("rx", "bh", "CLIC receive mode: bh (bottom halves) or direct")
 		path       = flag.Int("path", 2, "CLIC send path 1-4 (Fig. 1)")
 		coalesceUs = flag.Int("coalesce-us", 40, "NIC interrupt coalescing window, µs")
 		pingpong   = flag.Bool("pingpong", false, "measure ping-pong latency instead of streaming")
@@ -271,16 +271,11 @@ func main() {
 
 	switch *stack {
 	case "clic":
-		opt := clic.Options{SendPath: clic.SendPath(*path), RxMode: clic.RxBottomHalf}
-		switch *rxMode {
-		case "bh":
-		case "direct":
-			opt.RxMode = clic.RxDirectCall
-		case "poll":
-			opt.RxMode = clic.RxPoll
-		default:
-			die(fmt.Errorf("unknown rx mode %q (want bh, direct or poll)", *rxMode))
+		rx, err := clic.ParseRxMode(*rxMode)
+		if err != nil {
+			die(err)
 		}
+		opt := clic.Options{SendPath: clic.SendPath(*path), RxMode: rx}
 		c.EnableCLIC(opt)
 		if wd != nil {
 			for _, n := range c.Nodes {

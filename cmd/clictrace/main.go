@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	clictrace [-size 1400] [-mtu 1500] [-rx bh|direct|poll] [-path 1..4] [-coalesce-us 40] [-flight-out trace.json]
+//	clictrace [-size 1400] [-mtu 1500] [-rx bh|direct] [-path 1..4] [-coalesce-us 40] [-flight-out trace.json]
 //	clictrace -frames 200 [-slowest 3] [-stall-us 100] [-flight-out trace.json] [...]
 package main
 
@@ -31,7 +31,7 @@ func main() {
 	var (
 		size       = flag.Int("size", 1400, "packet size in bytes (the paper uses 1400)")
 		mtu        = flag.Int("mtu", 1500, "link MTU")
-		rxMode     = flag.String("rx", "bh", "receive mode: bh (Fig. 8a), direct (Fig. 8b) or poll (NAPI-style)")
+		rxMode     = flag.String("rx", "bh", "receive mode: bh (Fig. 8a) or direct (Fig. 8b)")
 		path       = flag.Int("path", 2, "send path 1-4 (Fig. 1)")
 		coalesceUs = flag.Int("coalesce-us", 40, "interrupt coalescing window, µs")
 		frames     = flag.Int("frames", 0, "flight-recorder mode: stream this many messages and print the per-stage latency breakdown")
@@ -45,20 +45,15 @@ func main() {
 	params.NIC.MTU = *mtu
 	params.NIC.CoalesceUsecs = *coalesceUs
 
-	opt := clic.Options{SendPath: clic.SendPath(*path), RxMode: clic.RxBottomHalf}
-	switch *rxMode {
-	case "bh":
-	case "direct":
-		opt.RxMode = clic.RxDirectCall
-	case "poll":
-		opt.RxMode = clic.RxPoll
-	default:
-		fmt.Fprintf(os.Stderr, "clictrace: unknown rx mode %q\n", *rxMode)
+	rx, err := clic.ParseRxMode(*rxMode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "clictrace: %v\n", err)
 		os.Exit(2)
 	}
+	opt := clic.Options{SendPath: clic.SendPath(*path), RxMode: rx}
 
 	if *frames > 0 {
-		flightMode(&params, opt, *size, *frames, *slowest, *stallUs, *flightOut, *rxMode)
+		flightMode(&params, opt, *size, *frames, *slowest, *stallUs, *flightOut)
 		return
 	}
 
@@ -70,19 +65,12 @@ func main() {
 
 // flightMode runs the always-on recorder over a message stream and prints
 // the journal-derived latency attribution.
-func flightMode(params *model.Params, opt clic.Options, size, frames, slowest, stallUs int, flightOut, rxMode string) {
+func flightMode(params *model.Params, opt clic.Options, size, frames, slowest, stallUs int, flightOut string) {
 	j := bench.FlightRun(params, opt, size, frames)
 	a := flight.Analyze(j.Snapshot())
 
-	mode := "bottom-half"
-	switch rxMode {
-	case "direct":
-		mode = "direct-call"
-	case "poll":
-		mode = "polled"
-	}
 	fmt.Printf("CLIC %d B x %d messages, %s receive — per-stage latency from the flight recorder\n",
-		size, frames, mode)
+		size, frames, opt.RxMode)
 	fmt.Print(a.BreakdownTable())
 
 	if slowest > 0 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/clic"
 	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 // TestPaperClaims pins the reproduction to the paper's headline results
@@ -76,47 +75,5 @@ func TestPaperClaims(t *testing.T) {
 	ta, tb := bh.OneWay(), dc.OneWay()
 	if improvement := float64(ta-tb) / 1000; improvement < 8 || improvement > 20 {
 		t.Errorf("C7: direct-call improvement %.1f µs, paper ≈ 13 µs (15+2 → 5+2 plus BH)", improvement)
-	}
-
-	// C7': the adaptive RX ladder. Polling must beat both interrupt-driven
-	// modes on interrupts per frame at bulk load — that is the mode's whole
-	// point — without giving back the sparse-ping latency the interrupt
-	// path preserves (the poller unmasks quickly when traffic is sparse).
-	pollOpt := clic.DefaultOptions()
-	pollOpt.RxMode = clic.RxPoll
-	directOpt := clic.DefaultOptions()
-	directOpt.RxMode = clic.RxDirectCall
-	pBulk := model.Default()
-	_, _, bhIRQ := irqRateAndBWOpt(clic.DefaultOptions(), &pBulk)
-	pBulk = model.Default()
-	_, _, dcIRQ := irqRateAndBWOpt(directOpt, &pBulk)
-	pBulk = model.Default()
-	_, _, pollIRQ := irqRateAndBWOpt(pollOpt, &pBulk)
-	if pollIRQ >= dcIRQ || pollIRQ >= bhIRQ {
-		t.Errorf("C7': poll bulk IRQ/frame %.3f must beat direct %.3f and bh %.3f",
-			pollIRQ, dcIRQ, bhIRQ)
-	}
-	if pollIRQ > 0.5*dcIRQ {
-		t.Errorf("C7': poll bulk IRQ/frame %.3f — expected well under half of direct's %.3f",
-			pollIRQ, dcIRQ)
-	}
-	pollLat := float64(Latency(CLICPair(pollOpt), nil, 0, 20)) / 1000
-	bhLat := float64(Latency(CLICPair(clic.DefaultOptions()), nil, 0, 20)) / 1000
-	if pollLat > bhLat+1 {
-		t.Errorf("C7': poll sparse latency %.1f µs regresses bottom-half's %.1f µs", pollLat, bhLat)
-	}
-
-	// C7'': the poll path's Fig. 7 attribution carries the new stage — a
-	// traced sparse packet is handled by the poll loop the session-opening
-	// interrupt started, not by a per-frame ISR.
-	pr := PipelineTrace(nil, pollOpt, 1400)
-	if _, ok := pr.Span(trace.SpanPoll); !ok {
-		t.Errorf("C7'': polled pipeline trace lacks the %s stage", trace.SpanPoll)
-	}
-	if _, ok := pr.Span(trace.SpanISR); ok {
-		t.Errorf("C7'': polled pipeline trace has a per-frame %s stage", trace.SpanISR)
-	}
-	if _, ok := pr.Span(trace.SpanCopyToUser); !ok || pr.RecvReturn == 0 {
-		t.Errorf("C7'': polled pipeline trace did not complete")
 	}
 }

@@ -21,7 +21,6 @@ func TestFig7Pinned(t *testing.T) {
 	}{
 		{clic.RxBottomHalf, "bh", 99_298, 21_738, 6_500},
 		{clic.RxDirectCall, "direct", 85_560, 9_000, 0},
-		{clic.RxPoll, "poll", 88_560, 11_000, 0},
 	}
 	for _, tc := range cases {
 		opt := clic.DefaultOptions()

@@ -318,17 +318,10 @@ func Interrupts(params *model.Params) *Report {
 	return r
 }
 
+// irqRateAndBW streams 8 MB with the paper's endpoint options and
+// reports the receiver's interrupt rate and the achieved bandwidth.
 func irqRateAndBW(p *model.Params) (irqPerSec, mbps float64) {
-	irqPerSec, mbps, _ = irqRateAndBWOpt(clic.DefaultOptions(), p)
-	return irqPerSec, mbps
-}
-
-// irqRateAndBWOpt streams 8 MB with the given endpoint options and
-// reports the receiver's interrupt rate, the achieved bandwidth and the
-// interrupts dispatched per received frame (the RX-ladder acceptance
-// metric: polling drives it toward zero at bulk load).
-func irqRateAndBWOpt(opt clic.Options, p *model.Params) (irqPerSec, mbps, irqPerFrame float64) {
-	pair := CLICPair(opt)(p)
+	pair := CLICPair(clic.DefaultOptions())(p)
 	const size = 1_000_000
 	const count = 8
 	payload := make([]byte, size)
@@ -350,66 +343,8 @@ func irqRateAndBWOpt(opt clic.Options, p *model.Params) (irqPerSec, mbps, irqPer
 	pair.C.Run()
 	dur := float64(last-first) / 1e9
 	irqs := float64(pair.C.Nodes[1].Kernel.Interrupts.Value())
-	var frames float64
-	for _, n := range pair.C.Nodes[1].CLIC.NICs() {
-		frames += float64(n.RxFrames.Value())
-	}
 	bytes := float64(size) * (count - 1)
-	if frames > 0 {
-		irqPerFrame = irqs / frames
-	}
-	return irqs / dur, bytes * 8 / dur / 1e6, irqPerFrame
-}
-
-// rxModeName labels an RxMode in reports.
-func rxModeName(m clic.RxMode) string {
-	switch m {
-	case clic.RxDirectCall:
-		return "direct"
-	case clic.RxPoll:
-		return "poll"
-	}
-	return "bh"
-}
-
-// driverStageUs is the traced packet's receiver driver stage in µs
-// (Fig. 7's ~15 µs row that the direct call cuts to ~5 µs).
-func driverStageUs(pl *Pipeline) float64 {
-	d, ok := pl.DriverStage()
-	if !ok {
-		return math.NaN()
-	}
-	return float64(d) / 1000
-}
-
-// RxModes regenerates the adaptive-RX-ladder sweep (E16): for each
-// receive mode — bottom halves (Fig. 8a), direct call (Fig. 8b) and
-// NAPI-style polling — sparse-ping latency, the traced driver stage, and
-// bulk-streaming interrupt cost. The ladder's claim: direct call cuts the
-// per-packet driver stage (C7), polling additionally cuts the bulk
-// interrupt rate toward zero per frame, and neither may regress the
-// sparse latency the interrupt path preserves.
-func RxModes(params *model.Params) *Report {
-	r := &Report{
-		ID:       "rxmode",
-		Title:    "adaptive RX ladder: bottom-half vs direct-call vs poll (MTU 1500)",
-		PaperRef: "C7/Fig. 8 — driver stage ≈15 µs (bh) → ≈5 µs (direct); polling amortises interrupts at bulk load",
-		XLabel:   "mode (0=bh 1=direct 2=poll)",
-		Columns:  []string{"0B latency µs", "driver stage µs", "bulk IRQ/frame", "bandwidth Mb/s"},
-	}
-	for _, mode := range []clic.RxMode{clic.RxBottomHalf, clic.RxDirectCall, clic.RxPoll} {
-		opt := clic.DefaultOptions()
-		opt.RxMode = mode
-		p := base(params)
-		lat := Latency(CLICPair(opt), &p, 0, 20)
-		pl := PipelineTrace(&p, opt, 1400)
-		_, bw, irqPerFrame := irqRateAndBWOpt(opt, &p)
-		r.AddRow(float64(mode), float64(lat)/1000, driverStageUs(pl), irqPerFrame, bw)
-		r.Notef("%-6s: 0B latency %5.1f µs, driver stage %5.1f µs, bulk %.3f IRQ/frame, %.0f Mb/s",
-			rxModeName(mode), float64(lat)/1000, driverStageUs(pl), irqPerFrame, bw)
-	}
-	r.Notef("expected: direct cuts the driver stage ~3x vs bh; poll has the lowest bulk IRQ/frame with sparse latency ≈ bh")
-	return r
+	return irqs / dur, bytes * 8 / dur / 1e6
 }
 
 // Paths regenerates the Fig. 1 data-path ablation (E8): bandwidth and
@@ -529,6 +464,6 @@ func All(params *model.Params) []*Report {
 		Fig4(params), Fig5(params), Fig6(params), Fig7(params),
 		Headline(params), Compare(params), Interrupts(params),
 		Paths(params), Frag(params), Bonding(params), Multiprog(params),
-		Collectives(params), Jitter(params), RxModes(params),
+		Collectives(params), Jitter(params),
 	}
 }

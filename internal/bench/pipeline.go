@@ -16,7 +16,6 @@ import (
 // of the frame that carried it through both nodes' stacks.
 type Pipeline struct {
 	Label string
-	Mode  clic.RxMode
 
 	// SendCall, SendReturn and RecvReturn are the simulated times (ns)
 	// at which the traced Send was called and returned and the matching
@@ -46,14 +45,9 @@ func (pl *Pipeline) Span(stage string) (flight.Span, bool) {
 
 // DriverStage is the receiver's driver stage (Fig. 7's ≈15 µs row that
 // the direct call cuts to ≈5 µs): from the end of the receive DMA to the
-// end of the ISR, or, when polling, to the poll iteration that picks the
-// frame up.
+// end of the ISR.
 func (pl *Pipeline) DriverStage() (int64, bool) {
 	rx, okRx := pl.Span(trace.SpanRxDMA)
-	if pl.Mode == clic.RxPoll {
-		poll, ok := pl.Span(trace.SpanPoll)
-		return poll.Begin - rx.End, okRx && ok
-	}
 	isr, ok := pl.Span(trace.SpanISR)
 	return isr.End - rx.End, okRx && ok
 }
@@ -95,15 +89,11 @@ func PipelineTrace(params *model.Params, opt clic.Options, size int) *Pipeline {
 	c, j := flightCluster(params, opt)
 	const port = 40
 	mode := "bottom-half"
-	switch opt.RxMode {
-	case clic.RxDirectCall:
+	if opt.RxMode == clic.RxDirectCall {
 		mode = "direct-call"
-	case clic.RxPoll:
-		mode = "polled"
 	}
 	pl := &Pipeline{
 		Label:   fmt.Sprintf("CLIC %d B, %s receive", size, mode),
-		Mode:    opt.RxMode,
 		Journal: j,
 	}
 	payload := make([]byte, size)

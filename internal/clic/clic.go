@@ -49,18 +49,29 @@ const (
 	// calls CLIC_MODULE directly from the ISR, cutting the receiver
 	// driver stage from ~15 µs to ~5 µs for a 1400 B packet (Fig. 7b).
 	RxDirectCall
-
-	// RxPoll is the adaptive ladder's top rung (NAPI-style): the first
-	// interrupt pays only the slim Fig. 8b ISR, masks the line and hands
-	// the completion ring to a budgeted polled drain loop in softirq
-	// context. Later arrivals are picked up by polling at zero per-frame
-	// interrupt cost, with adjacent in-order data frames aggregated
-	// (GRO-style) into single CLIC_MODULE invocations; interrupts are
-	// re-enabled after Driver.PollIdleExit consecutive empty checks, so
-	// sparse traffic keeps interrupt latency. Tuned by the
-	// model.Driver.PollCheck/PollBudget/PollIdleExit parameters.
-	RxPoll
 )
+
+// String names an RxMode as the -rx flags and the rxmode metric label
+// spell it.
+func (m RxMode) String() string {
+	switch m {
+	case RxBottomHalf:
+		return "bh"
+	case RxDirectCall:
+		return "direct"
+	}
+	return fmt.Sprintf("RxMode(%d)", int(m))
+}
+
+// ParseRxMode is String's inverse.
+func ParseRxMode(s string) (RxMode, error) {
+	for _, m := range []RxMode{RxBottomHalf, RxDirectCall} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown receive mode %q (want bh or direct)", s)
+}
 
 // SendPath selects how data reaches the NIC (Fig. 1).
 type SendPath int
@@ -135,14 +146,6 @@ type Stats struct {
 	RTOBackoffs     telemetry.Counter
 	ChannelFailures telemetry.Counter
 
-	// PollSessions counts IRQ→poll transitions (RxPoll mode): each is one
-	// real interrupt that opened a polled drain session. GROBatches and
-	// GROFrames count aggregated receive runs and the frames they carried;
-	// frames/batches is the achieved aggregation factor.
-	PollSessions telemetry.Counter
-	GROBatches   telemetry.Counter
-	GROFrames    telemetry.Counter
-
 	// AckLatency is the distribution of data-frame push → cumulative-ack
 	// times, the protocol-level view behind Fig. 7's per-stage table.
 	AckLatency *telemetry.Histogram
@@ -161,17 +164,6 @@ func pathLabel(p SendPath) string {
 		return "4-two-copy"
 	}
 	return "unknown"
-}
-
-// rxLabel names an RxMode for metric labels.
-func rxLabel(m RxMode) string {
-	switch m {
-	case RxDirectCall:
-		return "direct"
-	case RxPoll:
-		return "poll"
-	}
-	return "bh"
 }
 
 // Endpoint is one node's CLIC_MODULE instance.
@@ -275,7 +267,7 @@ func New(k *kernel.Kernel, node NodeID, nics []*nic.NIC, opt Options,
 	labels := []telemetry.Label{
 		telemetry.L("node", k.Host.Name),
 		telemetry.L("sendpath", pathLabel(opt.SendPath)),
-		telemetry.L("rxmode", rxLabel(opt.RxMode)),
+		telemetry.L("rxmode", opt.RxMode.String()),
 	}
 	ep.labels = labels
 	tel := k.Host.Tel
@@ -290,9 +282,6 @@ func New(k *kernel.Kernel, node NodeID, nics []*nic.NIC, opt Options,
 	tel.RegisterCounter("clic_sysbuf_drops_total", "frames refused by receiver-side flow control", &ep.S.SysBufDrops, labels...)
 	tel.RegisterCounter("clic_rto_backoffs_total", "retransmission-timeout expiries (each doubles the adaptive RTO)", &ep.S.RTOBackoffs, labels...)
 	tel.RegisterCounter("clic_channel_failures_total", "channels declared dead after MaxRetries consecutive timeouts", &ep.S.ChannelFailures, labels...)
-	tel.RegisterCounter("clic_rx_poll_sessions_total", "interrupts that opened a polled drain session (RxPoll)", &ep.S.PollSessions, labels...)
-	tel.RegisterCounter("clic_gro_batches_total", "aggregated receive runs handed to CLIC_MODULE in one call", &ep.S.GROBatches, labels...)
-	tel.RegisterCounter("clic_gro_frames_total", "data frames carried by aggregated receive runs", &ep.S.GROFrames, labels...)
 	tel.GaugeFunc("clic_sysbuf_bytes", "system-memory bytes holding unclaimed messages",
 		func() float64 { return float64(ep.sysBufUsed) }, labels...)
 	ep.S.AckLatency = tel.Histogram("clic_ack_latency_ns",

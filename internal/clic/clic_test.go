@@ -3,6 +3,7 @@ package clic_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/clic"
@@ -23,6 +24,36 @@ func pattern(n int) []byte {
 		b[i] = byte(i*131 + 17)
 	}
 	return b
+}
+
+func TestParseRxMode(t *testing.T) {
+	cases := []struct {
+		in   string
+		want clic.RxMode
+		ok   bool
+	}{
+		{"bh", clic.RxBottomHalf, true},
+		{"direct", clic.RxDirectCall, true},
+		{"poll", 0, false},
+		{"", 0, false},
+	}
+	for _, tc := range cases {
+		got, err := clic.ParseRxMode(tc.in)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("ParseRxMode(%q) = %v, want an error", tc.in, got)
+			} else if !strings.Contains(err.Error(), "bh") || !strings.Contains(err.Error(), "direct") {
+				t.Errorf("ParseRxMode(%q) error %q does not name the valid modes", tc.in, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseRxMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		if got.String() != tc.in {
+			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.in)
+		}
+	}
 }
 
 func TestSendRecvSmall(t *testing.T) {

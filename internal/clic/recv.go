@@ -1,13 +1,10 @@
 package clic
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/ether"
-	"repro/internal/kernel"
 	"repro/internal/nic"
-	"repro/internal/perfreg"
 	"repro/internal/proto"
 	"repro/internal/relwin"
 	"repro/internal/sim"
@@ -15,12 +12,8 @@ import (
 )
 
 // wireISR registers the receive interrupt handler for one adapter,
-// implementing the Fig. 8 variants plus the NAPI-style poll rung.
+// implementing the two Fig. 8 variants.
 func (ep *Endpoint) wireISR(n *nic.NIC) {
-	if ep.Opt.RxMode == RxPoll {
-		ep.wirePollISR(n)
-		return
-	}
 	irq := ep.K.RegisterIRQ(fmt.Sprintf("clic%d:%s", ep.Node, n.Name), func(p *sim.Proc) {
 		frames := n.DrainCompleted()
 		if len(frames) == 0 {
@@ -71,175 +64,6 @@ func (ep *Endpoint) wireISR(n *nic.NIC) {
 	n.SetIRQ(irq.Raise)
 }
 
-// wirePollISR registers the adaptive poll receive path (RxPoll): the
-// first interrupt pays one slim ISR, masks the line and hands the
-// completion ring to a budgeted drain loop in softirq context; further
-// arrivals are picked up by polling at zero per-frame interrupt cost, and
-// the line is unmasked only once the ring has stayed empty for
-// PollIdleExit consecutive checks — so bulk load converges to zero
-// interrupts per frame while a sparse ping still gets interrupt latency.
-func (ep *Endpoint) wirePollISR(n *nic.NIC) {
-	polling := false
-	var irq *kernel.IRQ
-	irq = ep.K.RegisterIRQ(fmt.Sprintf("clic%d:%s", ep.Node, n.Name), func(p *sim.Proc) {
-		if polling || n.CompletedCount() == 0 {
-			return // poller already owns the ring / spurious dispatch
-		}
-		// The slim ISR does no per-frame work: acknowledge the device,
-		// mask the line, schedule the poller.
-		ep.K.Host.CPUWork(p, ep.M.Driver.RxDirect, sim.PriIRQ)
-		polling = true
-		irq.Mask()
-		ep.S.PollSessions.Inc()
-		ep.K.BottomHalf(func(bp *sim.Proc) {
-			ep.pollLoop(bp, n)
-			polling = false
-			if n.CompletedCount() == 0 {
-				// Raises absorbed during the session announced frames the
-				// loop already drained; replaying one now would only cost
-				// a spurious dispatch. A frame that lands after this check
-				// raises the (unmasked) line itself.
-				irq.ClearDeferred()
-			}
-			irq.Unmask()
-		})
-	})
-	n.SetIRQ(irq.Raise)
-}
-
-// pollLoop carries the poll pprof stage while the drain loop runs
-// (clicsim -profile): poll-mode CPU then attributes to its own row
-// instead of blending into the bottom half that hosts it.
-func (ep *Endpoint) pollLoop(p *sim.Proc, n *nic.NIC) {
-	if perfreg.Enabled() {
-		perfreg.Do(context.Background(), trace.SpanPoll, func() { ep.pollDrain(p, n) })
-		return
-	}
-	ep.pollDrain(p, n)
-}
-
-// pollDrain drains the adapter's completion ring in budgeted batches until
-// it stays empty for PollIdleExit consecutive checks. Each iteration
-// charges one PollCheck (the device-state read) and hands at most
-// PollBudget frames to GRO dispatch, so a single pass cannot monopolise
-// the CPU past its frame budget.
-func (ep *Endpoint) pollDrain(p *sim.Proc, n *nic.NIC) {
-	budget := ep.M.Driver.PollBudget
-	if budget <= 0 {
-		budget = 16
-	}
-	idleExit := ep.M.Driver.PollIdleExit
-	if idleExit <= 0 {
-		idleExit = 2
-	}
-	empty, drained := 0, 0
-	for empty < idleExit {
-		ep.K.Host.CPUWork(p, ep.M.Driver.PollCheck, sim.PriKernel)
-		frames := n.DrainBudget(budget)
-		if len(frames) == 0 {
-			empty++
-			// Load-adaptive exit: a session that only ever saw a single
-			// frame is a sparse arrival (a ping) — give up after two
-			// empty checks so the post-delivery spin stays off the reply
-			// path. Bulk sessions (multiple frames drained) hold the
-			// line masked across the full idle window, bridging the
-			// inter-frame gaps of line-rate traffic.
-			if drained <= 1 && empty >= 2 {
-				break
-			}
-			continue
-		}
-		empty = 0
-		drained += len(frames)
-		t0 := p.Now()
-		for _, f := range frames {
-			if f.FlightID != 0 {
-				ep.fr.Begin(ep.nodeName, f.FlightID, trace.SpanPoll, int64(t0))
-			}
-		}
-		ep.dispatchPolled(p, frames)
-		for _, f := range frames {
-			if f.FlightID != 0 {
-				ep.fr.End(ep.nodeName, f.FlightID, trace.SpanPoll, int64(p.Now()))
-			}
-		}
-	}
-}
-
-// dispatchPolled hands one drained batch to CLIC_MODULE, aggregating
-// GRO-style: adjacent in-order unicast data frames from the same source
-// enter through a single moduleRxBatch call (one header-walk charge, one
-// cumulative pass through the channel's ack machinery). Control frames,
-// broadcasts and singletons keep the per-frame path.
-func (ep *Endpoint) dispatchPolled(p *sim.Proc, frames []*ether.Frame) {
-	i := 0
-	for i < len(frames) {
-		f := frames[i]
-		hdr, payload, err := proto.DecodeHeader(f.Payload)
-		var src NodeID
-		known := false
-		if err == nil {
-			src, known = ep.nodeOf(f.Src)
-		}
-		if !known || f.Dst.IsBroadcast() || f.Dst.IsMulticast() || isControl(hdr.Type) {
-			ep.moduleRx(p, sim.PriKernel, f)
-			i++
-			continue
-		}
-		hdrs := []proto.Header{hdr}
-		payloads := [][]byte{payload}
-		j := i + 1
-		for j < len(frames) {
-			nf := frames[j]
-			if nf.Src != f.Src || nf.Dst.IsBroadcast() || nf.Dst.IsMulticast() {
-				break
-			}
-			nh, np, nerr := proto.DecodeHeader(nf.Payload)
-			if nerr != nil || isControl(nh.Type) || nh.Seq != hdrs[len(hdrs)-1].Seq+1 {
-				break
-			}
-			hdrs = append(hdrs, nh)
-			payloads = append(payloads, np)
-			j++
-		}
-		if len(hdrs) == 1 {
-			ep.moduleRx(p, sim.PriKernel, f)
-		} else {
-			ep.moduleRxBatch(p, sim.PriKernel, src, frames[i:j], hdrs, payloads)
-		}
-		i = j
-	}
-}
-
-// isControl reports whether a packet type is channel control traffic,
-// which is never aggregated (each ack/nack must reach its handler alone).
-func isControl(t proto.PacketType) bool {
-	return t == proto.TypeAck || t == proto.TypeNack || t == proto.TypeConfirm
-}
-
-// moduleRxBatch is moduleRx for a GRO run: the whole run pays a single
-// ModuleRecv charge (one header walk — the headers were already decoded
-// while forming the run) and takes one cumulative pass through the
-// resequencer/ack machinery instead of len(frames) of them.
-func (ep *Endpoint) moduleRxBatch(p *sim.Proc, pri int, src NodeID,
-	frames []*ether.Frame, hdrs []proto.Header, payloads [][]byte) {
-
-	r0 := p.Now()
-	ep.K.Host.CPUWork(p, ep.M.CLIC.ModuleRecv, pri)
-	in := make([]rxFrame, len(frames))
-	for i, f := range frames {
-		if f.FlightID != 0 {
-			ep.fr.Span(ep.nodeName, f.FlightID, trace.SpanModuleRx, int64(r0), int64(p.Now()))
-		}
-		in[i] = rxFrame{hdr: hdrs[i], payload: payloads[i], frame: f}
-	}
-	ep.S.GROBatches.Inc()
-	ep.S.GROFrames.Addn(int64(len(frames)))
-	ep.fr.Point(ep.nodeName, frames[0].FlightID, trace.PointGROBatch,
-		int64(p.Now()), int64(len(frames)))
-	ep.rxDataBatch(p, pri, src, in)
-}
-
 // moduleRx is CLIC_MODULE's per-packet receive entry: check the type
 // information in the header and execute the function corresponding to the
 // type of packet received (§3.1).
@@ -285,60 +109,39 @@ func (ep *Endpoint) moduleRx(p *sim.Proc, pri int, f *ether.Frame) {
 // rxData runs a data-bearing frame through the reliable channel from src.
 func (ep *Endpoint) rxData(p *sim.Proc, pri int, src NodeID,
 	hdr proto.Header, payload []byte, f *ether.Frame) {
-	ep.rxDataBatch(p, pri, src, []rxFrame{{hdr: hdr, payload: payload, frame: f}})
-}
-
-// rxDataBatch runs one or more data-bearing frames from the same source
-// through the reliable channel. The per-frame admission work (flow
-// control, resequencer accept, delivery) still happens per frame, but the
-// tail — progress stamp, ack stride/delayed-ack decision, confirmations —
-// runs once for the whole batch, which is the cumulative-advance half of
-// the GRO aggregation win.
-func (ep *Endpoint) rxDataBatch(p *sim.Proc, pri int, src NodeID, in []rxFrame) {
-	var rc *rxChan
-	totalDelivered := 0
-	reack := false
+	// Receiver-side flow control: when kernel buffering is exhausted,
+	// refuse the frame before it enters the window; the sender's
+	// retransmission recovers once Recv calls drain the backlog.
+	if ep.sysBufUsed >= ep.M.CLIC.SysBufBytes {
+		ep.S.SysBufDrops.Inc()
+		if f.FlightID != 0 {
+			ep.fr.Point(ep.nodeName, f.FlightID, trace.PointDrop,
+				int64(p.Now()), int64(len(payload)))
+		}
+		return
+	}
+	rc := ep.rxChanFor(src)
+	delivered, accepted := rc.reseq.Accept(hdr.Seq, rxFrame{hdr: hdr, payload: payload, frame: f})
 	var confirms []relwin.Seq
-	for _, rf := range in {
-		// Receiver-side flow control: when kernel buffering is exhausted,
-		// refuse the frame before it enters the window; the sender's
-		// retransmission recovers once Recv calls drain the backlog.
-		if ep.sysBufUsed >= ep.M.CLIC.SysBufBytes {
-			ep.S.SysBufDrops.Inc()
-			if rf.frame.FlightID != 0 {
-				ep.fr.Point(ep.nodeName, rf.frame.FlightID, trace.PointDrop,
-					int64(p.Now()), int64(len(rf.payload)))
-			}
-			continue
+	switch {
+	case !accepted:
+		// Duplicate (a retransmission overlap): re-acknowledged below.
+	case len(delivered) == 0:
+		// The frame parked out of order: a frame ahead of it is missing.
+		// Arm the gap-persistence timer; benign reordering (bonded links)
+		// fills the gap in microseconds and cancels it, while a real loss
+		// survives to trigger a NACK — far sooner than the sender's
+		// retransmission timeout (fast retransmit).
+		if ep.M.CLIC.FastRetransmit && rc.nackTimer == nil {
+			rc.nackTimer = ep.K.Host.Eng.After(ep.M.CLIC.NackDelay, "clic:nack",
+				func() {
+					rc.nackTimer = nil
+					if rc.reseq.Buffered() > 0 {
+						ep.ackQ.Put(ackReq{rc: rc, nack: true})
+					}
+				})
 		}
-		if rc == nil {
-			rc = ep.rxChanFor(src)
-		}
-		delivered, accepted := rc.reseq.Accept(rf.hdr.Seq, rf)
-		if !accepted {
-			// Duplicate (a retransmission overlap): re-acknowledge so the
-			// sender's window advances even if the original ack was lost.
-			reack = true
-			continue
-		}
-		if len(delivered) == 0 {
-			// The frame parked out of order: a frame ahead of it is missing.
-			// Arm the gap-persistence timer; benign reordering (bonded links)
-			// fills the gap in microseconds and cancels it, while a real loss
-			// survives to trigger a NACK — far sooner than the sender's
-			// retransmission timeout (fast retransmit).
-			if ep.M.CLIC.FastRetransmit && rc.nackTimer == nil {
-				rc.nackTimer = ep.K.Host.Eng.After(ep.M.CLIC.NackDelay, "clic:nack",
-					func() {
-						rc.nackTimer = nil
-						if rc.reseq.Buffered() > 0 {
-							ep.ackQ.Put(ackReq{rc: rc, nack: true})
-						}
-					})
-			}
-			continue
-		}
-		totalDelivered += len(delivered)
+	default:
 		for _, df := range delivered {
 			first := df.hdr.Flags&proto.FlagFirst != 0
 			msg := rc.asm.add(src, df)
@@ -364,11 +167,6 @@ func (ep *Endpoint) rxDataBatch(p *sim.Proc, pri int, src NodeID, in []rxFrame) 
 				ep.deliverMessage2(p, pri, msg, df.frame, rc.asm.precopy)
 			}
 		}
-	}
-	if rc == nil {
-		return // every frame was refused by flow control
-	}
-	if totalDelivered > 0 {
 		rc.lastProgress = p.Now() // the cumulative point advanced
 		if rc.nackTimer != nil && rc.reseq.Buffered() == 0 {
 			// The gap filled by itself: plain reordering, not loss.
@@ -376,8 +174,8 @@ func (ep *Endpoint) rxDataBatch(p *sim.Proc, pri int, src NodeID, in []rxFrame) 
 			rc.nackTimer = nil
 		}
 	}
-	rc.sinceAck += totalDelivered
-	if reack || rc.sinceAck >= ep.M.CLIC.AckEvery {
+	rc.sinceAck += len(delivered)
+	if !accepted || rc.sinceAck >= ep.M.CLIC.AckEvery {
 		// Strided cumulative ack: one internal packet per AckEvery
 		// frames keeps the sender's window turning during bulk traffic
 		// (and a duplicate is re-acknowledged so the sender's window

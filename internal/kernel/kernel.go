@@ -29,11 +29,6 @@ type Kernel struct {
 	BottomHalfs telemetry.Counter
 	Syscalls    telemetry.Counter
 	Wakeups     telemetry.Counter
-
-	// IRQsMasked counts raises absorbed while a line was masked — the
-	// dispatches the NAPI-style poll mode saves (each would have been a
-	// kernel_interrupts_total otherwise).
-	IRQsMasked telemetry.Counter
 }
 
 // New creates the kernel for a host and starts its bottom-half worker.
@@ -47,7 +42,6 @@ func New(h *hw.Host) *Kernel {
 	h.Tel.RegisterCounter("kernel_interrupts_total", "hardware interrupts dispatched", &k.Interrupts, node)
 	h.Tel.RegisterCounter("kernel_bottom_halves_total", "softirq bottom-half dispatches", &k.BottomHalfs, node)
 	h.Tel.RegisterCounter("kernel_wakeups_total", "scheduler wake-ups of blocked processes", &k.Wakeups, node)
-	h.Tel.RegisterCounter("kernel_irqs_masked_total", "interrupt raises absorbed while the line was masked (polled receive)", &k.IRQsMasked, node)
 	h.Eng.Go(h.Name+":softirq", k.bhWorker)
 	return k
 }
@@ -67,28 +61,16 @@ func (k *Kernel) SyscallExit(p *sim.Proc) {
 }
 
 // IRQ is one interrupt line with a registered handler, serviced by a
-// dedicated dispatch process. A driver may mask the line (NAPI-style
-// polled receive) so raises stop producing dispatches; a raise seen
-// while masked is remembered and replayed on unmask, the level-triggered
-// semantics that guarantee no completion is stranded.
+// dedicated dispatch process: each raise queues one handler run.
 type IRQ struct {
-	k       *Kernel
-	name    string
 	pending *sim.Queue[struct{}]
-
-	masked   bool
-	deferred bool // raised while masked; replayed on unmask
 }
 
 // RegisterIRQ wires handler to a new interrupt line. Raising the line
 // queues one dispatch; the handler runs in interrupt context (PriIRQ) and
 // consumes CPU via the hw.Host helpers it is given.
 func (k *Kernel) RegisterIRQ(name string, handler func(*sim.Proc)) *IRQ {
-	irq := &IRQ{
-		k:       k,
-		name:    name,
-		pending: sim.NewQueue[struct{}](name + ":irq"),
-	}
+	irq := &IRQ{pending: sim.NewQueue[struct{}](name + ":irq")}
 	k.Host.Eng.Go(name+":isr", func(p *sim.Proc) {
 		// Dedicated interrupt goroutine: one-time isr pprof stage label
 		// (clicsim -profile), so sim-side CPU profiles attribute ISR work
@@ -110,40 +92,9 @@ func (k *Kernel) RegisterIRQ(name string, handler func(*sim.Proc)) *IRQ {
 // Raise asserts the interrupt line. Safe to call from callbacks; multiple
 // raises before dispatch each produce one handler run (handlers drain
 // device state, so spurious runs are cheap no-ops as in real drivers).
-// While the line is masked the device may keep asserting (and keep
-// DMA-ing completions) but the CPU sees nothing until Unmask.
 func (irq *IRQ) Raise() {
-	if irq.masked {
-		irq.deferred = true
-		irq.k.IRQsMasked.Inc()
-		return
-	}
 	irq.pending.Put(struct{}{})
 }
-
-// Mask disables dispatch for the line. The poll-mode driver masks its
-// line on the first interrupt and drains the ring by polling instead.
-func (irq *IRQ) Mask() { irq.masked = true }
-
-// Unmask re-enables the line. A raise that arrived while masked is
-// replayed as one dispatch, so completions that landed between the
-// poll loop's last empty check and the unmask are still announced.
-func (irq *IRQ) Unmask() {
-	irq.masked = false
-	if irq.deferred {
-		irq.deferred = false
-		irq.pending.Put(struct{}{})
-	}
-}
-
-// ClearDeferred drops a raise remembered while the line was masked. The
-// poll driver calls it immediately before Unmask when it has verified the
-// device ring is empty: the deferred raise's work was already consumed by
-// the poll loop, and replaying it would dispatch a spurious interrupt.
-func (irq *IRQ) ClearDeferred() { irq.deferred = false }
-
-// Masked reports whether the line is masked (tests).
-func (irq *IRQ) Masked() bool { return irq.masked }
 
 // BottomHalf queues fn to run in softirq context after the current
 // interrupt work, the Fig. 8a receive path.
@@ -168,9 +119,9 @@ func (k *Kernel) bhWorker(p *sim.Proc) {
 		k.BottomHalfs.Inc()
 		k.Host.CPUWork(p, k.Host.M.Host.BottomHalfDispatch, sim.PriKernel)
 		if perfreg.Enabled() {
-			// Per-dispatch rather than per-goroutine: a nested stage (the
-			// poll loop runs inside a bottom half) restores its Do ctx on
-			// exit, so the label is re-applied for each dispatch to survive.
+			// Per-dispatch rather than per-goroutine: a nested stage
+			// restores its Do ctx on exit, so the label is re-applied for
+			// each dispatch to survive.
 			perfreg.Do(context.Background(), trace.SpanBottomHalf, func() { fn(p) })
 		} else {
 			fn(p)

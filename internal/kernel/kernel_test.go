@@ -126,47 +126,3 @@ func TestSKBuffString(t *testing.T) {
 		t.Error("empty skb description")
 	}
 }
-
-func TestIRQMaskAbsorbsAndReplaysDeferredRaise(t *testing.T) {
-	eng, k := fixture()
-	runs := 0
-	irq := k.RegisterIRQ("eth0", func(p *sim.Proc) { runs++ })
-	eng.At(0, "mask", func() { irq.Mask() })
-	eng.At(10*sim.Microsecond, "r1", func() { irq.Raise() })
-	eng.At(20*sim.Microsecond, "r2", func() { irq.Raise() })
-	eng.At(30*sim.Microsecond, "unmask", func() { irq.Unmask() })
-	eng.Run()
-	// Level-triggered: any number of raises while masked replay as ONE
-	// dispatch on unmask (the handler drains device state).
-	if runs != 1 {
-		t.Errorf("handler ran %d times, want 1 replayed dispatch", runs)
-	}
-	if k.IRQsMasked.Value() != 2 {
-		t.Errorf("masked-raise count %d, want 2", k.IRQsMasked.Value())
-	}
-	if k.Interrupts.Value() != 1 {
-		t.Errorf("interrupt count %d, want 1", k.Interrupts.Value())
-	}
-}
-
-func TestIRQClearDeferredSuppressesReplay(t *testing.T) {
-	eng, k := fixture()
-	runs := 0
-	irq := k.RegisterIRQ("eth0", func(p *sim.Proc) { runs++ })
-	eng.At(0, "mask", func() { irq.Mask() })
-	eng.At(10*sim.Microsecond, "r", func() { irq.Raise() })
-	eng.At(20*sim.Microsecond, "clear-unmask", func() {
-		// The poll loop verified the ring is empty: the deferred raise's
-		// work is already consumed, so no spurious dispatch on unmask.
-		irq.ClearDeferred()
-		irq.Unmask()
-	})
-	eng.At(30*sim.Microsecond, "r2", func() { irq.Raise() })
-	eng.Run()
-	if runs != 1 {
-		t.Errorf("handler ran %d times, want 1 (only the post-unmask raise)", runs)
-	}
-	if irq.Masked() {
-		t.Error("line still masked after Unmask")
-	}
-}

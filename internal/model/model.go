@@ -215,20 +215,6 @@ type Driver struct {
 	// acknowledges the ring and calls the protocol module directly (≈5 µs
 	// at 1400 B including the module dispatch).
 	RxDirect sim.Time
-
-	// PollCheck, PollBudget and PollIdleExit parameterise the NAPI-style
-	// polled receive mode (clic.RxPoll), the third rung of the adaptive
-	// RX ladder: on the first interrupt the driver masks the line and a
-	// softirq poll loop drains the completion ring instead. PollCheck is
-	// the cost of one poll-loop iteration's ring check (budget
-	// accounting plus a completion-ring peek, like the polled DMA-ring
-	// designs this mode follows); PollBudget caps the frames one
-	// iteration may drain before re-checking; after PollIdleExit
-	// consecutive empty iterations the loop re-enables interrupts, so
-	// sparse traffic keeps interrupt-driven latency.
-	PollCheck    sim.Time
-	PollBudget   int
-	PollIdleExit int
 }
 
 // RxISRTime returns the Fig. 8a ISR cost for one frame of n bytes.
@@ -466,13 +452,6 @@ func Default() Params {
 			RxFixed:     4 * us, // Fig. 8a routine, fixed part
 			RxPerByteBW: MBPerSec(145),
 			RxDirect:    1 * us, // Fig. 8b slim ISR (+dispatch)
-			// The idle-exit window (PollCheck × PollIdleExit = 16 µs)
-			// must span the ~12 µs inter-frame gap of MTU-1500 line-rate
-			// traffic, or the poller exits between frames and every
-			// frame pays an interrupt again.
-			PollCheck:    1 * us,
-			PollBudget:   16,
-			PollIdleExit: 16,
 		},
 		CLIC: CLIC{
 			ModuleSend:        700,    // Fig. 7: 0.7 µs

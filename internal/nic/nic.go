@@ -421,20 +421,3 @@ func (n *NIC) DrainCompleted() []*ether.Frame {
 	n.rxRingUsed -= len(out)
 	return out
 }
-
-// DrainBudget hands back at most max completed frames, freeing their ring
-// slots. The NAPI-style poll loop uses it so one drain iteration cannot
-// monopolise the CPU past its frame budget.
-func (n *NIC) DrainBudget(max int) []*ether.Frame {
-	if max <= 0 || max >= len(n.completed) {
-		return n.DrainCompleted()
-	}
-	out := n.completed[:max:max]
-	n.completed = n.completed[max:]
-	n.rxRingUsed -= len(out)
-	return out
-}
-
-// CompletedCount reports how many DMA'd frames await draining — the poll
-// ISR's cheap spurious-interrupt check.
-func (n *NIC) CompletedCount() int { return len(n.completed) }

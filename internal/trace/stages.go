@@ -20,7 +20,6 @@ const (
 	SpanWire        = "wire"         // first bit serialised → delivered at peer NIC
 	SpanRxDMA       = "rx-dma"       // NIC pushes the frame to system memory
 	SpanISR         = "isr"          // driver interrupt service routine
-	SpanPoll        = "poll"         // NAPI-style poll loop handling the frame
 	SpanBHQueue     = "bh-queue"     // queued for softirq → bottom half starts
 	SpanBottomHalf  = "bottom-half"  // bottom-half body (CLIC_MODULE dispatch)
 	SpanModuleRx    = "module-rx"    // CLIC_MODULE per-packet receive entry
@@ -39,7 +38,6 @@ const (
 	PointDrop          = "drop"
 	PointChannelFailed = "channel-failed"
 	PointDeferred      = "deferred-tx"
-	PointGROBatch      = "gro-batch"  // aggregated run handed to module-rx in one call (arg = run length)
 	PointHello         = "hello"      // handshake completed, either side (arg = peer)
 	PointBye           = "bye"        // peer announced its departure (arg = peer)
 	PointIdleEvict     = "idle-evict" // idle receive channel's state reclaimed (arg = peer)
@@ -57,7 +55,6 @@ var SpanOrder = []string{
 	SpanWire,
 	SpanRxDMA,
 	SpanISR,
-	SpanPoll,
 	SpanBHQueue,
 	SpanBottomHalf,
 	SpanModuleRx,
