@@ -29,14 +29,15 @@ lint:
 # (a non-Linux OS, and a Linux without the raw-syscall reader).
 # The loss-recovery wire tests and the watchdog's clean-run test assert
 # on what a node does NOT send or report within a wall-clock interval,
-# and the direct-call rung tests hand the socket's reader role between
-# goroutines, so they run twenty more times: a timing dependence or a
+# the direct-call rung tests hand the socket's reader role between
+# goroutines, and the piggy-backed ack scripts assert that no ack
+# datagram is sent, so they run twenty more times: a timing dependence or a
 # lost hand-over shows up here, not as a one-in-forty CI failure.
 check: build lint
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./internal/live/
 	$(GO) test -race -tags lockcheck ./...
-	$(GO) test -race -tags lockcheck -run 'Nack|FastRetransmit|UnknownType|WatchdogCleanRun|DirectRung' -count=20 ./internal/live/
+	$(GO) test -race -tags lockcheck -run 'Nack|FastRetransmit|UnknownType|WatchdogCleanRun|DirectRung|Piggyback' -count=20 ./internal/live/
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim

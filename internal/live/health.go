@@ -37,6 +37,8 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			"rx_frames":            n.framesRecv.Value(),
 			"retransmits":          n.retransmits.Value(),
 			"acks_sent":            n.acksSent.Value(),
+			"piggyback_acks":       n.piggybackAcks.Value(),
+			"delayed_acks":         n.delayedAcks.Value(),
 			"loss_injected":        n.dropsInjected.Value(),
 			"rto_backoffs":         n.rtoBackoffs.Value(),
 			"channel_failures":     n.channelFailures.Value(),

@@ -269,6 +269,8 @@ type Node struct {
 	framesRecv       telemetry.Counter
 	retransmits      telemetry.Counter
 	acksSent         telemetry.Counter
+	piggybackAcks    telemetry.Counter
+	delayedAcks      telemetry.Counter
 	dropsInjected    telemetry.Counter
 	reordersInjected telemetry.Counter
 	socketWrites     telemetry.Counter
@@ -375,7 +377,9 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	n.tel.RegisterCounter("live_frames_sent_total", "datagrams written to the socket (before injected loss)", &n.framesSent, node)
 	n.tel.RegisterCounter("live_frames_recv_total", "datagrams received and decoded", &n.framesRecv, node)
 	n.tel.RegisterCounter("live_retransmits_total", "datagram retransmissions (go-back-N rounds and NACK repairs)", &n.retransmits, node)
-	n.tel.RegisterCounter("live_acks_sent_total", "cumulative acknowledgements returned (NACKs included)", &n.acksSent, node)
+	n.tel.RegisterCounter("live_acks_sent_total", "stand-alone acknowledgement datagrams returned (NACKs included, piggy-backed acks not)", &n.acksSent, node)
+	n.tel.RegisterCounter("live_piggyback_acks_total", "cumulative acks carried on outgoing data frames (FlagAck) instead of a datagram of their own", &n.piggybackAcks, node)
+	n.tel.RegisterCounter("live_delayed_acks_total", "stand-alone acks sent by the AckDelay timer (also in live_acks_sent_total)", &n.delayedAcks, node)
 	n.tel.RegisterCounter("live_loss_injected_total", "datagrams dropped by send-side loss injection", &n.dropsInjected, node)
 	n.tel.RegisterCounter("live_reorders_injected_total", "datagrams delayed by send-side reorder injection", &n.reordersInjected, node)
 	n.tel.RegisterCounter("live_rto_backoffs_total", "retransmission-timeout expiries (each doubles the adaptive RTO)", &n.rtoBackoffs, node)
@@ -528,10 +532,7 @@ func (n *Node) Close() error {
 	n.pmu.Unlock()
 	for _, tc := range txs {
 		tc.mu.Lock()
-		if tc.rtoArmed {
-			tc.rto.Stop()
-			tc.rtoArmed = false
-		}
+		tc.stopRTO()
 		tc.slotFree.Broadcast()
 		tc.mu.Unlock()
 	}

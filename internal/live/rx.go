@@ -383,7 +383,8 @@ func (n *Node) rxWait(delta int32) {
 
 // dispatchBurst decodes a burst and dispatches its datagrams one at a
 // time, in the order they arrived: control frames are consumed in
-// place, and each data datagram goes through dispatchData. Arrival
+// place, and each data datagram goes through dispatchData, after its
+// piggy-backed ack, if any, went through onPiggyback. Arrival
 // order is the peer's send order, so a bye never overtakes the data its
 // peer sent before it.
 func (n *Node) dispatchBurst(s *rxShard, cnt int) {
@@ -433,6 +434,22 @@ func (n *Node) dispatchBurst(s *rxShard, cnt int) {
 				ch <- nil
 			}
 		case proto.TypeData, proto.TypeRemoteWrite:
+			if hdr.Flags&proto.FlagAck != 0 {
+				// A piggy-backed ack: absorbed before the data and outside
+				// rc.mu (tc.mu and rc.mu never nest), then stripped.
+				cum, credit, rest, err := proto.DecodeAckExt(payload)
+				if err != nil {
+					continue // runt datagram
+				}
+				n.pmu.RLock()
+				tc := n.tx[src]
+				n.pmu.RUnlock()
+				if tc != nil {
+					n.onPiggyback(tc, cum, credit)
+				}
+				hdr.Flags &^= proto.FlagAck
+				payload = rest
+			}
 			n.dispatchData(s, src, hdr, payload)
 		default:
 			// Only the types send() frames are sequenced. Anything else
@@ -630,7 +647,8 @@ func (n *Node) flushAcks(s *rxShard) {
 }
 
 // fireDelayedAck is the delayed-ack timer callback: flush the
-// outstanding sub-stride ack if the burst path hasn't already.
+// outstanding sub-stride ack if neither the burst path nor a data frame
+// (takeAck) has carried it already.
 func (n *Node) fireDelayedAck(rc *liveRxChan) {
 	if perfreg.Enabled() {
 		perfreg.Do(context.Background(), perfreg.StageAckTimer, func() { n.delayedAckExpire(rc) })
@@ -645,15 +663,26 @@ func (n *Node) delayedAckExpire(rc *liveRxChan) {
 	if n.closed.Load() {
 		return
 	}
+	n.ackAlone(rc, true)
+}
+
+// ackAlone sends rc's cumulative ack as a datagram of its own through
+// rc's shard, outside any burst: for the delayed-ack timer (timer),
+// which sends only if an ack is still owed, and for a sender about to
+// wait for window space with the ack it took in its frame (sendMsg),
+// which sends it regardless.
+func (n *Node) ackAlone(rc *liveRxChan, timer bool) {
 	rc.mu.Lock()
-	if !rc.ackArmed || rc.sinceAck == 0 {
-		// A burst flush won the race with this fire (or there is nothing
-		// outstanding); just disarm.
+	if timer {
+		owed := rc.ackArmed && rc.sinceAck > 0
 		rc.ackArmed = false
-		rc.mu.Unlock()
-		return
+		if !owed {
+			// A burst flush or a data frame carried it, or nothing is
+			// outstanding: just disarm.
+			rc.mu.Unlock()
+			return
+		}
 	}
-	rc.ackArmed = false
 	rc.sinceAck = 0
 	rc.ackNow = false
 	// Frame on the stack, not into rc.ackBuf: that buffer belongs to the
@@ -664,6 +693,9 @@ func (n *Node) delayedAckExpire(rc *liveRxChan) {
 	addr := rc.addr
 	rc.mu.Unlock()
 	n.acksSent.Inc()
+	if timer {
+		n.delayedAcks.Inc()
+	}
 	n.transmit(rc.shard.conn, addr, buf[:], 0)
 }
 

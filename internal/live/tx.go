@@ -66,14 +66,20 @@ type liveTxChan struct {
 	relNowNs   int64
 	relObserve bool
 
-	// rto is a persistent timer, re-armed with Reset instead of being
-	// reallocated per flight; rtoArmed is the logical armed state (a
-	// stale fire after a Stop-lost race checks it and leaves).
-	rto      *time.Timer
-	rtoArmed bool
-	ctrl     *rto.Controller
-	rtoGauge *telemetry.Gauge
-	failed   bool // retry budget exhausted; senders get ErrPeerDead
+	// rto is a persistent timer that runs lazily: rtoDeadline (monoNs,
+	// 0 = idle) is when the go-back-N round is due, and ack progress
+	// moves it with a plain store while the timer stays armed. rtoArmed
+	// says a fire is pending, at rtoAt; the timer is Reset only when
+	// none is, or when the deadline moves before rtoAt. A fire that
+	// finds the deadline still ahead re-arms for the remainder, one
+	// that finds it idle disarms.
+	rto         *time.Timer
+	rtoArmed    bool
+	rtoAt       int64
+	rtoDeadline int64
+	ctrl        *rto.Controller
+	rtoGauge    *telemetry.Gauge
+	failed      bool // retry budget exhausted; senders get ErrPeerDead
 
 	// sampleFloor is the Karn's-rule watermark: sequences below it were
 	// retransmitted, so their ack latencies must not feed the estimator.
@@ -187,7 +193,8 @@ func newTxChan(n *Node, peer int, addr netip.AddrPort) *liveTxChan {
 		telemetry.L("node", fmt.Sprint(n.ID)), telemetry.L("peer", fmt.Sprint(peer)))
 	tc.publishRTO()
 	tc.slotFree = sync.NewCond(&tc.mu)
-	// The persistent timer is created stopped; armRTO only ever Resets it.
+	// The persistent timer is created stopped; restartRTO only ever
+	// Resets it.
 	tc.rto = time.AfterFunc(time.Hour, func() { n.fireRTO(tc) })
 	tc.rto.Stop()
 	tc.release = func(seq relwin.Seq, fb *frameBuf) {
@@ -315,11 +322,13 @@ func (n *Node) send(dst int, port uint16, typ proto.PacketType, flags uint8, dat
 //
 // The fast path is allocation-free and coalesced: payload bytes are
 // staged into pooled buffers with headers encoded in place before the
-// channel lock is taken; under the lock the work is one window push,
-// slot bookkeeping and a timer re-arm; the socket writes happen after
-// the lock is dropped — up to Node.txBurst fragments per flush — with
-// each slot pinned so an ack racing the write cannot recycle
-// the buffer out from under the syscall. ctx carries the enclosing
+// channel lock is taken, a fragment with room behind the header
+// carrying the ack the reverse channel owes (takeAck); under the lock
+// the work is one window push, slot bookkeeping and a deadline store;
+// the socket writes happen after the lock is dropped — up to
+// Node.txBurst fragments per flush — with each slot pinned so an ack
+// racing the write cannot recycle the buffer out from under the
+// syscall. ctx carries the enclosing
 // pprof stage labels for flushTx to restore after its nested stage.
 func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.PacketType, flags uint8, data []byte, confirmCh chan error) (relwin.Seq, error) {
 	if n.closed.Load() {
@@ -341,10 +350,20 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 			end = total
 		}
 		last := end == total
-		dlen := proto.HeaderBytes + (end - off)
 		fb := n.pool.Get()
-		copy(fb.b[proto.HeaderBytes:dlen], data[off:end])
 		hdr := proto.Header{Type: typ, Port: port, Len: uint32(total)}
+		body := proto.HeaderBytes
+		var owed *liveRxChan // the reverse channel whose ack this frame took
+		if body+proto.AckExtBytes+(end-off) <= n.cfg.MTU {
+			var cum, credit uint32
+			if owed, cum, credit = n.takeAck(dst); owed != nil {
+				hdr.Flags |= proto.FlagAck
+				proto.PutAckExt(fb.b[body:], cum, credit)
+				body += proto.AckExtBytes
+			}
+		}
+		dlen := body + (end - off)
+		copy(fb.b[body:dlen], data[off:end])
 		if first {
 			hdr.Flags |= proto.FlagFirst
 		}
@@ -360,10 +379,19 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 		// credit growth broadcasts slotFree the same way ack progress
 		// does. Anything still staged must hit the wire before sleeping:
 		// the acks that free the window can only come from those bytes.
+		// So must the ack this frame took: the peer may be blocked on
+		// its own window until it arrives.
 		for !tc.canPush() && !tc.failed && !n.closed.Load() {
 			if tc.stageCnt > 0 {
 				tc.mu.Unlock()
 				n.flushTx(ctx, tc)
+				tc.mu.Lock()
+				continue
+			}
+			if rc := owed; rc != nil {
+				owed = nil
+				tc.mu.Unlock()
+				n.ackAlone(rc, false)
 				tc.mu.Lock()
 				continue
 			}
@@ -388,7 +416,7 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 		seq := tc.win.Push(fb)
 		slot := &tc.slots[seq&tc.mask]
 		slot.seq, slot.sentNs, slot.pinned, slot.released = seq, now.UnixNano(), true, nil
-		n.armRTO(tc)
+		n.armRTO(tc, monoNs(now))
 		tc.mu.Unlock()
 
 		var fid uint64
@@ -433,6 +461,35 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 		off = end
 		first = false
 	}
+}
+
+// takeAck hands the ack that the receive channel from peer owes to a
+// data frame about to leave for peer: if frames were delivered since
+// that channel last acked, it returns the channel with its cumulative
+// ack and credit and clears the debt, so neither the burst flush's
+// stride nor the delayed-ack timer sends a datagram for it (rc is nil
+// when nothing is owed). Holes are untouched: their NACKs still go out
+// from flushAcks. Called by sendMsg under the channel's sendMu, with
+// no channel lock held (tc.mu and rc.mu share a rank and never nest).
+func (n *Node) takeAck(peer int) (rc *liveRxChan, cum, credit uint32) {
+	n.pmu.RLock()
+	rc = n.rx[peer]
+	n.pmu.RUnlock()
+	if rc == nil {
+		return nil, 0, 0
+	}
+	rc.mu.Lock()
+	owed := rc.sinceAck > 0
+	if owed {
+		rc.sinceAck = 0
+		cum, credit = rc.reseq.CumAck(), n.advertiseCredit(rc)
+	}
+	rc.mu.Unlock()
+	if !owed {
+		return nil, 0, 0
+	}
+	n.piggybackAcks.Inc()
+	return rc, cum, credit
 }
 
 // discard recycles a staged buffer the window never took ownership of
@@ -599,14 +656,45 @@ func (n *Node) flightWire(fid uint64) {
 	}
 }
 
-// armRTO re-arms the channel's go-back-N timer if needed, at the
-// controller's current adaptive timeout. Called with tc.mu held.
-func (n *Node) armRTO(tc *liveTxChan) {
-	if tc.rtoArmed || tc.failed || tc.win.InFlight() == 0 {
+// monoEpoch anchors the monotonic nanosecond clock the RTO deadlines
+// run on (monoNs): unlike UnixNano, a wall-clock step cannot move them.
+var monoEpoch = time.Now()
+
+// monoNs is t on the monotonic clock, in ns since monoEpoch.
+func monoNs(t time.Time) int64 { return int64(t.Sub(monoEpoch)) }
+
+// armRTO starts the channel's go-back-N clock at nowNs (monoNs) if it
+// is idle and frames are in flight: the RTO runs from the first send
+// after idle, and a send while it runs leaves it alone. Called with
+// tc.mu held.
+func (n *Node) armRTO(tc *liveTxChan, nowNs int64) {
+	if tc.rtoDeadline != 0 || tc.failed || tc.win.InFlight() == 0 {
 		return
 	}
-	tc.rto.Reset(time.Duration(tc.ctrl.RTO()))
-	tc.rtoArmed = true
+	tc.restartRTO(nowNs)
+}
+
+// restartRTO moves the go-back-N deadline to nowNs plus the adaptive
+// timeout. The deadline is a plain store; the timer is Reset only when
+// no fire is pending or the pending one would come too late. Called
+// with tc.mu held.
+func (tc *liveTxChan) restartRTO(nowNs int64) {
+	d := nowNs + tc.ctrl.RTO()
+	tc.rtoDeadline = d
+	if !tc.rtoArmed || d < tc.rtoAt {
+		tc.rto.Reset(time.Duration(d - nowNs))
+		tc.rtoArmed, tc.rtoAt = true, d
+	}
+}
+
+// stopRTO disarms the timer outright: channel failure and Close, after
+// which no fire may find work. Called with tc.mu held.
+func (tc *liveTxChan) stopRTO() {
+	if tc.rtoArmed {
+		tc.rto.Stop()
+		tc.rtoArmed = false
+	}
+	tc.rtoDeadline = 0
 }
 
 // fireRTO is the timer callback entry: it tags the timer goroutine
@@ -637,10 +725,18 @@ func (n *Node) rtoExpire(tc *liveTxChan) {
 	}()
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if tc.failed || !tc.rtoArmed {
-		return // channel died, or a Stop lost the race with this fire
-	}
 	tc.rtoArmed = false
+	if tc.failed || tc.rtoDeadline == 0 {
+		return // channel died, or everything was acked since the arming
+	}
+	nowNs := monoNs(time.Now())
+	if rem := tc.rtoDeadline - nowNs; rem > 0 {
+		// Progress moved the deadline after this fire was armed.
+		tc.rto.Reset(time.Duration(rem))
+		tc.rtoArmed, tc.rtoAt = true, tc.rtoDeadline
+		return
+	}
+	tc.rtoDeadline = 0
 	// Unacked's slice aliases the window's internal state and must not be
 	// retained across Push/Ack; it is consumed below, under the same lock
 	// acquisition that read it, so no sender can Push concurrently.
@@ -700,7 +796,7 @@ func (n *Node) rtoExpire(tc *liveTxChan) {
 		}
 		n.transmit(tc.shard.conn, tc.addr, fb.b[:fb.n], fid) //nolint:blockunderlock // deliberate: dropping tc.mu here would let the ack path recycle the buffers being retransmitted; cold path by construction
 	}
-	n.armRTO(tc)
+	n.armRTO(tc, nowNs)
 }
 
 // failChannel declares a peer dead: blocked senders wake with
@@ -715,10 +811,7 @@ func (n *Node) failChannel(tc *liveTxChan) []chan error {
 		n.fr.Point(n.nodeName, 0, trace.PointChannelFailed,
 			time.Now().UnixNano(), int64(tc.peer))
 	}
-	if tc.rtoArmed {
-		tc.rto.Stop()
-		tc.rtoArmed = false
-	}
+	tc.stopRTO()
 	tc.relObserve = false
 	tc.win.Drain(tc.release)
 	tc.slotFree.Broadcast()
@@ -767,10 +860,12 @@ func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 	n.pool.Put(repair)
 }
 
-// absorbAck is the cumulative half of onAck: absorb any advertised
+// absorbAck is the cumulative half of onAck, and what a data frame's
+// piggy-backed ack is fed to (onPiggyback): absorb any advertised
 // credit, release the acknowledged prefix back to the pool (observing
-// ack latency and RTT), reset the retry budget, re-arm the timer for
-// whatever is still in flight, and wake window-blocked senders. A
+// ack latency and RTT), reset the retry budget, restart the RTO
+// deadline for whatever is still in flight, and wake window-blocked
+// senders. A
 // credit change wakes senders even without ack progress — a
 // credit-blocked sender is waiting on exactly that. Called with tc.mu
 // held.
@@ -792,7 +887,8 @@ func (n *Node) absorbAck(tc *liveTxChan, hdr proto.Header) {
 			tc.credit = c
 		}
 	}
-	tc.relNowNs = time.Now().UnixNano()
+	now := time.Now()
+	tc.relNowNs = now.UnixNano()
 	tc.relObserve = true
 	if tc.win.AckFunc(hdr.Seq, tc.release) == 0 {
 		if creditWoke {
@@ -805,12 +901,30 @@ func (n *Node) absorbAck(tc *liveTxChan, hdr proto.Header) {
 	tc.headResent = false
 	tc.lastProgressNs = tc.relNowNs
 	tc.publishRTO()
-	if tc.rtoArmed {
-		tc.rto.Stop()
-		tc.rtoArmed = false
+	if tc.win.InFlight() == 0 {
+		tc.rtoDeadline = 0 // a pending fire finds the channel idle and disarms
+	} else {
+		tc.restartRTO(monoNs(now))
 	}
-	n.armRTO(tc)
 	tc.slotFree.Broadcast()
+}
+
+// onPiggyback absorbs the ack extension of a data frame from tc's
+// peer, through absorbAck as the TypeAck it stands for. The extension
+// was stamped when its frame was first sent, and a retransmitted,
+// duplicated or reordered frame can arrive after later acks, so it
+// counts only if it acknowledges a frame still in flight
+// (base < cum <= next). Such a cum is ahead of every ack absorbed so
+// far, and the receiver's cum only grows, so the extension was stamped
+// after all of them and its credit is the newest too; anything else is
+// dropped whole, and can neither move the window back nor lower the
+// credit.
+func (n *Node) onPiggyback(tc *liveTxChan, cum, credit uint32) {
+	tc.mu.Lock()
+	if relwin.Before(tc.win.Base(), cum) && !relwin.Before(tc.win.NextSeq(), cum) {
+		n.absorbAck(tc, proto.Header{Type: proto.TypeAck, Flags: proto.FlagCredit, Seq: cum, Len: credit})
+	}
+	tc.mu.Unlock()
 }
 
 // headRepair is the fast-retransmit decision for a NACK whose
@@ -838,8 +952,7 @@ func (n *Node) headRepair(tc *liveTxChan, cum relwin.Seq) *frameBuf {
 	if floor := base + 1; relwin.Before(tc.sampleFloor, floor) {
 		tc.sampleFloor = floor
 	}
-	tc.rto.Reset(time.Duration(tc.ctrl.RTO()))
-	tc.rtoArmed = true
+	tc.restartRTO(monoNs(time.Now()))
 	n.retransmits.Inc()
 	n.fastRetransmits.Inc()
 	return repair

@@ -1,7 +1,8 @@
 // Package proto defines the wire formats shared by the stacks in this
 // repository: the 12-byte CLIC header that rides directly on the Ethernet
-// level-1 header (§3.1), and the IPv4/TCP headers plus Internet checksum
-// used by the comparator stack.
+// level-1 header (§3.1) with its optional 8-byte piggy-backed ack
+// extension, and the IPv4/TCP headers plus Internet checksum used by the
+// comparator stack.
 package proto
 
 import (
@@ -41,6 +42,13 @@ const (
 	// clear and their acks are read the legacy way (no credit limit), so
 	// the extension is backward compatible in both directions.
 	FlagCredit uint8 = 1 << 3
+
+	// FlagAck on a data-bearing frame (TypeData, TypeRemoteWrite) says
+	// an AckExtBytes extension follows the header: the cumulative ack
+	// and receive credit of the sender's reverse channel, so a reply
+	// acknowledges the request it answers with no datagram of its own.
+	// Frames without the flag are byte-identical to the 12-byte format.
+	FlagAck uint8 = 1 << 4
 )
 
 // HeaderBytes is the CLIC header size: 12 bytes (§3.1).
@@ -102,6 +110,33 @@ func DecodeHeader(b []byte) (Header, []byte, error) {
 		Len:   binary.BigEndian.Uint32(b[8:12]),
 	}
 	return h, b[HeaderBytes:], nil
+}
+
+// AckExtBytes is the size of the FlagAck extension.
+const AckExtBytes = 8
+
+// PutAckExt writes the FlagAck extension into b[:AckExtBytes]. Layout
+// (big-endian):
+//
+//	bytes 0-3  cumulative ack of the sender's reverse channel
+//	bytes 4-7  that channel's receive credit in frames
+func PutAckExt(b []byte, cum, credit uint32) {
+	_ = b[AckExtBytes-1]
+	binary.BigEndian.PutUint32(b[0:4], cum)
+	binary.BigEndian.PutUint32(b[4:8], credit)
+}
+
+// ErrShortAckExt reports a FlagAck frame too short for its extension.
+var ErrShortAckExt = errors.New("proto: FlagAck frame shorter than its ack extension")
+
+// DecodeAckExt parses the FlagAck extension from the front of b (the
+// payload DecodeHeader returned) and returns it with the payload that
+// follows.
+func DecodeAckExt(b []byte) (cum, credit uint32, rest []byte, err error) {
+	if len(b) < AckExtBytes {
+		return 0, 0, nil, ErrShortAckExt
+	}
+	return binary.BigEndian.Uint32(b[0:4]), binary.BigEndian.Uint32(b[4:8]), b[AckExtBytes:], nil
 }
 
 // String renders the header for traces.

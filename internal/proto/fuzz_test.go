@@ -59,6 +59,31 @@ func FuzzDecodeHeader(f *testing.F) {
 	})
 }
 
+// FuzzDecodeAckExt: arbitrary bytes must never panic the FlagAck
+// extension decoder; anything shorter than the extension is refused, and
+// anything longer decodes and re-encodes to the same bytes with the rest
+// handed back untouched.
+func FuzzDecodeAckExt(f *testing.F) {
+	f.Add(make([]byte, AckExtBytes))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 's', 'e', 'q'})
+	f.Add(make([]byte, AckExtBytes-1))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cum, credit, rest, err := DecodeAckExt(b)
+		if err != nil {
+			if len(b) >= AckExtBytes {
+				t.Fatalf("decode rejected a full-size extension: %v", err)
+			}
+			return
+		}
+		var re [AckExtBytes]byte
+		PutAckExt(re[:], cum, credit)
+		if !bytes.Equal(re[:], b[:AckExtBytes]) || !bytes.Equal(rest, b[AckExtBytes:]) {
+			t.Fatalf("round trip broke: %x -> (%d, %d, %x)", b, cum, credit, rest)
+		}
+	})
+}
+
 // FuzzDecodeIPv4: arbitrary bytes must never panic, and only
 // checksum-valid headers may decode.
 func FuzzDecodeIPv4(f *testing.F) {

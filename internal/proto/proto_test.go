@@ -43,6 +43,36 @@ func TestCLICHeaderShort(t *testing.T) {
 	}
 }
 
+func TestAckExtRoundTrip(t *testing.T) {
+	f := func(cum, credit uint32, payload []byte) bool {
+		h := Header{Type: TypeData, Flags: FlagFirst | FlagLast | FlagAck, Port: 7, Seq: 3, Len: uint32(len(payload))}
+		wire := h.Encode(nil)
+		var ext [AckExtBytes]byte
+		PutAckExt(ext[:], cum, credit)
+		wire = append(append(wire, ext[:]...), payload...)
+		if len(wire) != HeaderBytes+AckExtBytes+len(payload) {
+			return false
+		}
+		got, rest, err := DecodeHeader(wire)
+		if err != nil || got != h {
+			return false
+		}
+		c, cr, body, err := DecodeAckExt(rest)
+		return err == nil && c == cum && cr == credit && bytes.Equal(body, payload)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestAckExtShort(t *testing.T) {
+	for n := 0; n < AckExtBytes; n++ {
+		if _, _, _, err := DecodeAckExt(make([]byte, n)); err != ErrShortAckExt {
+			t.Errorf("%d bytes: err = %v, want ErrShortAckExt", n, err)
+		}
+	}
+}
+
 func TestIPv4RoundTrip(t *testing.T) {
 	f := func(totalLen, id uint16, src, dst uint32, more bool, fragOffDiv8 uint16) bool {
 		h := IPv4Header{
