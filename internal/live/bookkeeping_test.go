@@ -1,0 +1,253 @@
+package live_test
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/health"
+	"repro/internal/live"
+	"repro/internal/proto"
+)
+
+// The tests in this file pin the send path's per-burst bookkeeping (a
+// staged burst is pushed under one lock hold and one clock read, and a
+// window that runs out mid-burst flushes, acks and waits in that order)
+// and the ack path's one latency sample per ack.
+
+// histCount reads a histogram's observation count from a node's
+// telemetry registry.
+func histCount(t testing.TB, n *live.Node, name string) int64 {
+	t.Helper()
+	for _, m := range n.Telemetry().Snapshot() {
+		if m.Name == name && m.Count != nil {
+			return *m.Count
+		}
+	}
+	t.Fatalf("no histogram %s", name)
+	return 0
+}
+
+// TestFirstWindowAckedInBurst: before a channel's first ack no credit
+// has been advertised, so the credit-exhaustion ack has no figure to
+// compare with. A peer that fills the receiver's window (4) below the
+// ack stride (8) must still be acked by the burst that fills it, not by
+// the delayed-ack timer, which is parked here at 10 s.
+func TestFirstWindowAckedInBurst(t *testing.T) {
+	cfg := parkedTimers()
+	cfg.Window, cfg.AckEvery = 4, 8
+	a := node(t, 0, cfg)
+	p := newWirePeer(t, a, 5)
+
+	p.data(0, 1, 2, 3)
+	got := p.expect("after a full first window", proto.Header{Type: proto.TypeAck, Seq: 4})
+	if h := got[0].hdr; h.Flags&proto.FlagCredit == 0 || h.Len < 1 || h.Len > 4 {
+		t.Fatalf("first ack carries no usable credit: %v", h)
+	}
+	recvInOrder(t, a, 0, 1, 2, 3)
+	if got := a.HealthSnapshot().Counters["delayed_acks"]; got != 0 {
+		t.Errorf("delayed_acks = %d, want 0", got)
+	}
+}
+
+// TestSendBurstFlushAckThenWait pins the mid-burst order at the wire.
+// The node owes the scripted peer an ack for one frame (the stride and
+// the delayed-ack timer hold it back), then stages a five-fragment
+// message whose short last fragment takes that ack. The window (4) ends
+// the push after four fragments: those four must leave first, then the
+// taken ack on its own, and only then may the sender wait. The peer's
+// ack lets the fifth fragment out, still carrying the ack it took.
+func TestSendBurstFlushAckThenWait(t *testing.T) {
+	cfg := parkedTimers()
+	cfg.Window = 4
+	a := node(t, 0, cfg)
+	p := newWirePeer(t, a, 5)
+
+	p.data(0)
+	p.expect("after one frame below the stride")
+	frag := cfg.MTU - proto.HeaderBytes
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(5, wirePort, pattern(4*frag+100)) }()
+	p.expect("the window's worth of the burst, then the taken ack",
+		proto.Header{Type: proto.TypeData, Seq: 0}, proto.Header{Type: proto.TypeData, Seq: 1},
+		proto.Header{Type: proto.TypeData, Seq: 2}, proto.Header{Type: proto.TypeData, Seq: 3},
+		proto.Header{Type: proto.TypeAck, Seq: 1})
+	select {
+	case err := <-sent:
+		t.Fatalf("send returned (%v) with its last fragment outside the window", err)
+	default:
+	}
+
+	p.control(proto.TypeAck, 4)
+	dg := p.expect("after the window opened", proto.Header{Type: proto.TypeData, Seq: 4})[0]
+	if cum, _, body, piggy := ackExt(t, dg); !piggy || cum != 1 || len(body) != 100 {
+		t.Fatalf("last fragment %v: ack extension %v cum %d, %d bytes, want the cum 1 it took and 100 bytes",
+			dg.hdr, piggy, cum, len(body))
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	recvInOrder(t, a, 0)
+}
+
+// TestSendBurstLargerThanWindow: 64 KiB messages (45 fragments, a
+// 43-fragment burst) both ways over a pair whose window (4) and
+// per-peer cap (2) are far below the burst, so nearly every push runs
+// out of window mid-burst. Every message must arrive byte-exact with no
+// RTO backoff: a sender that waited without flushing what it pushed
+// would leave its peer nothing to ack and stall until an RTO, which is
+// set far above the delayed-ack pacing this cap produces.
+func TestSendBurstLargerThanWindow(t *testing.T) {
+	cfg := live.DefaultConfig()
+	cfg.Window, cfg.PeerInFlight = 4, 2
+	cfg.RetransmitTimeout, cfg.RTOMin, cfg.RTOMax = 500*time.Millisecond, 500*time.Millisecond, 2*time.Second
+	a, b := pair(t, cfg)
+	const msgs, port, size = 8, 40, 64 << 10
+	payload := func(from, i int) []byte {
+		m := pattern(size)
+		m[0], m[1], m[size-1] = byte(from), byte(i), byte(i)
+		return m
+	}
+	nodes := []*live.Node{a, b}
+	errc := make(chan error, 4)
+	var wg sync.WaitGroup
+	for me, n := range nodes {
+		peer := 1 - me
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := range msgs {
+				if err := n.Send(peer, port, payload(me, i)); err != nil {
+					errc <- fmt.Errorf("node %d send %d: %w", me, i, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := range msgs {
+				m, err := n.Recv(port)
+				if err != nil {
+					errc <- fmt.Errorf("node %d recv %d: %w", me, i, err)
+					return
+				}
+				if m.Src != peer || !bytes.Equal(m.Data, payload(peer, i)) {
+					errc <- fmt.Errorf("node %d message %d from %d: %d bytes, not the %d sent", me, i, m.Src, len(m.Data), size)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("exchange of %d × 64 KiB each way did not finish in 60 s; health: %+v", msgs, a.HealthSnapshot())
+	}
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	for _, n := range nodes {
+		if got := counterValue(t, n, "live_rto_backoffs_total"); got != 0 {
+			t.Errorf("node %d: live_rto_backoffs_total = %d, want 0", n.ID, got)
+		}
+	}
+}
+
+// TestAckSampleOnePerAck: a clean stream of 64 KiB messages to the
+// scripted peer, which acknowledges every eighth frame and the last.
+// Every such ack releases frames, and each must give the sender exactly
+// one ack-latency sample, not one per frame it released. (A live pair
+// cannot pin the count: its burst acks and delayed acks are framed
+// under the channel lock but written after it, so two can cross, and
+// the older one then releases nothing.)
+func TestAckSampleOnePerAck(t *testing.T) {
+	cfg := parkedTimers()
+	a := node(t, 0, cfg)
+	p := newWirePeer(t, a, 5)
+	const msgs, size, stride = 16, 64 << 10, 8
+	errc := make(chan error, 1)
+	go func() {
+		for range msgs {
+			if err := a.Send(5, wirePort, pattern(size)); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	frag := cfg.MTU - proto.HeaderBytes
+	frames := msgs * ((size + frag - 1) / frag)
+	acks := 0
+	for seq := range frames {
+		dg, ok := p.next(2 * time.Second)
+		if !ok || dg.hdr.Type != proto.TypeData || dg.hdr.Seq != uint32(seq) {
+			t.Fatalf("frame %d: got %v (ok %v)", seq, dg.hdr, ok)
+		}
+		if (seq+1)%stride == 0 || seq+1 == frames {
+			p.control(proto.TypeAck, uint32(seq+1))
+			acks++
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	snap := waitTx(t, a, 5, "stream never fully acknowledged",
+		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
+	if rt := snap.Counters["retransmits"]; rt != 0 {
+		t.Fatalf("%d retransmits on a clean stream", rt)
+	}
+	if got := histCount(t, a, "live_ack_latency_ns"); got != int64(acks) {
+		t.Errorf("live_ack_latency_ns has %d samples for %d acks (%d frames), want one per ack", got, acks, frames)
+	}
+}
+
+// TestAckSampleKarnSkipsRepairedHead: an ack whose oldest released
+// frame was resent on a NACK cannot tell which send it answers, so it
+// gives no sample at all — the later frames it releases included —
+// and SRTT stays where the last clean ack left it. The next ack of a
+// frame sent once samples again.
+func TestAckSampleKarnSkipsRepairedHead(t *testing.T) {
+	a := node(t, 0, parkedTimers())
+	p := newWirePeer(t, a, 5)
+	sentWindow(t, a, p, 5)
+
+	p.control(proto.TypeAck, 1)
+	snap := waitTx(t, a, 5, "ack of frame 0 never absorbed",
+		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 3 })
+	srtt := snapChan(&snap, 5, "tx").SRTTNs
+	if srtt <= 0 {
+		t.Fatalf("SRTT %d after the first clean ack, want a sample", srtt)
+	}
+	if got := histCount(t, a, "live_ack_latency_ns"); got != 1 {
+		t.Fatalf("%d ack-latency samples after one ack, want 1", got)
+	}
+
+	p.control(proto.TypeNack, 1)
+	p.expect("after NACK cum 1", proto.Header{Type: proto.TypeData, Seq: 1})
+	time.Sleep(time.Millisecond) // later frames' latencies differ from the first sample's
+	p.control(proto.TypeAck, 4)
+	snap = waitTx(t, a, 5, "ack of the repaired head never absorbed",
+		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
+	if got := snapChan(&snap, 5, "tx").SRTTNs; got != srtt {
+		t.Errorf("SRTT moved %d → %d on the ack covering the repaired head", srtt, got)
+	}
+	if got := histCount(t, a, "live_ack_latency_ns"); got != 1 {
+		t.Errorf("%d ack-latency samples after the repaired head's ack, want still 1", got)
+	}
+
+	if err := a.Send(5, wirePort, []byte("clean")); err != nil {
+		t.Fatal(err)
+	}
+	p.expect("a clean frame", proto.Header{Type: proto.TypeData, Seq: 4})
+	p.control(proto.TypeAck, 5)
+	waitTx(t, a, 5, "ack of the clean frame never absorbed",
+		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
+	if got := histCount(t, a, "live_ack_latency_ns"); got != 2 {
+		t.Errorf("%d ack-latency samples after a clean frame's ack, want 2", got)
+	}
+}

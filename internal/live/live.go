@@ -405,7 +405,7 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	n.tel.RegisterCounter("live_fast_retransmits_total", "single head frames resent on a NACK, without waiting for the RTO", &n.fastRetransmits, node)
 	n.tel.RegisterCounter("live_unknown_frames_total", "datagrams from a registered peer dropped for a packet type this stack does not handle", &n.unknownFrames, node)
 	n.ackLatency = n.tel.Histogram("live_ack_latency_ns",
-		"datagram push to cumulative-ack latency, wall-clock ns",
+		"push of the oldest frame an ack released to that ack, wall-clock ns; one sample per ack, none when that frame was resent",
 		telemetry.DefLatencyBuckets(), node)
 	size := cfg.MTU
 	if size < poolBufClassFloor {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"net/netip"
@@ -603,8 +604,10 @@ func (n *Node) flushAcks(s *rxShard) {
 		// last ack advertised, it is stalled until the next one — under
 		// many-peer fan-in the per-peer credit is routinely smaller than
 		// the ack stride, and waiting out the delayed-ack timer there
-		// would turn flow control into a per-burst latency tax.
-		if !flush && rc.lastCredit > 0 && rc.sinceAck >= int(rc.lastCredit) {
+		// would turn flow control into a per-burst latency tax. Before
+		// the channel's first ack no credit was advertised, and the
+		// peer can have a window outstanding.
+		if !flush && rc.sinceAck >= cmp.Or(int(rc.lastCredit), n.cfg.Window) {
 			flush = true
 		}
 		if flush {

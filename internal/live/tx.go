@@ -60,11 +60,8 @@ type liveTxChan struct {
 	mask  uint32
 
 	// release is the persistent relwin release hook (AckFunc/Drain).
-	// Allocated once here so the ack fast path creates no closures; its
-	// per-call context (relNowNs, relObserve) rides in fields under mu.
-	release    func(relwin.Seq, *frameBuf)
-	relNowNs   int64
-	relObserve bool
+	// Allocated once here so the ack fast path creates no closures.
+	release func(relwin.Seq, *frameBuf)
 
 	// rto is a persistent timer that runs lazily: rtoDeadline (monoNs,
 	// 0 = idle) is when the go-back-N round is due, and ack progress
@@ -115,14 +112,23 @@ type liveTxChan struct {
 	lastProgressNs int64
 
 	// Fragment staging for coalesced writes, guarded by sendMu: the
-	// fragmentation loop stages up to Node.txBurst pinned buffers and
-	// flushes them with one write (on Linux) — the TX mirror of the
-	// receive burst. stageCnt is always zero between send calls.
+	// fragmentation loop stages up to Node.txBurst fragments, pushes
+	// them under one hold of mu and flushes them with one write (on
+	// Linux) — the TX mirror of the receive burst. stageFb[:stageCnt]
+	// are pushed (their stageHdr holds the sequence) and pinned, the
+	// rest up to stageLen wait for window space; both are zero between
+	// send calls.
 	stageFb  [gsoMaxSegs]*frameBuf
-	stageSeq [gsoMaxSegs]relwin.Seq
+	stageHdr [gsoMaxSegs]proto.Header
 	stageFid [gsoMaxSegs]uint64
 	stageCnt int
+	stageLen int
 	batcher  *txBatcher
+
+	// stageRoom is the room() the last push left. Staging stops there
+	// (one fragment at least), so a sender waiting for acks holds one
+	// unpushed buffer. Written under sendMu and mu, read under sendMu.
+	stageRoom int
 }
 
 // The TX coalescing burst is what one GSO superframe can carry: at most
@@ -177,6 +183,7 @@ func newTxChan(n *Node, peer int, addr netip.AddrPort) *liveTxChan {
 	if n.cfg.PeerInFlight > 0 && n.cfg.PeerInFlight < n.cfg.Window {
 		tc.capFrames = n.cfg.PeerInFlight
 	}
+	tc.stageRoom = n.cfg.Window
 	tc.paceBurst = n.cfg.PaceBurst
 	if tc.paceBurst <= 0 {
 		tc.paceBurst = min(n.cfg.Window, 16)
@@ -202,22 +209,9 @@ func newTxChan(n *Node, peer int, addr netip.AddrPort) *liveTxChan {
 		// (channel failure). The slot still belongs to seq: recycling it
 		// requires window space, which only this very release creates.
 		fb.retained = false
-		slot := &tc.slots[seq&tc.mask]
-		if slot.seq == seq {
-			if tc.relObserve {
-				if lat := tc.relNowNs - slot.sentNs; lat > 0 {
-					n.ackLatency.Observe(float64(lat))
-					// Karn's rule: only frames never retransmitted (at or
-					// above the watermark) feed the RTT estimator.
-					if !relwin.Before(seq, tc.sampleFloor) {
-						tc.ctrl.Observe(lat)
-					}
-				}
-			}
-			if slot.pinned {
-				slot.released = fb
-				return
-			}
+		if slot := &tc.slots[seq&tc.mask]; slot.seq == seq && slot.pinned {
+			slot.released = fb
+			return
 		}
 		n.pool.Put(fb)
 	}
@@ -228,24 +222,22 @@ func newTxChan(n *Node, peer int, addr netip.AddrPort) *liveTxChan {
 // controller. Called with tc.mu held after any controller mutation.
 func (tc *liveTxChan) publishRTO() { tc.rtoGauge.Set(tc.ctrl.RTO()) }
 
-// canPush reports whether another frame may enter the window: a window
-// slot is free AND in-flight stays below the per-peer cap AND below
-// the peer's advertised credit. Called with tc.mu held.
-func (tc *liveTxChan) canPush() bool {
-	if !tc.win.CanSend() {
-		return false
-	}
+// room is how many more frames may enter the window: free slots under
+// the per-peer cap and the peer's credit (negative when the credit
+// shrank below what is in flight). Called with tc.mu held.
+func (tc *liveTxChan) room() int {
 	inflight := tc.win.InFlight()
-	if tc.capFrames > 0 && inflight >= tc.capFrames {
-		return false
+	r := tc.win.Window() - inflight
+	if tc.capFrames > 0 {
+		r = min(r, tc.capFrames-inflight)
 	}
-	if tc.credit >= 0 && inflight >= tc.credit {
-		return false
+	if tc.credit >= 0 {
+		r = min(r, tc.credit-inflight)
 	}
-	return true
+	return r
 }
 
-// effectiveWindow is the send limit canPush enforces right now:
+// effectiveWindow is the send limit room enforces right now:
 // min(window, per-peer cap, advertised credit). Health snapshots
 // report this as the channel's Window so the watchdog's window-stall
 // condition (InFlight >= Window) keeps firing for capped and
@@ -255,7 +247,7 @@ func (tc *liveTxChan) canPush() bool {
 // credit can legitimately shrink below what was already pushed under
 // an earlier, larger advertisement, and InFlight <= Window must hold
 // for consumers (the channel then reads as exactly full, which it is:
-// canPush is false until acks drain it back under the new credit).
+// room is not positive until acks drain it back under the new credit).
 // Called with tc.mu held.
 func (tc *liveTxChan) effectiveWindow() int {
 	w := tc.win.Window()
@@ -320,16 +312,18 @@ func (n *Node) send(dst int, port uint16, typ proto.PacketType, flags uint8, dat
 // registered against the final sequence before that fragment reaches
 // the wire, so the peer's confirmation cannot outrun the registration.
 //
-// The fast path is allocation-free and coalesced: payload bytes are
-// staged into pooled buffers with headers encoded in place before the
-// channel lock is taken, a fragment with room behind the header
-// carrying the ack the reverse channel owes (takeAck); under the lock
-// the work is one window push, slot bookkeeping and a deadline store;
-// the socket writes happen after the lock is dropped — up to
-// Node.txBurst fragments per flush — with each slot pinned so an ack
-// racing the write cannot recycle the buffer out from under the
-// syscall. ctx carries the enclosing
-// pprof stage labels for flushTx to restore after its nested stage.
+// The fast path is allocation-free and coalesced, and its bookkeeping
+// runs once per burst, not once per fragment: up to Node.txBurst
+// fragments (no more than the window had room for at the last push)
+// are staged into pooled buffers with headers and payload in place
+// before the channel lock is taken, a fragment with room behind the
+// header carrying the ack the reverse channel owes (takeAck); one hold
+// of the lock then pushes what the window takes (pushStaged: one clock
+// read, one deadline store); the socket writes happen after the lock is
+// dropped, with each slot pinned so an ack racing the write cannot
+// recycle the buffer out from under the syscall. ctx carries the
+// enclosing pprof stage labels for flushTx to restore after its nested
+// stage.
 func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.PacketType, flags uint8, data []byte, confirmCh chan error) (relwin.Seq, error) {
 	if n.closed.Load() {
 		return 0, ErrClosed
@@ -343,48 +337,49 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 	maxP := n.maxPayload()
 	total := len(data)
 	off := 0
-	first := true
+	var owed *liveRxChan // the reverse channel whose ack a staged fragment took
+	last := false
 	for {
-		end := off + maxP
-		if end > total {
-			end = total
-		}
-		last := end == total
-		fb := n.pool.Get()
-		hdr := proto.Header{Type: typ, Port: port, Len: uint32(total)}
-		body := proto.HeaderBytes
-		var owed *liveRxChan // the reverse channel whose ack this frame took
-		if body+proto.AckExtBytes+(end-off) <= n.cfg.MTU {
-			var cum, credit uint32
-			if owed, cum, credit = n.takeAck(dst); owed != nil {
-				hdr.Flags |= proto.FlagAck
-				proto.PutAckExt(fb.b[body:], cum, credit)
-				body += proto.AckExtBytes
+		for tc.stageLen < n.txBurst && tc.stageLen-tc.stageCnt < max(1, tc.stageRoom) && !last {
+			end := min(off+maxP, total)
+			last = end == total
+			fb := n.pool.Get()
+			hdr := proto.Header{Type: typ, Port: port, Len: uint32(total)}
+			if off == 0 {
+				hdr.Flags |= proto.FlagFirst
 			}
-		}
-		dlen := body + (end - off)
-		copy(fb.b[body:dlen], data[off:end])
-		if first {
-			hdr.Flags |= proto.FlagFirst
-		}
-		if last {
-			hdr.Flags |= proto.FlagLast
-			hdr.Flags |= flags & proto.FlagConfirm
+			if last {
+				hdr.Flags |= proto.FlagLast | flags&proto.FlagConfirm
+			}
+			body := proto.HeaderBytes
+			if body+proto.AckExtBytes+(end-off) <= n.cfg.MTU {
+				var cum, credit uint32
+				if owed, cum, credit = n.takeAck(dst); owed != nil {
+					hdr.Flags |= proto.FlagAck
+					proto.PutAckExt(fb.b[body:], cum, credit)
+					body += proto.AckExtBytes
+				}
+			}
+			fb.n = body + copy(fb.b[body:], data[off:end])
+			tc.stageFb[tc.stageLen], tc.stageHdr[tc.stageLen] = fb, hdr
+			tc.stageLen++
+			off = end
 		}
 
 		tc.mu.Lock()
 		// A channel failure broadcasts slotFree, so senders blocked on
-		// window space wake here and surface ErrPeerDead. canPush also
+		// window space wake here and surface ErrPeerDead. room also
 		// folds in the per-peer cap and the peer's advertised credit —
 		// credit growth broadcasts slotFree the same way ack progress
-		// does. Anything still staged must hit the wire before sleeping:
-		// the acks that free the window can only come from those bytes.
-		// So must the ack this frame took: the peer may be blocked on
+		// does. Whatever was pushed must hit the wire before sleeping: the
+		// acks that free the window can only come from those bytes. So
+		// must the ack a staged fragment took: the peer may be blocked on
 		// its own window until it arrives.
-		for !tc.canPush() && !tc.failed && !n.closed.Load() {
+		for tc.room() <= 0 && !tc.failed && !n.closed.Load() {
 			if tc.stageCnt > 0 {
+				addr := tc.addr
 				tc.mu.Unlock()
-				n.flushTx(ctx, tc)
+				n.flushTx(ctx, tc, addr)
 				tc.mu.Lock()
 				continue
 			}
@@ -400,67 +395,90 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 			n.rxWait(-1)
 		}
 		if n.closed.Load() || tc.failed {
-			failed := tc.failed
-			tc.mu.Unlock()
-			n.flushTx(ctx, tc) // unpin whatever was staged
-			if failed && !n.closed.Load() {
-				return 0, n.discard(fb, ErrPeerDead)
+			err := ErrClosed
+			if tc.failed && !n.closed.Load() {
+				err = ErrPeerDead
 			}
-			return 0, n.discard(fb, ErrClosed)
+			addr := tc.addr
+			tc.mu.Unlock()
+			n.flushTx(ctx, tc, addr) // unpin whatever was pushed
+			for i := range tc.stageLen {
+				fb := tc.stageFb[i] // staged, never pushed
+				tc.stageFb[i] = nil
+				n.pool.Put(fb)
+			}
+			tc.stageLen = 0
+			return 0, err
 		}
-		now := time.Now()
-		hdr.Seq = tc.win.NextSeq()
-		hdr.Put(fb.b)
-		fb.n = dlen
-		fb.retained = true
-		seq := tc.win.Push(fb)
-		slot := &tc.slots[seq&tc.mask]
-		slot.seq, slot.sentNs, slot.pinned, slot.released = seq, now.UnixNano(), true, nil
-		n.armRTO(tc, monoNs(now))
+		n.pushStaged(tc)
+		addr := tc.addr
 		tc.mu.Unlock()
 
-		var fid uint64
-		if n.fr != nil {
-			// Both ends derive the frame id from (sender, sequence), so
-			// sender-side and receiver-side spans stitch without any extra
-			// bytes on the wire.
-			fid = flight.FrameID(n.ID, seq)
-			n.fr.Span(n.nodeName, fid, trace.SpanModuleSend,
-				now.UnixNano(), time.Now().UnixNano())
+		if !last || tc.stageCnt < tc.stageLen {
+			// Flush a full superframe; a full window is flushed before
+			// the sender waits. Otherwise top the stage up and push again,
+			// so an ack-clocked sender still writes superframes.
+			if tc.stageCnt == n.txBurst {
+				n.flushTx(ctx, tc, addr)
+			}
+			continue
 		}
-		i := tc.stageCnt
-		tc.stageFb[i], tc.stageSeq[i], tc.stageFid[i] = fb, seq, fid
-		tc.stageCnt = i + 1
-		if last && confirmCh != nil {
+		seq := tc.stageHdr[tc.stageCnt-1].Seq
+		if confirmCh != nil {
 			// Registered before the flush puts the fragment on the wire,
 			// so the confirmation cannot outrun the waiter.
 			n.cmu.Lock()
 			n.confirm[confirmKey{peer: dst, seq: seq}] = confirmCh
 			n.cmu.Unlock()
 		}
-		if tc.stageCnt == n.txBurst || last {
-			n.flushTx(ctx, tc)
-		}
-		if last {
-			if confirmCh != nil {
-				tc.mu.Lock()
-				dead := tc.failed
-				tc.mu.Unlock()
-				if dead {
-					// The channel died between the push and now;
-					// failChannel may have drained the table before the
-					// registration landed, so withdraw the waiter.
-					n.cmu.Lock()
-					delete(n.confirm, confirmKey{peer: dst, seq: seq})
-					n.cmu.Unlock()
-					return 0, ErrPeerDead
-				}
+		n.flushTx(ctx, tc, addr)
+		if confirmCh != nil {
+			tc.mu.Lock()
+			dead := tc.failed
+			tc.mu.Unlock()
+			if dead {
+				// The channel died between the push and now; failChannel
+				// may have drained the table before the registration
+				// landed, so withdraw the waiter.
+				n.cmu.Lock()
+				delete(n.confirm, confirmKey{peer: dst, seq: seq})
+				n.cmu.Unlock()
+				return 0, ErrPeerDead
 			}
-			return seq, nil
 		}
-		off = end
-		first = false
+		return seq, nil
 	}
+}
+
+// pushStaged moves staged fragments into the window while it has room,
+// each with its sequence, encoded header and slot, pinned for the
+// flush. One clock read stamps every slot it fills (and starts each
+// flight module-send span), and the RTO is armed once. Called with
+// tc.mu held.
+func (n *Node) pushStaged(tc *liveTxChan) {
+	now := time.Now()
+	nowNs := now.UnixNano()
+	room := tc.room()
+	for ; room > 0 && tc.stageCnt < tc.stageLen; room-- {
+		i := tc.stageCnt
+		fb, seq := tc.stageFb[i], tc.win.NextSeq()
+		tc.stageHdr[i].Seq = seq
+		tc.stageHdr[i].Put(fb.b)
+		if n.fr != nil {
+			// Both ends derive the frame id from (sender, sequence), so
+			// sender-side and receiver-side spans stitch without any extra
+			// bytes on the wire.
+			tc.stageFid[i] = flight.FrameID(n.ID, seq)
+			n.fr.Span(n.nodeName, tc.stageFid[i], trace.SpanModuleSend, nowNs, time.Now().UnixNano())
+		}
+		fb.retained = true
+		tc.win.Push(fb)
+		slot := &tc.slots[seq&tc.mask]
+		slot.seq, slot.sentNs, slot.pinned, slot.released = seq, nowNs, true, nil
+		tc.stageCnt = i + 1
+	}
+	tc.stageRoom = room
+	n.armRTO(tc, monoNs(now))
 }
 
 // takeAck hands the ack that the receive channel from peer owes to a
@@ -492,34 +510,27 @@ func (n *Node) takeAck(peer int) (rc *liveRxChan, cum, credit uint32) {
 	return rc, cum, credit
 }
 
-// discard recycles a staged buffer the window never took ownership of
-// and passes err through.
-func (n *Node) discard(fb *frameBuf, err error) error {
-	n.pool.Put(fb)
-	return err
-}
-
-// flushTx writes the staged fragment burst and completes the pin
+// flushTx writes the pushed fragments to addr and completes the pin
 // handshake. Clean traffic goes through the platform burst writer (one
 // sendmmsg on Linux); fault injection and flight recording take the
 // per-datagram path, which needs no burst semantics. Afterwards every
-// staged slot is unpinned under a single lock acquisition: if the
+// flushed slot is unpinned under a single lock acquisition: if the
 // cumulative ack (or a channel failure) released a buffer mid-write,
 // the release hook parked it on its slot and it is recycled here; if a
 // slot was already recycled by a later push, the park was lost — but
 // then the window no longer retains the buffer and the writer holds
-// the only reference, so it is recycled directly. Guarded by sendMu.
-// ctx carries the caller's pprof stage labels (module-send when sendMsg
-// is profiled) so the nested send-syscall stage restores them on exit.
-func (n *Node) flushTx(ctx context.Context, tc *liveTxChan) {
+// the only reference, so it is recycled directly. Fragments staged
+// behind the flushed ones move to the front for the next push. addr is
+// read in the critical section that pushed the fragments. Guarded by
+// sendMu. ctx carries the caller's pprof stage labels (module-send when
+// sendMsg is profiled) so the nested send-syscall stage restores them
+// on exit.
+func (n *Node) flushTx(ctx context.Context, tc *liveTxChan, addr netip.AddrPort) {
 	cnt := tc.stageCnt
 	if cnt == 0 {
 		return
 	}
 	tc.stageCnt = 0
-	tc.mu.Lock()
-	addr := tc.addr
-	tc.mu.Unlock()
 	if perfreg.Enabled() {
 		perfreg.Do(ctx, trace.SpanSendSyscall, func() { n.flushWires(tc, addr, cnt) })
 	} else {
@@ -529,7 +540,7 @@ func (n *Node) flushTx(ctx context.Context, tc *liveTxChan) {
 	nrel := 0
 	tc.mu.Lock()
 	for i := 0; i < cnt; i++ {
-		fb, seq := tc.stageFb[i], tc.stageSeq[i]
+		fb, seq := tc.stageFb[i], tc.stageHdr[i].Seq
 		slot := &tc.slots[seq&tc.mask]
 		if slot.seq == seq {
 			slot.pinned = false
@@ -542,12 +553,15 @@ func (n *Node) flushTx(ctx context.Context, tc *liveTxChan) {
 			rel[nrel] = fb
 			nrel++
 		}
-		tc.stageFb[i] = nil
 	}
 	tc.mu.Unlock()
 	for i := 0; i < nrel; i++ {
 		n.pool.Put(rel[i])
 	}
+	rest := copy(tc.stageFb[:], tc.stageFb[cnt:tc.stageLen])
+	copy(tc.stageHdr[:], tc.stageHdr[cnt:tc.stageLen])
+	clear(tc.stageFb[rest:tc.stageLen])
+	tc.stageLen = rest
 }
 
 // flushWires is the socket-write half of flushTx: clean traffic goes
@@ -812,7 +826,6 @@ func (n *Node) failChannel(tc *liveTxChan) []chan error {
 			time.Now().UnixNano(), int64(tc.peer))
 	}
 	tc.stopRTO()
-	tc.relObserve = false
 	tc.win.Drain(tc.release)
 	tc.slotFree.Broadcast()
 	var waiters []chan error
@@ -862,11 +875,10 @@ func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 
 // absorbAck is the cumulative half of onAck, and what a data frame's
 // piggy-backed ack is fed to (onPiggyback): absorb any advertised
-// credit, release the acknowledged prefix back to the pool (observing
-// ack latency and RTT), reset the retry budget, restart the RTO
+// credit, release the acknowledged prefix back to the pool, take the
+// ack's one latency sample, reset the retry budget, restart the RTO
 // deadline for whatever is still in flight, and wake window-blocked
-// senders. A
-// credit change wakes senders even without ack progress — a
+// senders. A credit change wakes senders even without ack progress — a
 // credit-blocked sender is waiting on exactly that. Called with tc.mu
 // held.
 func (n *Node) absorbAck(tc *liveTxChan, hdr proto.Header) {
@@ -887,19 +899,31 @@ func (n *Node) absorbAck(tc *liveTxChan, hdr proto.Header) {
 			tc.credit = c
 		}
 	}
-	now := time.Now()
-	tc.relNowNs = now.UnixNano()
-	tc.relObserve = true
+	oldest := tc.win.Base()
 	if tc.win.AckFunc(hdr.Seq, tc.release) == 0 {
 		if creditWoke {
 			tc.slotFree.Broadcast()
 		}
 		return
 	}
+	now := time.Now()
+	nowNs := now.UnixNano()
+	// One sample per ack, from the oldest frame it released: that frame
+	// waited longest, and its wait is the one the RTO must cover. The
+	// slot still holds it — only a push reuses a slot, and none can run
+	// under tc.mu. Karn's rule: a frame below the watermark was sent
+	// twice, so which send this ack answers is ambiguous, and the ack
+	// gives no sample.
+	if slot := &tc.slots[oldest&tc.mask]; slot.seq == oldest && !relwin.Before(oldest, tc.sampleFloor) {
+		if lat := nowNs - slot.sentNs; lat > 0 {
+			n.ackLatency.Observe(float64(lat))
+			tc.ctrl.Observe(lat)
+		}
+	}
 	tc.ctrl.OnProgress()
 	tc.pacedBacklog = 0
 	tc.headResent = false
-	tc.lastProgressNs = tc.relNowNs
+	tc.lastProgressNs = nowNs
 	tc.publishRTO()
 	if tc.win.InFlight() == 0 {
 		tc.rtoDeadline = 0 // a pending fire finds the channel idle and disarms
