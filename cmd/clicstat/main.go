@@ -134,32 +134,29 @@ func render(w *os.File, doc, prev *health.Doc, sortBy string) {
 	sortRows(rows, sortBy)
 
 	fmt.Fprintf(w, "%-8s %5s %-3s %7s %7s %7s %5s %10s %10s %9s %9s %5s %10s %10s\n",
-		"NODE", "PEER", "DIR", "WINDOW", "INFLT", "CREDIT", "PACE", "NEXT/CUM", "ACKED", "RTO", "SRTT", "RETR", "STALL", "RATE")
+		"NODE", "PEER", "DIR", "WINDOW", "INFLT", "EDGE", "PACE", "NEXT/CUM", "ACKED", "RTO", "SRTT", "RETR", "STALL", "RATE")
 	for _, r := range rows {
 		ch := &r.ch
 		seq, acked := fmt.Sprint(ch.NextSeq), fmt.Sprint(ch.AckedSeq)
 		win, inflt := fmt.Sprint(ch.Window), fmt.Sprint(ch.InFlight)
 		rto, srtt := durOrDash(ch.RTONs), durOrDash(ch.SRTTNs)
-		// CREDIT is the flow-control budget seen from each side: on tx the
-		// peer's last advertised credit (dash until one arrives), on rx
-		// what this channel last advertised.
+		// EDGE is the flow-control grant seen from each side, comparable
+		// with NEXT/CUM: on tx the highest edge the peer's acks carried,
+		// on rx the highest this channel advertised.
 		// PACE is the tx retransmit backlog the pacer is still holding.
-		credit, pace := "-", fmt.Sprint(ch.PacedBacklog)
-		if ch.Credit >= 0 {
-			credit = fmt.Sprint(ch.Credit)
-		}
+		edge, pace := fmt.Sprint(ch.AckedSeq+uint32(ch.Credit)), fmt.Sprint(ch.PacedBacklog)
 		if ch.Dir == "rx" {
 			seq, acked = fmt.Sprint(ch.CumAck), "-"
 			win, inflt = "-", fmt.Sprintf("p%d", ch.Parked)
 			rto, srtt = "-", "-"
-			credit, pace = fmt.Sprint(ch.AdvCredit), "-"
+			edge, pace = fmt.Sprint(ch.AdvEdge), "-"
 		}
 		mark := " "
 		if ch.Failed {
 			mark = "!"
 		}
 		fmt.Fprintf(w, "%-8s %5d %-3s%s %6s %7s %7s %5s %10s %10s %9s %9s %5d %10s %10s\n",
-			r.node, ch.Peer, ch.Dir, mark, win, inflt, credit, pace, seq, acked, rto, srtt,
+			r.node, ch.Peer, ch.Dir, mark, win, inflt, edge, pace, seq, acked, rto, srtt,
 			ch.Retries, durOrDash(r.stallNs), rateOrDash(r.rate))
 	}
 

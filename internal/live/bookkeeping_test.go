@@ -30,22 +30,21 @@ func histCount(t testing.TB, n *live.Node, name string) int64 {
 	return 0
 }
 
-// TestFirstWindowAckedInBurst: before a channel's first ack no credit
-// has been advertised, so the credit-exhaustion ack has no figure to
-// compare with. A peer that fills the receiver's window (4) below the
-// ack stride (8) must still be acked by the burst that fills it, not by
-// the delayed-ack timer, which is parked here at 10 s.
+// TestFirstWindowAckedInBurst: a peer that fills the receiver's window
+// (4) on a new channel, before any ack, asks for an ack on the frame
+// that fills it, and the burst that delivers that frame must answer
+// it, not the delayed-ack timer, which is parked here at 10 s. There is
+// no first-window case: the request is the whole rule.
 func TestFirstWindowAckedInBurst(t *testing.T) {
 	cfg := parkedTimers()
-	cfg.Window, cfg.AckEvery = 4, 8
+	cfg.Window = 4
 	a := node(t, 0, cfg)
 	p := newWirePeer(t, a, 5)
 
-	p.data(0, 1, 2, 3)
+	p.data(0, 1, 2)
+	p.ask(3)
 	got := p.expect("after a full first window", proto.Header{Type: proto.TypeAck, Seq: 4})
-	if h := got[0].hdr; h.Flags&proto.FlagCredit == 0 || h.Len < 1 || h.Len > 4 {
-		t.Fatalf("first ack carries no usable credit: %v", h)
-	}
+	p.granted("the first ack", got[0].hdr)
 	recvInOrder(t, a, 0, 1, 2, 3)
 	if got := a.HealthSnapshot().Counters["delayed_acks"]; got != 0 {
 		t.Errorf("delayed_acks = %d, want 0", got)
@@ -53,8 +52,8 @@ func TestFirstWindowAckedInBurst(t *testing.T) {
 }
 
 // TestSendBurstFlushAckThenWait pins the mid-burst order at the wire.
-// The node owes the scripted peer an ack for one frame (the stride and
-// the delayed-ack timer hold it back), then stages a five-fragment
+// The node owes the scripted peer an ack for one frame (nobody asked for
+// it, and the delayed-ack timer is parked), then stages a five-fragment
 // message whose short last fragment takes that ack. The window (4) ends
 // the push after four fragments: those four must leave first, then the
 // taken ack on its own, and only then may the sender wait. The peer's
@@ -66,7 +65,7 @@ func TestSendBurstFlushAckThenWait(t *testing.T) {
 	p := newWirePeer(t, a, 5)
 
 	p.data(0)
-	p.expect("after one frame below the stride")
+	p.expect("after one frame that asked for no ack")
 	frag := cfg.MTU - proto.HeaderBytes
 	sent := make(chan error, 1)
 	go func() { sent <- a.Send(5, wirePort, pattern(4*frag+100)) }()
@@ -97,13 +96,19 @@ func TestSendBurstFlushAckThenWait(t *testing.T) {
 // per-peer cap (2) are far below the burst, so nearly every push runs
 // out of window mid-burst. Every message must arrive byte-exact with no
 // RTO backoff: a sender that waited without flushing what it pushed
-// would leave its peer nothing to ack and stall until an RTO, which is
-// set far above the delayed-ack pacing this cap produces.
+// would leave its peer nothing to ack and stall until an RTO. And the
+// cap must not hand the pace to the 2 ms delayed-ack timer: the frame
+// that fills the capped window asks for its ack, so no ack is a timer
+// ack. When the receiver guessed instead (an ack stride and the last
+// credit it sent, neither of which sees the sender's cap), 176 of 178
+// acks were timer acks and the exchange took 0.42 s; it must take a
+// tenth of that.
 func TestSendBurstLargerThanWindow(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.Window, cfg.PeerInFlight = 4, 2
 	cfg.RetransmitTimeout, cfg.RTOMin, cfg.RTOMax = 500*time.Millisecond, 500*time.Millisecond, 2*time.Second
 	a, b := pair(t, cfg)
+	bound := slowHostBound(t, a, b, 42*time.Millisecond)
 	const msgs, port, size = 8, 40, 64 << 10
 	payload := func(from, i int) []byte {
 		m := pattern(size)
@@ -141,12 +146,15 @@ func TestSendBurstLargerThanWindow(t *testing.T) {
 		}()
 	}
 	done := make(chan struct{})
+	start := time.Now()
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
 		t.Fatalf("exchange of %d × 64 KiB each way did not finish in 60 s; health: %+v", msgs, a.HealthSnapshot())
 	}
+	took := time.Since(start)
+	t.Logf("%d × 64 KiB each way in %v", msgs, took)
 	close(errc)
 	for err := range errc {
 		t.Error(err)
@@ -155,7 +163,43 @@ func TestSendBurstLargerThanWindow(t *testing.T) {
 		if got := counterValue(t, n, "live_rto_backoffs_total"); got != 0 {
 			t.Errorf("node %d: live_rto_backoffs_total = %d, want 0", n.ID, got)
 		}
+		if got := counterValue(t, n, "live_delayed_acks_total"); got != 0 {
+			t.Errorf("node %d: live_delayed_acks_total = %d, want 0: the capped sender was paced by the timer", n.ID, got)
+		}
 	}
+	if took >= bound {
+		t.Errorf("exchange took %v, want under %v", took, bound)
+	}
+}
+
+// slowHostBound scales a wall-clock bound set for full speed by how
+// much slower than 50 µs a small round trip between a and b is, so the
+// race detector and lockcheck, which slow every lock and channel
+// operation, stretch the bound in proportion instead of failing it.
+func slowHostBound(t *testing.T, a, b *live.Node, bound time.Duration) time.Duration {
+	t.Helper()
+	const port, rounds, ref = 41, 50, 50 * time.Microsecond
+	t0 := time.Now()
+	for i := 0; i < rounds; i++ {
+		if err := a.Send(1, port, []byte("rtt")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Recv(port); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Send(0, port, []byte("rtt")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Recv(port); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rtt := time.Since(t0) / rounds
+	if rtt > ref {
+		bound = bound * rtt / ref
+	}
+	t.Logf("mean round trip %v: bound %v", rtt, bound)
+	return bound
 }
 
 // TestAckSampleOnePerAck: a clean stream of 64 KiB messages to the

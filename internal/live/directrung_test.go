@@ -134,42 +134,57 @@ func TestDirectRungPacedServerStaysDirect(t *testing.T) {
 }
 
 // TestDirectRungTwoCallersHandOver: two Recv callers on different ports
-// of one node, messages alternating between them. Whichever reads, the
-// other's message must arrive about as fast as with one caller — not
-// rxTakeover later: a reader that leaves passes the socket straight to
-// the other parked caller, never to an empty poller that only rxLoop's
-// nap would notice. The single-caller median is the yardstick, so the
-// test holds at any speed.
+// of one node, messages alternating between them. A reader that leaves
+// must pass the socket straight to the other parked caller, never to an
+// empty poller that only rxLoop's nap would notice: the oracle counts
+// bursts, not time. Every message of the alternating phase is one burst,
+// and it must be read by a Recv caller (live_rx_direct_bursts_total);
+// a socket left unread after a reader leaves is picked up by rxLoop
+// instead, and that burst does not count. The one-caller and
+// alternating medians are logged: their difference once bounded the
+// test, but it sits inside the race detector's noise.
 func TestDirectRungTwoCallersHandOver(t *testing.T) {
 	const p1, p2, p3 = 51, 52, 53
 	a, b := wbPair(t, DefaultConfig())
 	got := make(chan time.Time, 1)
-	serve := func(p uint16) {
-		for {
+	serve := func(p uint16, k int) {
+		for range k {
 			if _, err := b.Recv(p); err != nil {
 				return
 			}
 			got <- time.Now()
 		}
 	}
-	go serve(p3)
+	// The one-caller phase's server leaves with its last message, so in
+	// the alternating phase the reader is always p1's or p2's caller, and
+	// it leaves with every message it reads for itself.
+	go serve(p3, sendToMedianMsgs)
 	one := sendToMedian(t, a, got, p3, p3)
-	go serve(p1)
-	go serve(p2)
+	go serve(p1, sendToMedianMsgs/2)
+	go serve(p2, sendToMedianMsgs/2)
+	d0, b0 := directBursts(b), b.shards[0].bursts.Value()
 	two := sendToMedian(t, a, got, p1, p2)
-	t.Logf("median send-to-receive: %v with one caller, %v alternating between two", one, two)
-	if two-one >= rxTakeover/2 {
-		t.Errorf("alternating callers add %v to the median, want well under rxTakeover (%v): the socket sat unread after a reader left", two-one, rxTakeover)
+	direct, bursts := directBursts(b)-d0, b.shards[0].bursts.Value()-b0
+	t.Logf("median send-to-receive: %v with one caller, %v alternating between two; %d of %d bursts (%d messages) read by a Recv caller",
+		one, two, direct, bursts, sendToMedianMsgs)
+	if !rungTimed(t, 2*one) {
+		return
+	}
+	if direct < sendToMedianMsgs*95/100 {
+		t.Errorf("%d of %d alternating messages read by a Recv caller, want at least 95%%: the socket sat unread after a reader left", direct, sendToMedianMsgs)
 	}
 }
 
-// sendToMedian sends 200 messages from a alternately to ports p and q,
-// each after the previous one was received, and returns the median time
-// from send to receipt past a warm-up.
+// sendToMedianMsgs is how many messages sendToMedian sends.
+const sendToMedianMsgs = 200
+
+// sendToMedian sends sendToMedianMsgs messages from a alternately to
+// ports p and q, each after the previous one was received, and returns
+// the median time from send to receipt past a warm-up.
 func sendToMedian(t *testing.T, a *Node, got <-chan time.Time, p, q uint16) time.Duration {
 	t.Helper()
 	var lat []time.Duration
-	for i := 0; i < 200; i++ {
+	for i := 0; i < sendToMedianMsgs; i++ {
 		port := p
 		if i%2 == 1 {
 			port = q

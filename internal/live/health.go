@@ -40,6 +40,8 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			"piggyback_acks":       n.piggybackAcks.Value(),
 			"delayed_acks":         n.delayedAcks.Value(),
 			"loss_injected":        n.dropsInjected.Value(),
+			"dups_injected":        n.dupsInjected.Value(),
+			"rx_dup_frames":        n.dupFrames.Value(),
 			"rto_backoffs":         n.rtoBackoffs.Value(),
 			"channel_failures":     n.channelFailures.Value(),
 			"handshakes":           n.handshakes.Value(),
@@ -75,14 +77,14 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 	for _, tc := range txs {
 		tc.mu.Lock()
 		// Window reports the effective send limit — min(window, per-peer
-		// cap, advertised credit) — so the watchdog's window-stall
-		// condition (InFlight >= Window) fires for capped and
-		// credit-starved channels too, not only window-full ones.
+		// cap, the peer's edge) — so the watchdog's window-stall
+		// condition (InFlight >= Window) fires for capped and edge-bound
+		// channels too, not only window-full ones.
 		snap.Channels = append(snap.Channels, health.ChannelSnapshot{
 			Peer:           tc.peer,
 			Dir:            "tx",
 			Window:         tc.effectiveWindow(),
-			Credit:         tc.credit,
+			Credit:         int(tc.edge - tc.win.Base()),
 			InFlightCap:    tc.capFrames,
 			PacedBacklog:   tc.pacedBacklog,
 			InFlight:       tc.win.InFlight(),
@@ -105,7 +107,7 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			CumAck:         rc.reseq.CumAck(),
 			Parked:         rc.reseq.Buffered(),
 			SinceAck:       rc.sinceAck,
-			AdvCredit:      rc.lastCredit,
+			AdvEdge:        rc.edge,
 			Evictions:      rc.evictions,
 			LastProgressNs: rc.lastProgressNs,
 		})

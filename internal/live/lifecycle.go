@@ -16,7 +16,7 @@ import (
 // eviction. None of it is required — statically configured meshes
 // (AddPeer/Connect) work exactly as before — but under many-peer churn
 // it is what keeps the node's footprint proportional to the *active*
-// peer set: hello carries the peer's node id and initial credit so a
+// peer set: hello carries the peer's node id and its edge so a
 // joiner needs no out-of-band registration, bye tears the channels
 // down immediately instead of waiting out retry budgets, and the idle
 // evictor reclaims pooled state from silent peers while keeping their
@@ -24,9 +24,9 @@ import (
 
 // Handshake introduces this node to the peer listening at addr: it
 // retries a TypeHello (Seq = our node id) until the peer's hello-ack
-// arrives, registers the peer under the id the ack carries, seeds the
-// TX channel with the peer's advertised credit, and returns the peer
-// id. The peer registers us symmetrically on receipt, so traffic may
+// arrives, registers the peer under the id the ack carries, joins the
+// edge it advertised into the TX channel, and returns the peer id. The
+// peer registers us symmetrically on receipt, so traffic may
 // flow in both directions immediately after.
 func (n *Node) Handshake(addr *net.UDPAddr, timeout time.Duration) (int, error) {
 	if n.closed.Load() {
@@ -68,12 +68,10 @@ func (n *Node) Handshake(addr *net.UDPAddr, timeout time.Duration) (int, error) 
 		select {
 		case r := <-ch:
 			n.registerPeer(r.peer, ap)
-			if r.credit > 0 {
-				if tc, err := n.txFor(r.peer); err == nil {
-					tc.mu.Lock()
-					tc.credit = r.credit
-					tc.mu.Unlock()
-				}
+			if tc, err := n.txFor(r.peer); err == nil {
+				tc.mu.Lock()
+				n.absorbAck(tc, tc.win.Base(), r.edge)
+				tc.mu.Unlock()
 			}
 			n.handshakes.Inc()
 			n.fr.Point(n.nodeName, 0, trace.PointHello, time.Now().UnixNano(), int64(r.peer))
@@ -89,8 +87,8 @@ func (n *Node) Handshake(addr *net.UDPAddr, timeout time.Duration) (int, error) 
 
 // onHello handles a TypeHello from the receive path (no locks held).
 // A request (no FlagLast) registers the sender and answers with our
-// node id and an initial credit; a reply (FlagLast) completes the
-// parked Handshake waiter for that address.
+// node id and the edge of its receive channel; a reply (FlagLast)
+// completes the parked Handshake waiter for that address.
 func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 	peer := int(hdr.Seq)
 	if hdr.Flags&proto.FlagLast == 0 {
@@ -113,11 +111,9 @@ func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 		n.registerPeer(peer, from)
 		rc := n.rxFor(peer)
 		rc.mu.Lock()
-		credit := n.advertiseCredit(rc)
+		_, edge := n.advertiseEdge(rc)
 		rc.mu.Unlock()
-		reply := proto.Header{Type: proto.TypeHello,
-			Flags: proto.FlagLast | proto.FlagCredit,
-			Seq:   uint32(n.ID), Len: credit}
+		reply := proto.Header{Type: proto.TypeHello, Flags: proto.FlagLast, Seq: uint32(n.ID), Len: edge}
 		var buf [proto.HeaderBytes]byte
 		reply.Put(buf[:])
 		n.transmit(s.conn, from, buf[:], 0)
@@ -125,17 +121,13 @@ func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 		n.fr.Point(n.nodeName, 0, trace.PointHello, time.Now().UnixNano(), int64(peer))
 		return
 	}
-	credit := int(hdr.Len)
-	if hdr.Flags&proto.FlagCredit == 0 {
-		credit = 0
-	}
 	n.lmu.Lock()
 	ch := n.helloWait[from]
 	delete(n.helloWait, from)
 	n.lmu.Unlock()
 	if ch != nil {
 		// Buffered, and the delete above made this the sole sender.
-		ch <- helloReply{peer: peer, credit: credit}
+		ch <- helloReply{peer: peer, edge: hdr.Len}
 	}
 }
 

@@ -71,10 +71,8 @@ type Config struct {
 	// Window is the per-peer sliding window in frames.
 	Window int
 
-	// AckEvery is the cumulative-ack stride.
-	AckEvery int
-
-	// AckDelay is the delayed-ack timer.
+	// AckDelay is the delayed-ack timer: how long an ack nobody asked
+	// for waits for a reverse data frame to carry it.
 	AckDelay time.Duration
 
 	// RetransmitTimeout is the initial go-back-N timeout, used until the
@@ -157,7 +155,6 @@ func DefaultConfig() Config {
 	return Config{
 		MTU:               1500,
 		Window:            32,
-		AckEvery:          8,
 		AckDelay:          2 * time.Millisecond,
 		RetransmitTimeout: 20 * time.Millisecond,
 		RTOMin:            5 * time.Millisecond,
@@ -199,7 +196,7 @@ type Node struct {
 	shards []*rxShard
 
 	// rxPeers counts receive channels with live state — the divisor for
-	// the advertised credit (the socket buffer is a shared resource the
+	// the advertised edge (the socket buffer is a shared resource the
 	// receiver splits across its talkers).
 	rxPeers atomic.Int64
 
@@ -211,9 +208,9 @@ type Node struct {
 	// at this node's MTU (see gsoMaxSegs). Computed once in NewNode.
 	txBurst int
 
-	// creditFrames is the receive budget the credit advertisement
-	// divides across peers: the sockets' aggregate SO_RCVBUF in frames,
-	// halved for slack. Computed once in NewNode.
+	// creditFrames is the receive budget the advertised edges divide
+	// across peers: the sockets' aggregate SO_RCVBUF in frames, halved
+	// for slack. Computed once in NewNode.
 	creditFrames int64
 
 	// lmu guards the handshake rendezvous table: Handshake parks a
@@ -272,7 +269,9 @@ type Node struct {
 	piggybackAcks    telemetry.Counter
 	delayedAcks      telemetry.Counter
 	dropsInjected    telemetry.Counter
+	dupsInjected     telemetry.Counter
 	reordersInjected telemetry.Counter
+	dupFrames        telemetry.Counter
 	socketWrites     telemetry.Counter
 	socketReads      telemetry.Counter
 	rtoBackoffs      telemetry.Counter
@@ -381,7 +380,9 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	n.tel.RegisterCounter("live_piggyback_acks_total", "cumulative acks carried on outgoing data frames (FlagAck) instead of a datagram of their own", &n.piggybackAcks, node)
 	n.tel.RegisterCounter("live_delayed_acks_total", "stand-alone acks sent by the AckDelay timer (also in live_acks_sent_total)", &n.delayedAcks, node)
 	n.tel.RegisterCounter("live_loss_injected_total", "datagrams dropped by send-side loss injection", &n.dropsInjected, node)
+	n.tel.RegisterCounter("live_dups_injected_total", "datagrams written twice by send-side duplication injection", &n.dupsInjected, node)
 	n.tel.RegisterCounter("live_reorders_injected_total", "datagrams delayed by send-side reorder injection", &n.reordersInjected, node)
+	n.tel.RegisterCounter("live_rx_dup_frames_total", "data frames received below the cumulative ack or already parked, dropped and re-acked", &n.dupFrames, node)
 	n.tel.RegisterCounter("live_rto_backoffs_total", "retransmission-timeout expiries (each doubles the adaptive RTO)", &n.rtoBackoffs, node)
 	n.tel.RegisterCounter("live_channel_failures_total", "peers declared dead after MaxRetries consecutive timeouts", &n.channelFailures, node)
 	n.tel.RegisterCounter("live_socket_writes_total", "UDP write syscalls issued (including duplicates)", &n.socketWrites, node)

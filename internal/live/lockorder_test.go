@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/live"
 )
 
@@ -62,32 +63,25 @@ func TestCloseWhileDelivering(t *testing.T) {
 	}
 }
 
-// TestDelayedAckDrivesWindow is the regression test for the restructured
-// delayed-ack path (the ack transmit moved outside rc.mu, framing on a
-// stack buffer instead of the rxLoop-exclusive ackBuf). With the ack
-// stride set far above the traffic volume, window slots recycle only if
-// the timer path actually emits acks: each message below is a single
-// frame, so Window+4 sequential sends complete only when delayed acks
-// flow.
+// TestDelayedAckDrivesWindow is the regression test for the delayed-ack
+// path (the ack transmit outside rc.mu, framed on a stack buffer instead
+// of the rxLoop-exclusive ackBuf). The stream never asks for an ack:
+// each single-frame message waits until the one before it was acked,
+// so one frame is in flight, below half the window (4), and never the
+// one that fills it. Nothing flows back to carry an ack either, so
+// every message is released by a timer ack — or, if the sender's RTO
+// fired first on a loaded host, by the re-ack of the duplicate.
 func TestDelayedAckDrivesWindow(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.Window = 4
-	cfg.AckEvery = 1 << 20 // never reached: only the delayed-ack timer acks
 	cfg.AckDelay = time.Millisecond
 	a, b := pair(t, cfg)
 
 	const count = 8 // 2x the window: needs at least one full recycle
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < count; i++ {
-			if err := a.Send(1, 41, []byte{byte(i)}); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
 	for i := 0; i < count; i++ {
+		if err := a.Send(1, 41, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
 		msg, err := b.Recv(41)
 		if err != nil {
 			t.Fatal(err)
@@ -95,13 +89,12 @@ func TestDelayedAckDrivesWindow(t *testing.T) {
 		if msg.Data[0] != byte(i) {
 			t.Fatalf("message %d carried %d", i, msg.Data[0])
 		}
+		waitTx(t, a, 1, "delayed acks never released the window",
+			func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("sender stalled: delayed acks never recycled the window")
+	c := b.HealthSnapshot().Counters
+	if c["delayed_acks"] < count-c["rx_dup_frames"] || c["acks_sent"] != c["delayed_acks"]+c["rx_dup_frames"] {
+		t.Errorf("%d acks sent for %d messages that asked for none: %d by the timer, %d re-acking duplicates; want one timer ack a message",
+			c["acks_sent"], count, c["delayed_acks"], c["rx_dup_frames"])
 	}
 }

@@ -54,8 +54,8 @@ func waitTx(t *testing.T, n *live.Node, peer int, what string, ok func(*health.C
 }
 
 // TestHandshake: a hello exchange must register both ends without any
-// out-of-band AddPeer, seed the joiner's TX channel with the peer's
-// advertised credit, and leave the link fully usable in both
+// out-of-band AddPeer, join the edge the peer advertised into the
+// joiner's TX channel, and leave the link fully usable in both
 // directions.
 func TestHandshake(t *testing.T) {
 	cfg := live.DefaultConfig()
@@ -87,8 +87,8 @@ func TestHandshake(t *testing.T) {
 	if tc == nil {
 		t.Fatal("no tx channel to peer 0 after handshake")
 	}
-	if tc.Credit < 0 {
-		t.Errorf("tx credit still unknown (%d) after a credited hello-ack", tc.Credit)
+	if tc.Credit < 1 || tc.Credit > cfg.Window {
+		t.Errorf("tx channel grants %d frames past its base after the hello reply, want 1..%d", tc.Credit, cfg.Window)
 	}
 	if snap.Counters["handshakes"] == 0 {
 		t.Error("handshake counter never moved")
@@ -361,6 +361,13 @@ func TestFanInSoakFaults(t *testing.T) {
 	if len(verdicts) > 0 {
 		t.Errorf("watchdog issued false verdicts during the soak: %+v", verdicts)
 	}
+	var dups int64
+	for _, s := range senders {
+		dups += s.HealthSnapshot().Counters["dups_injected"]
+	}
+	if dups == 0 || recv.HealthSnapshot().Counters["rx_dup_frames"] == 0 {
+		t.Errorf("%d duplicates injected, %d dropped by the receiver: want both counted", dups, recv.HealthSnapshot().Counters["rx_dup_frames"])
+	}
 
 	// Quiesce: reorder-delayed duplicates and in-flight acks drain, then
 	// every pool ledger must balance — 0 outstanding buffers anywhere.
@@ -379,6 +386,26 @@ func TestFanInSoakFaults(t *testing.T) {
 			t.Fatalf("pool ledgers never balanced: %d buffers outstanding at quiesce", leaked)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+
+	// The grant law: the receiver's edges never promise more than its
+	// budget (creditFrames, split across the peers) plus the one-frame
+	// floor per peer, and none more than a window past its cum.
+	snap := recv.HealthSnapshot()
+	budget := int64(4<<20) * int64(recv.Shards()) / int64(rcfg.MTU) / 2
+	var granted int64
+	for _, ch := range snap.Channels {
+		if ch.Dir != "rx" {
+			continue
+		}
+		g := int64(int32(ch.AdvEdge - ch.CumAck))
+		if g < 1 || g > int64(rcfg.Window) {
+			t.Errorf("rx channel from %d grants %d frames past cum %d, want 1..%d", ch.Peer, g, ch.CumAck, rcfg.Window)
+		}
+		granted += g
+	}
+	if granted > budget+peers {
+		t.Errorf("receiver grants %d frames in all, over its budget %d plus one frame for each of %d peers", granted, budget, peers)
 	}
 }
 
@@ -527,9 +554,10 @@ func TestLifecyclePoints(t *testing.T) {
 	waitPoint(t, j, flight.Event{Name: trace.PointBye, Node: "live0", Arg: 1})
 }
 
-// TestCreditAdvertised: every ack carries the receiver's credit, so a
-// sender learns it within the first exchanged stride and the health
-// snapshot stops reporting the unknown (-1) state.
+// TestCreditAdvertised: every ack carries the receiver's edge, so once
+// a stream is acknowledged the sender's edge is exactly the highest one
+// the receiver advertised, a grant of 1..Window frames past the
+// cumulative ack.
 func TestCreditAdvertised(t *testing.T) {
 	a, b := pair(t, live.DefaultConfig())
 	for i := 0; i < 20; i++ {
@@ -540,19 +568,18 @@ func TestCreditAdvertised(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(time.Second)
-	for {
-		snap := a.HealthSnapshot()
-		tc := snapChan(&snap, 1, "tx")
-		if tc != nil && tc.Credit > 0 {
-			if tc.Credit > a.HealthSnapshot().Window {
-				t.Fatalf("credit %d exceeds the window", tc.Credit)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sender never learned the peer's credit from its acks")
-		}
-		time.Sleep(5 * time.Millisecond)
+	snap := waitTx(t, a, 1, "stream never fully acknowledged",
+		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
+	tc := snapChan(&snap, 1, "tx")
+	bsnap := b.HealthSnapshot()
+	rc := snapChan(&bsnap, 0, "rx")
+	if rc == nil {
+		t.Fatal("no rx channel on the receiver")
+	}
+	if edge := tc.AckedSeq + uint32(tc.Credit); edge != rc.AdvEdge || rc.CumAck != tc.AckedSeq {
+		t.Fatalf("sender holds cum %d edge %d, receiver advertised cum %d edge %d", tc.AckedSeq, edge, rc.CumAck, rc.AdvEdge)
+	}
+	if g := int(rc.AdvEdge - rc.CumAck); g < 1 || g > bsnap.Window {
+		t.Fatalf("receiver grants %d frames past its cum, want 1..%d", g, bsnap.Window)
 	}
 }

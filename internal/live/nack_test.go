@@ -36,11 +36,13 @@ func parkedTimers() live.Config {
 const quiet = 40 * time.Millisecond
 
 // wirePeer is the scripted end: a bare UDP socket registered with the
-// node under test as peer id.
+// node under test as peer id. window is the node's Window, which the
+// scripted acks grant past their cum.
 type wirePeer struct {
-	t    *testing.T
-	conn *net.UDPConn
-	node netip.AddrPort
+	t      *testing.T
+	conn   *net.UDPConn
+	node   netip.AddrPort
+	window uint32
 }
 
 const wirePort = 9 // CLIC port the scripted data frames address
@@ -53,7 +55,7 @@ func newWirePeer(t *testing.T, n *live.Node, id int) *wirePeer {
 	}
 	t.Cleanup(func() { conn.Close() })
 	n.AddPeer(id, conn.LocalAddr().(*net.UDPAddr))
-	return &wirePeer{t: t, conn: conn, node: n.Addr().AddrPort()}
+	return &wirePeer{t: t, conn: conn, node: n.Addr().AddrPort(), window: uint32(n.HealthSnapshot().Window)}
 }
 
 func (p *wirePeer) write(hdr proto.Header, payload []byte) {
@@ -69,18 +71,41 @@ func (p *wirePeer) write(hdr proto.Header, payload []byte) {
 func (p *wirePeer) data(seqs ...uint32) {
 	p.t.Helper()
 	for _, seq := range seqs {
-		body := wireBody(seq)
-		p.write(proto.Header{Type: proto.TypeData, Flags: proto.FlagFirst | proto.FlagLast,
-			Port: wirePort, Seq: seq, Len: uint32(len(body))}, body)
+		p.frame(seq, 0)
 	}
+}
+
+// ask sends seq's message with FlagAckReq, as a sender does on the
+// frame that fills its window.
+func (p *wirePeer) ask(seq uint32) {
+	p.t.Helper()
+	p.frame(seq, proto.FlagAckReq)
+}
+
+func (p *wirePeer) frame(seq uint32, flags uint8) {
+	p.t.Helper()
+	body := wireBody(seq)
+	p.write(proto.Header{Type: proto.TypeData, Flags: proto.FlagFirst | proto.FlagLast | flags,
+		Port: wirePort, Seq: seq, Len: uint32(len(body))}, body)
 }
 
 func wireBody(seq uint32) []byte { return []byte{'s', 'e', 'q', byte(seq)} }
 
-// control sends a cumulative ack or NACK advertising a full window.
+// control sends a cumulative ack or NACK granting a full window past
+// cum.
 func (p *wirePeer) control(typ proto.PacketType, cum uint32) {
 	p.t.Helper()
-	p.write(proto.Header{Type: typ, Flags: proto.FlagCredit, Seq: cum, Len: 32}, nil)
+	p.write(proto.Header{Type: typ, Seq: cum, Len: cum + p.window}, nil)
+}
+
+// granted fails unless an ack the node sent carries an edge past its
+// cum and at most a window past it: the resequencer parks every frame
+// the edge grants.
+func (p *wirePeer) granted(what string, h proto.Header) {
+	p.t.Helper()
+	if g := h.Len - h.Seq; g < 1 || g > p.window {
+		p.t.Fatalf("%s grants %d frames past its cum (%v), want 1..%d", what, int32(g), h, p.window)
+	}
 }
 
 // wireDgram is one datagram the node sent to the scripted peer.
@@ -158,7 +183,7 @@ func recvInOrder(t *testing.T, n *live.Node, seqs ...uint32) {
 }
 
 // TestNackOncePerHole: frames 0,2,3 leave a hole at 1 that outlives the
-// burst — exactly one TypeNack{cum 1}, carrying credit; more frames
+// burst — exactly one TypeNack{cum 1}, carrying an edge; more frames
 // parking behind the same hole (4,5) draw nothing; filling it draws the
 // plain cumulative ack for everything.
 func TestNackOncePerHole(t *testing.T) {
@@ -167,20 +192,17 @@ func TestNackOncePerHole(t *testing.T) {
 
 	p.data(0, 2, 3)
 	got := p.expect("after 0,2,3", proto.Header{Type: proto.TypeNack, Seq: 1})
-	if h := got[0].hdr; h.Flags&proto.FlagCredit == 0 || h.Len < 1 || h.Len > 32 {
-		t.Fatalf("NACK carries no usable credit: %v", h)
-	}
+	p.granted("the NACK", got[0].hdr)
 
 	p.data(4, 5)
 	p.expect("after 4,5 parked behind the reported hole")
 
-	// 1 fills the hole; 6 to 8 bring the channel to its ack stride (the
+	// 1 fills the hole and 6, 7 follow it; 8 asks for an ack (the
 	// delayed-ack timer is parked), so the answer is immediate.
-	p.data(1, 6, 7, 8)
+	p.data(1, 6, 7)
+	p.ask(8)
 	got = p.expect("after the hole filled", proto.Header{Type: proto.TypeAck, Seq: 9})
-	if h := got[0].hdr; h.Flags&proto.FlagCredit == 0 || h.Len < 1 || h.Len > 32 {
-		t.Fatalf("ack carries no usable credit: %v", h)
-	}
+	p.granted("the ack", got[0].hdr)
 	recvInOrder(t, a, 0, 1, 2, 3, 4, 5, 6, 7, 8)
 
 	if nacks := counterValue(t, a, "live_nacks_sent_total"); nacks != 1 {
@@ -202,56 +224,10 @@ func TestNackSecondHoleWhenFirstFills(t *testing.T) {
 	p.expect("after 0,2,4,5", proto.Header{Type: proto.TypeNack, Seq: 1})
 	p.data(1)
 	p.expect("after 1 filled the first hole", proto.Header{Type: proto.TypeNack, Seq: 3})
-	p.data(3, 6, 7, 8, 9, 10) // 3..10: eight frames since the NACK, the ack stride
+	p.data(3, 6, 7, 8, 9)
+	p.ask(10)
 	p.expect("after 3 filled the second", proto.Header{Type: proto.TypeAck, Seq: 11})
 	recvInOrder(t, a, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-}
-
-// TestCreditlessAcksFromForeignPeer: this stack always acks with
-// FlagCredit, but acks arrive from outside the process, and a peer that
-// predates flow control sends them without it. The sender must take
-// them as plain cumulative acks: its credit stays unknown (-1), no
-// credit cap appears, and the channel runs at its full window until the
-// message drains. Reading the absent credit as zero (clamped to one
-// frame) would stall the second step below.
-func TestCreditlessAcksFromForeignPeer(t *testing.T) {
-	cfg := parkedTimers()
-	a := node(t, 0, cfg)
-	p := newWirePeer(t, a, 5)
-	frames := cfg.Window + 8
-	sent := make(chan error, 1)
-	go func() { sent <- a.Send(5, wirePort, pattern(frames*(cfg.MTU-proto.HeaderBytes))) }()
-
-	dataSeqs := func(from, to int) []proto.Header {
-		var hs []proto.Header
-		for seq := from; seq < to; seq++ {
-			hs = append(hs, proto.Header{Type: proto.TypeData, Seq: uint32(seq)})
-		}
-		return hs
-	}
-	uncapped := func(step string, inFlight int) {
-		t.Helper()
-		snap := a.HealthSnapshot()
-		tc := snapChan(&snap, 5, "tx")
-		if tc == nil || tc.Credit != -1 || tc.Window != cfg.Window || tc.InFlight != inFlight {
-			t.Fatalf("%s: tx channel %+v, want credit -1, window %d, %d in flight", step, tc, cfg.Window, inFlight)
-		}
-	}
-
-	p.expect("first window", dataSeqs(0, cfg.Window)...)
-	uncapped("window full", cfg.Window)
-
-	p.write(proto.Header{Type: proto.TypeAck, Seq: 16}, nil)
-	p.expect("after a credit-less ack of 16", dataSeqs(cfg.Window, frames)...)
-	if err := <-sent; err != nil {
-		t.Fatal(err)
-	}
-	uncapped("tail pushed", frames-16)
-
-	p.write(proto.Header{Type: proto.TypeAck, Seq: uint32(frames)}, nil)
-	waitTx(t, a, 5, "window never drained by the credit-less acks",
-		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
-	uncapped("drained", 0)
 }
 
 // TestNackReorderedFrameExactlyOnce: a frame that was late, not lost,
@@ -268,6 +244,9 @@ func TestNackReorderedFrameExactlyOnce(t *testing.T) {
 	p.data(1) // the late original
 	p.expect("after the late original", proto.Header{Type: proto.TypeAck, Seq: 4})
 	recvInOrder(t, a, 0, 1, 2, 3)
+	if got := counterValue(t, a, "live_rx_dup_frames_total"); got != 1 {
+		t.Errorf("live_rx_dup_frames_total = %d, want 1 (the late original)", got)
+	}
 }
 
 // sentWindow has a send four fragments to the scripted peer and returns
@@ -339,7 +318,7 @@ func TestFastRetransmitIgnoresStrayNacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stranger.Close()
-	nack0 := proto.Header{Type: proto.TypeNack, Flags: proto.FlagCredit, Seq: 0, Len: 32}.Encode(nil)
+	nack0 := proto.Header{Type: proto.TypeNack, Seq: 0, Len: 32}.Encode(nil)
 	if _, err := stranger.WriteToUDPAddrPort(nack0, a.Addr().AddrPort()); err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,17 @@ import (
 
 // The tests in this file pin piggy-backed acks at the wire with the
 // scripted peer of nack_test.go: a data frame with FlagAck carries the
-// cumulative ack and credit of its sender's reverse channel in an
-// 8-byte extension, the node absorbs it like a TypeAck, and a node that
+// cumulative ack and edge of its sender's reverse channel in an 8-byte
+// extension, the node absorbs it like a TypeAck, and a node that
 // answers a request acknowledges it inside the reply.
 
 // dataAck sends one single-fragment message for seq whose FlagAck
-// extension acknowledges the node's frames up to cum with credit.
-func (p *wirePeer) dataAck(seq, cum, credit uint32) {
+// extension acknowledges the node's frames up to cum and grants it
+// frames below edge.
+func (p *wirePeer) dataAck(seq, cum, edge uint32) {
 	p.t.Helper()
 	var ext [proto.AckExtBytes]byte
-	proto.PutAckExt(ext[:], cum, credit)
+	proto.PutAckExt(ext[:], cum, edge)
 	body := wireBody(seq)
 	p.write(proto.Header{Type: proto.TypeData, Flags: proto.FlagFirst | proto.FlagLast | proto.FlagAck,
 		Port: wirePort, Seq: seq, Len: uint32(len(body))}, append(ext[:], body...))
@@ -30,16 +31,16 @@ func (p *wirePeer) dataAck(seq, cum, credit uint32) {
 
 // ackExt decodes the extension of a data frame the node sent; ok is
 // false when the frame carries none.
-func ackExt(t *testing.T, dg wireDgram) (cum, credit uint32, body []byte, ok bool) {
+func ackExt(t *testing.T, dg wireDgram) (cum, edge uint32, body []byte, ok bool) {
 	t.Helper()
 	if dg.hdr.Flags&proto.FlagAck == 0 {
 		return 0, 0, dg.raw[proto.HeaderBytes:], false
 	}
-	cum, credit, body, err := proto.DecodeAckExt(dg.raw[proto.HeaderBytes:])
+	cum, edge, body, err := proto.DecodeAckExt(dg.raw[proto.HeaderBytes:])
 	if err != nil {
 		t.Fatalf("frame %v: %v", dg.hdr, err)
 	}
-	return cum, credit, body, true
+	return cum, edge, body, true
 }
 
 // txState reads the node's tx channel to the scripted peer.
@@ -54,8 +55,8 @@ func txState(t *testing.T, n *live.Node) health.ChannelSnapshot {
 }
 
 // TestPiggybackReleasesWindow: a data frame whose extension
-// acknowledges the node's four frames in flight releases them and sets
-// the credit exactly as a TypeAck would, and the node answers with
+// acknowledges the node's four frames in flight releases them and joins
+// its edge exactly as a TypeAck would, and the node answers with
 // nothing: no retransmission, no backoff, and (its timers parked) no
 // ack of its own for the one frame it received.
 func TestPiggybackReleasesWindow(t *testing.T) {
@@ -63,11 +64,11 @@ func TestPiggybackReleasesWindow(t *testing.T) {
 	p := newWirePeer(t, a, 5)
 	sentWindow(t, a, p, 5)
 
-	p.dataAck(0, 4, 7)
+	p.dataAck(0, 4, 35)
 	snap := waitTx(t, a, 5, "window never released by the piggy-backed ack",
 		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
-	if tc := snapChan(&snap, 5, "tx"); tc.AckedSeq != 4 || tc.Credit != 7 {
-		t.Errorf("tx channel after the piggy-backed ack: %+v, want acked 4 and credit 7", tc)
+	if tc := snapChan(&snap, 5, "tx"); tc.AckedSeq != 4 || tc.Credit != 31 {
+		t.Errorf("tx channel after the piggy-backed ack: %+v, want acked 4 and edge 35 (credit 31)", tc)
 	}
 	recvInOrder(t, a, 0)
 	p.expect("after the piggy-backed ack")
@@ -107,15 +108,15 @@ func TestPiggybackEchoNoStandaloneAcks(t *testing.T) {
 		errc <- nil
 	}()
 	for i := uint32(0); i < echoes; i++ {
-		p.dataAck(i, i, 32)
+		p.dataAck(i, i, i+32)
 		dg, ok := p.next(2 * time.Second)
 		if !ok {
 			t.Fatalf("no reply to request %d", i)
 		}
-		cum, credit, body, piggy := ackExt(t, dg)
-		if dg.hdr.Type != proto.TypeData || dg.hdr.Seq != i || !piggy || cum != i+1 || credit < 1 {
-			t.Fatalf("reply %d: %v (ack extension %v: cum %d credit %d), want data seq %d acknowledging %d",
-				i, dg.hdr, piggy, cum, credit, i, i+1)
+		cum, edge, body, piggy := ackExt(t, dg)
+		if dg.hdr.Type != proto.TypeData || dg.hdr.Seq != i || !piggy || cum != i+1 || edge-cum < 1 || edge-cum > 32 {
+			t.Fatalf("reply %d: %v (ack extension %v: cum %d edge %d), want data seq %d acknowledging %d",
+				i, dg.hdr, piggy, cum, edge, i, i+1)
 		}
 		if !bytes.Equal(body, wireBody(i)) {
 			t.Fatalf("reply %d carries %q, want %q", i, body, wireBody(i))
@@ -136,7 +137,7 @@ func TestPiggybackEchoNoStandaloneAcks(t *testing.T) {
 	}
 
 	// The tail: a frame nobody answers, acknowledging the last reply.
-	p.dataAck(echoes, echoes, 32)
+	p.dataAck(echoes, echoes, echoes+32)
 	p.expect("after the unanswered tail", proto.Header{Type: proto.TypeAck, Seq: echoes + 1})
 	waitTx(t, a, 5, "the tail's extension never released the last reply",
 		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
@@ -153,44 +154,48 @@ func TestPiggybackEchoNoStandaloneAcks(t *testing.T) {
 
 // TestPiggybackStaleExtensionIgnored: extensions ride in frames that
 // can be retransmitted, duplicated or reordered, so one can arrive
-// after a newer ack. One that does not acknowledge a frame in flight —
-// a lower cum, the same cum with another credit, or a cum beyond
-// anything sent — must move neither the window nor the credit.
+// after a newer ack. The sender joins it like any ack: a cum at or
+// below the window base releases nothing, an edge at or below the
+// highest one seen grants nothing, and an edge beyond next + Window is
+// corrupt. None of them may move the window or the edge back.
 func TestPiggybackStaleExtensionIgnored(t *testing.T) {
 	a := node(t, 0, parkedTimers())
 	p := newWirePeer(t, a, 5)
 	sentWindow(t, a, p, 5)
 
-	p.dataAck(0, 2, 20)
+	// The channel starts with edge 32 (its Window), so a fresh edge is
+	// above that.
+	p.dataAck(0, 2, 33)
 	p.expect("after a fresh extension")
 	want := func(step string, acked uint32, inFlight, credit int) {
 		t.Helper()
 		if tc := txState(t, a); tc.AckedSeq != acked || tc.InFlight != inFlight || tc.Credit != credit {
-			t.Fatalf("%s: tx channel %+v, want acked %d, %d in flight, credit %d", step, tc, acked, inFlight, credit)
+			t.Fatalf("%s: tx channel %+v, want acked %d, %d in flight, edge %d", step, tc, acked, inFlight, int(acked)+credit)
 		}
 	}
-	want("fresh extension", 2, 2, 20)
+	want("fresh extension", 2, 2, 31)
 
 	// Replays of frame 0: each is a duplicate, so the node re-acks it at
 	// once (cum 1) — the proof that the frame was processed.
 	for _, ext := range []struct {
-		step        string
-		cum, credit uint32
+		step      string
+		cum, edge uint32
 	}{
-		{"lower cum, smaller credit", 1, 5},
-		{"lower cum, larger credit", 0, 30},
-		{"same cum, smaller credit", 2, 3},
+		{"lower cum, lower edge", 1, 5},
+		{"lower cum, same edge", 0, 33},
+		{"same cum, lower edge", 2, 32},
 		{"cum beyond anything sent", 9, 3},
+		{"edge beyond next + Window", 2, 4 + 32 + 1},
 	} {
-		p.dataAck(0, ext.cum, ext.credit)
+		p.dataAck(0, ext.cum, ext.edge)
 		p.expect(ext.step, proto.Header{Type: proto.TypeAck, Seq: 1})
-		want(ext.step, 2, 2, 20)
+		want(ext.step, 2, 2, 31)
 	}
 
-	p.dataAck(1, 4, 9)
+	p.dataAck(1, 4, 35)
 	waitTx(t, a, 5, "the next fresh extension never released the window",
 		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
-	want("next fresh extension", 4, 0, 9)
+	want("next fresh extension", 4, 0, 31)
 	recvInOrder(t, a, 0, 1)
 }
 

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"cmp"
 	"context"
 	"encoding/binary"
 	"net/netip"
@@ -44,10 +43,11 @@ type liveRxChan struct {
 	// so the in-order fast path creates no closures.
 	emit func(rxDatagram)
 
-	// Ack coalescing state: sinceAck counts delivered-but-unacked
-	// frames; ackNow forces a flush at burst end (duplicates and drops,
-	// where a prompt re-ack unsticks the peer); inBurst dedupes this
-	// channel into the reader's touched set.
+	// Ack state: sinceAck counts delivered-but-unacked frames, the ack
+	// owed; ackNow forces a flush at burst end (a delivered frame asked
+	// for an ack, or a duplicate came in, where a prompt re-ack unsticks
+	// the peer); inBurst dedupes this channel into the reader's touched
+	// set.
 	sinceAck int
 	ackNow   bool
 	inBurst  bool
@@ -78,11 +78,13 @@ type liveRxChan struct {
 	// acks) go through; burst acks use the socket the burst arrived on.
 	shard *rxShard
 
-	// lastCredit is the credit advertised in the most recent ack, and
-	// evictions counts idle-eviction passes that reclaimed this
-	// channel's pooled state. Both for health snapshots; guarded by mu.
-	lastCredit uint32
-	evictions  int64
+	// edge is the highest edge an ack of this channel advertised (the
+	// peer's Window until the first ack, as the peer assumes); no later
+	// ack pulls it back. evictions counts idle-eviction passes that
+	// reclaimed this channel's pooled state, for health snapshots. Both
+	// guarded by mu.
+	edge      relwin.Seq
+	evictions int64
 
 	// ackBuf is the preframed ack datagram: burst-flush acks are encoded
 	// into it under mu and written after release, so the hot path
@@ -121,6 +123,7 @@ func newRxChan(n *Node, src int, addr netip.AddrPort) *liveRxChan {
 		addr:           addr,
 		shard:          n.shardFor(src),
 		reseq:          relwin.NewResequencer[rxDatagram](n.cfg.Window),
+		edge:           relwin.Seq(n.cfg.Window),
 		lastProgressNs: time.Now().UnixNano(),
 	}
 	rc.mu.SetRank(rankChanMu, "rc.mu")
@@ -128,6 +131,9 @@ func newRxChan(n *Node, src int, addr netip.AddrPort) *liveRxChan {
 	rc.ackTimer.Stop()
 	rc.emit = func(d rxDatagram) {
 		rc.sinceAck++
+		if d.hdr.Flags&proto.FlagAckReq != 0 {
+			rc.ackNow = true
+		}
 		if view, owned, done := rc.asm.add(d); done {
 			if rc.asm.flags&proto.FlagConfirm != 0 {
 				rc.confirms = append(rc.confirms, rc.asm.lastSeq)
@@ -385,7 +391,7 @@ func (n *Node) rxWait(delta int32) {
 // dispatchBurst decodes a burst and dispatches its datagrams one at a
 // time, in the order they arrived: control frames are consumed in
 // place, and each data datagram goes through dispatchData, after its
-// piggy-backed ack, if any, went through onPiggyback. Arrival
+// piggy-backed ack, if any, went through onAck. Arrival
 // order is the peer's send order, so a bye never overtakes the data its
 // peer sent before it.
 func (n *Node) dispatchBurst(s *rxShard, cnt int) {
@@ -438,7 +444,7 @@ func (n *Node) dispatchBurst(s *rxShard, cnt int) {
 			if hdr.Flags&proto.FlagAck != 0 {
 				// A piggy-backed ack: absorbed before the data and outside
 				// rc.mu (tc.mu and rc.mu never nest), then stripped.
-				cum, credit, rest, err := proto.DecodeAckExt(payload)
+				cum, edge, rest, err := proto.DecodeAckExt(payload)
 				if err != nil {
 					continue // runt datagram
 				}
@@ -446,7 +452,7 @@ func (n *Node) dispatchBurst(s *rxShard, cnt int) {
 				tc := n.tx[src]
 				n.pmu.RUnlock()
 				if tc != nil {
-					n.onPiggyback(tc, cum, credit)
+					n.onAck(tc, proto.Header{Type: proto.TypeAck, Seq: cum, Len: edge})
 				}
 				hdr.Flags &^= proto.FlagAck
 				payload = rest
@@ -504,6 +510,7 @@ func (n *Node) onData(rc *liveRxChan, hdr proto.Header, payload []byte) {
 		// Duplicate of a delivered frame (retransmission overlap): flush
 		// a prompt re-ack at burst end so a lost ack doesn't stall the
 		// peer.
+		n.dupFrames.Inc()
 		rc.ackNow = true
 	default:
 		// A gap: park a copy in a pooled buffer until a retransmission
@@ -523,55 +530,47 @@ func (n *Node) onData(rc *liveRxChan, hdr proto.Header, payload []byte) {
 			d = rxDatagram{hdr: hdr, payload: fb.b, fb: fb}
 		}
 		if !rc.reseq.AcceptFunc(hdr.Seq, d, rc.emit) {
-			// Duplicate park or parking limit reached: drop and re-ack.
+			// Already parked (a peer that keeps below its edge never
+			// fills the park): drop and re-ack.
 			d.fb.retained = false
 			n.pool.Put(d.fb)
+			n.dupFrames.Inc()
 			rc.ackNow = true
 		}
 	}
 }
 
-// advertiseCredit computes the receive credit the next ack carries:
-// the node's receive budget (aggregate socket buffering, halved for
-// slack) split evenly across active talkers, clamped to the window,
-// minus whatever this channel already holds parked — and floored at
-// one frame so a credit-blocked sender always has a probe in flight to
-// pull the next advertisement back. Called with rc.mu held.
-func (n *Node) advertiseCredit(rc *liveRxChan) uint32 {
-	peers := n.rxPeers.Load()
-	if peers < 1 {
-		peers = 1
+// advertiseEdge returns rc's cumulative ack and the edge an ack
+// carries with it: cum plus the channel's share of the receive budget
+// (aggregate socket buffering, halved for slack, split evenly across
+// active talkers, clamped to the window) minus what is parked, floored
+// at one frame so a blocked sender can always probe — and never below
+// an edge already advertised. edge - cum <= Window always holds, so the
+// resequencer parks every frame it granted. Called with rc.mu held.
+func (n *Node) advertiseEdge(rc *liveRxChan) (cum, edge relwin.Seq) {
+	share := min(n.creditFrames/max(n.rxPeers.Load(), 1), int64(n.cfg.Window))
+	cum = rc.reseq.CumAck()
+	if e := cum + relwin.Seq(max(share-int64(rc.reseq.Buffered()), 1)); relwin.Before(rc.edge, e) {
+		rc.edge = e
 	}
-	c := n.creditFrames / peers
-	if w := int64(n.cfg.Window); c > w {
-		c = w
-	}
-	c -= int64(rc.reseq.Buffered())
-	if c < 1 {
-		c = 1
-	}
-	rc.lastCredit = uint32(c)
-	return uint32(c)
+	return cum, rc.edge
 }
 
 // ackHeader frames rc's cumulative acknowledgement as typ (TypeAck, or
-// TypeNack when it also reports a hole), carrying the receive credit.
-// Called with rc.mu held.
+// TypeNack when it also reports a hole), with its edge in Len. Called
+// with rc.mu held.
 func (n *Node) ackHeader(rc *liveRxChan, typ proto.PacketType) proto.Header {
-	return proto.Header{
-		Type:  typ,
-		Flags: proto.FlagCredit,
-		Seq:   rc.reseq.CumAck(),
-		Len:   n.advertiseCredit(rc),
-	}
+	cum, edge := n.advertiseEdge(rc)
+	return proto.Header{Type: typ, Seq: cum, Len: edge}
 }
 
-// flushAcks ends a burst: every touched channel sends at most one
-// cumulative ack (coalescing the per-frame acks a naive receiver would
-// emit), arms the delayed-ack timer for sub-stride remainders, and
-// flushes any confirmations collected during the burst. Acks go out on
-// the shard the burst arrived on. Every ack carries the channel's
-// current receive credit (FlagCredit).
+// flushAcks ends a burst: every touched channel that was asked for an
+// ack (a delivered frame had FlagAckReq), saw a duplicate or has a new
+// hole sends one cumulative ack, with its edge; any other channel that
+// owes an ack leaves it for a reverse data frame to carry (takeAck) and
+// arms the delayed-ack timer as the fallback. It also flushes any
+// confirmations collected during the burst. Acks go out on the shard
+// the burst arrived on.
 //
 // A channel that ends the burst with frames still parked has a hole the
 // burst did not fill — the sender writes in order and loopback does not
@@ -599,17 +598,7 @@ func (n *Node) flushAcks(s *rxShard) {
 			rc.nacked, rc.nackCum = true, cum
 			typ = proto.TypeNack
 		}
-		flush := typ == proto.TypeNack || rc.ackNow || rc.sinceAck >= n.cfg.AckEvery
-		// Credit-exhaustion ack: once the peer has used up the credit the
-		// last ack advertised, it is stalled until the next one — under
-		// many-peer fan-in the per-peer credit is routinely smaller than
-		// the ack stride, and waiting out the delayed-ack timer there
-		// would turn flow control into a per-burst latency tax. Before
-		// the channel's first ack no credit was advertised, and the
-		// peer can have a window outstanding.
-		if !flush && rc.sinceAck >= cmp.Or(int(rc.lastCredit), n.cfg.Window) {
-			flush = true
-		}
+		flush := typ == proto.TypeNack || rc.ackNow
 		if flush {
 			rc.sinceAck = 0
 			rc.ackNow = false
@@ -650,7 +639,7 @@ func (n *Node) flushAcks(s *rxShard) {
 }
 
 // fireDelayedAck is the delayed-ack timer callback: flush the
-// outstanding sub-stride ack if neither the burst path nor a data frame
+// outstanding ack nobody asked for if neither the burst path nor a data frame
 // (takeAck) has carried it already.
 func (n *Node) fireDelayedAck(rc *liveRxChan) {
 	if perfreg.Enabled() {

@@ -65,9 +65,8 @@ type rxShard struct {
 }
 
 // helloReply is what the receive loop hands a parked Handshake waiter:
-// the remote node id from the hello-ack and the initial window credit
-// it advertised (0 when the peer did not set FlagCredit).
+// the remote node id from the hello-ack and the edge it advertised.
 type helloReply struct {
-	peer   int
-	credit int
+	peer int
+	edge uint32
 }

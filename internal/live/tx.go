@@ -92,12 +92,13 @@ type liveTxChan struct {
 	// be retained by this channel's window at once.
 	capFrames int
 
-	// credit is the peer's last advertised receive credit in frames
-	// (FlagCredit acks); -1 until the peer advertises one (a peer that
-	// predates flow control never does, and the channel then runs at
-	// min(window, capFrames)). Senders
-	// gate on min(window, capFrames, credit). Guarded by mu.
-	credit int
+	// edge is the serial maximum of the edges the peer's acks carried:
+	// it may be sent frames below it. It starts at Window, what the
+	// peer's resequencer holds. asked is one past the last frame that
+	// carried FlagAckReq; a request is outstanding while the window base
+	// is below it. Both guarded by mu.
+	edge  relwin.Seq
+	asked relwin.Seq
 
 	// paceBurst is the resolved retransmit pacing bucket; pacedBacklog
 	// counts unacked frames a paced RTO expiry left for later ticks, for
@@ -168,11 +169,11 @@ func nextPow2(v int) int {
 
 func newTxChan(n *Node, peer int, addr netip.AddrPort) *liveTxChan {
 	tc := &liveTxChan{
-		peer:   peer,
-		shard:  n.shardFor(peer),
-		addr:   addr,
-		credit: -1,
-		win:    relwin.NewSender[*frameBuf](n.cfg.Window),
+		peer:  peer,
+		shard: n.shardFor(peer),
+		addr:  addr,
+		edge:  relwin.Seq(n.cfg.Window),
+		win:   relwin.NewSender[*frameBuf](n.cfg.Window),
 		ctrl: rto.New(rto.Config{
 			Initial:    n.cfg.RetransmitTimeout.Nanoseconds(),
 			Min:        n.cfg.RTOMin.Nanoseconds(),
@@ -222,48 +223,27 @@ func newTxChan(n *Node, peer int, addr netip.AddrPort) *liveTxChan {
 // controller. Called with tc.mu held after any controller mutation.
 func (tc *liveTxChan) publishRTO() { tc.rtoGauge.Set(tc.ctrl.RTO()) }
 
-// room is how many more frames may enter the window: free slots under
-// the per-peer cap and the peer's credit (negative when the credit
-// shrank below what is in flight). Called with tc.mu held.
-func (tc *liveTxChan) room() int {
-	inflight := tc.win.InFlight()
-	r := tc.win.Window() - inflight
+// limit is the send limit counted from the window base: min(window,
+// per-peer cap, the peer's edge). Called with tc.mu held.
+func (tc *liveTxChan) limit() int {
+	l := min(tc.win.Window(), int(tc.edge-tc.win.Base()))
 	if tc.capFrames > 0 {
-		r = min(r, tc.capFrames-inflight)
+		l = min(l, tc.capFrames)
 	}
-	if tc.credit >= 0 {
-		r = min(r, tc.credit-inflight)
-	}
-	return r
+	return l
 }
 
-// effectiveWindow is the send limit room enforces right now:
-// min(window, per-peer cap, advertised credit). Health snapshots
-// report this as the channel's Window so the watchdog's window-stall
-// condition (InFlight >= Window) keeps firing for capped and
-// credit-starved channels. Two floors keep the snapshot contract
-// intact: at least 1 (a zero wire credit is clamped on receive and can
-// never wedge the channel) and at least the current in-flight count —
-// credit can legitimately shrink below what was already pushed under
-// an earlier, larger advertisement, and InFlight <= Window must hold
-// for consumers (the channel then reads as exactly full, which it is:
-// room is not positive until acks drain it back under the new credit).
-// Called with tc.mu held.
+// room is how many more frames may enter the window now. Called with
+// tc.mu held.
+func (tc *liveTxChan) room() int { return tc.limit() - tc.win.InFlight() }
+
+// effectiveWindow is the send limit health snapshots report as the
+// channel's Window, so the watchdog's window-stall condition
+// (InFlight >= Window) fires for capped and edge-bound channels too. It
+// is floored at 1 and at the in-flight count, so InFlight <= Window
+// holds for snapshot consumers. Called with tc.mu held.
 func (tc *liveTxChan) effectiveWindow() int {
-	w := tc.win.Window()
-	if tc.capFrames > 0 && tc.capFrames < w {
-		w = tc.capFrames
-	}
-	if tc.credit >= 0 && tc.credit < w {
-		w = tc.credit
-	}
-	if inf := tc.win.InFlight(); w < inf {
-		w = inf
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(tc.limit(), tc.win.InFlight(), 1)
 }
 
 // Send reliably transmits data to (dst, port), blocking on window space.
@@ -353,10 +333,10 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 			}
 			body := proto.HeaderBytes
 			if body+proto.AckExtBytes+(end-off) <= n.cfg.MTU {
-				var cum, credit uint32
-				if owed, cum, credit = n.takeAck(dst); owed != nil {
+				var cum, edge relwin.Seq
+				if owed, cum, edge = n.takeAck(dst); owed != nil {
 					hdr.Flags |= proto.FlagAck
-					proto.PutAckExt(fb.b[body:], cum, credit)
+					proto.PutAckExt(fb.b[body:], cum, edge)
 					body += proto.AckExtBytes
 				}
 			}
@@ -369,12 +349,12 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 		tc.mu.Lock()
 		// A channel failure broadcasts slotFree, so senders blocked on
 		// window space wake here and surface ErrPeerDead. room also
-		// folds in the per-peer cap and the peer's advertised credit —
-		// credit growth broadcasts slotFree the same way ack progress
-		// does. Whatever was pushed must hit the wire before sleeping: the
-		// acks that free the window can only come from those bytes. So
-		// must the ack a staged fragment took: the peer may be blocked on
-		// its own window until it arrives.
+		// folds in the per-peer cap and the peer's edge — an edge advance
+		// broadcasts slotFree the same way ack progress does. Whatever
+		// was pushed must hit the wire before sleeping: the acks that free
+		// the window can only come from those bytes, and the last pushed
+		// frame asked for them. So must the ack a staged fragment took:
+		// the peer may be blocked on its own window until it arrives.
 		for tc.room() <= 0 && !tc.failed && !n.closed.Load() {
 			if tc.stageCnt > 0 {
 				addr := tc.addr
@@ -453,17 +433,26 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 // pushStaged moves staged fragments into the window while it has room,
 // each with its sequence, encoded header and slot, pinned for the
 // flush. One clock read stamps every slot it fills (and starts each
-// flight module-send span), and the RTO is armed once. Called with
-// tc.mu held.
+// flight module-send span), and the RTO is armed once. Only the sender
+// knows when it will run out of window, so it asks for the acks it
+// needs (FlagAckReq): on the frame that brings in-flight to half the
+// limit when no request is outstanding, so the ack is back before the
+// window fills, and on the frame that fills it. Called with tc.mu held.
 func (n *Node) pushStaged(tc *liveTxChan) {
 	now := time.Now()
 	nowNs := now.UnixNano()
-	room := tc.room()
+	limit := tc.limit()
+	room := limit - tc.win.InFlight()
 	for ; room > 0 && tc.stageCnt < tc.stageLen; room-- {
 		i := tc.stageCnt
 		fb, seq := tc.stageFb[i], tc.win.NextSeq()
-		tc.stageHdr[i].Seq = seq
-		tc.stageHdr[i].Put(fb.b)
+		hdr := &tc.stageHdr[i]
+		hdr.Seq = seq
+		if room == 1 || (!relwin.Before(tc.win.Base(), tc.asked) && 2*(tc.win.InFlight()+1) >= limit) {
+			hdr.Flags |= proto.FlagAckReq
+			tc.asked = seq + 1
+		}
+		hdr.Put(fb.b)
 		if n.fr != nil {
 			// Both ends derive the frame id from (sender, sequence), so
 			// sender-side and receiver-side spans stitch without any extra
@@ -483,13 +472,14 @@ func (n *Node) pushStaged(tc *liveTxChan) {
 
 // takeAck hands the ack that the receive channel from peer owes to a
 // data frame about to leave for peer: if frames were delivered since
-// that channel last acked, it returns the channel with its cumulative
-// ack and credit and clears the debt, so neither the burst flush's
-// stride nor the delayed-ack timer sends a datagram for it (rc is nil
-// when nothing is owed). Holes are untouched: their NACKs still go out
-// from flushAcks. Called by sendMsg under the channel's sendMu, with
-// no channel lock held (tc.mu and rc.mu share a rank and never nest).
-func (n *Node) takeAck(peer int) (rc *liveRxChan, cum, credit uint32) {
+// that channel last acked, or one asked for an ack, it returns the
+// channel with its cumulative ack and edge and clears the debt, so
+// neither the burst flush nor the delayed-ack timer sends a datagram
+// for it (rc is nil when nothing is owed). Holes are untouched: their
+// NACKs still go out from flushAcks. Called by sendMsg under the
+// channel's sendMu, with no channel lock held (tc.mu and rc.mu share a
+// rank and never nest).
+func (n *Node) takeAck(peer int) (rc *liveRxChan, cum, edge relwin.Seq) {
 	n.pmu.RLock()
 	rc = n.rx[peer]
 	n.pmu.RUnlock()
@@ -497,17 +487,17 @@ func (n *Node) takeAck(peer int) (rc *liveRxChan, cum, credit uint32) {
 		return nil, 0, 0
 	}
 	rc.mu.Lock()
-	owed := rc.sinceAck > 0
+	owed := rc.sinceAck > 0 || rc.ackNow
 	if owed {
-		rc.sinceAck = 0
-		cum, credit = rc.reseq.CumAck(), n.advertiseCredit(rc)
+		rc.sinceAck, rc.ackNow = 0, false
+		cum, edge = n.advertiseEdge(rc)
 	}
 	rc.mu.Unlock()
 	if !owed {
 		return nil, 0, 0
 	}
 	n.piggybackAcks.Inc()
-	return rc, cum, credit
+	return rc, cum, edge
 }
 
 // flushTx writes the pushed fragments to addr and completes the pin
@@ -623,6 +613,7 @@ func (n *Node) transmitFaulty(c *net.UDPConn, addr netip.AddrPort, dgram []byte,
 	writes := 1
 	if n.cfg.DupRate > 0 && n.rng.Float64() < n.cfg.DupRate {
 		writes = 2
+		n.dupsInjected.Inc()
 	}
 	var delays [2]time.Duration
 	reorders := 0
@@ -843,14 +834,14 @@ func (n *Node) failChannel(tc *liveTxChan) []chan error {
 // onAck processes a cumulative acknowledgement from peer — a TypeAck,
 // or a TypeNack, which is the same frame with "and the sequence I am
 // acknowledging up to is missing while later ones are parked" attached.
-// The cumulative and credit part is absorbed identically; a NACK naming
+// The cum and edge are absorbed identically; a NACK naming
 // the current window base then has that one frame resent (headRepair).
 // The repair is written after tc.mu is released, from a pooled snapshot
 // the window does not own, so it needs no pin handshake with a
 // concurrent flushTx and the ack path may recycle the original meanwhile.
 func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 	tc.mu.Lock()
-	n.absorbAck(tc, hdr)
+	n.absorbAck(tc, hdr.Seq, hdr.Len)
 	var repair *frameBuf
 	if hdr.Type == proto.TypeNack {
 		if n.fr != nil {
@@ -873,35 +864,24 @@ func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 	n.pool.Put(repair)
 }
 
-// absorbAck is the cumulative half of onAck, and what a data frame's
-// piggy-backed ack is fed to (onPiggyback): absorb any advertised
-// credit, release the acknowledged prefix back to the pool, take the
-// ack's one latency sample, reset the retry budget, restart the RTO
-// deadline for whatever is still in flight, and wake window-blocked
-// senders. A credit change wakes senders even without ack progress — a
-// credit-blocked sender is waiting on exactly that. Called with tc.mu
-// held.
-func (n *Node) absorbAck(tc *liveTxChan, hdr proto.Header) {
-	creditWoke := false
-	if hdr.Flags&proto.FlagCredit != 0 {
-		c := int(hdr.Len)
-		// Clamp the wire value: below 1 would wedge the channel (a
-		// credit-starved sender with nothing in flight gets no more
-		// acks), above the window is meaningless.
-		if c < 1 {
-			c = 1
-		}
-		if w := tc.win.Window(); c > w {
-			c = w
-		}
-		if c != tc.credit {
-			creditWoke = c > tc.credit || tc.credit < 0
-			tc.credit = c
-		}
+// absorbAck is the cumulative half of onAck, which a data frame's
+// piggy-backed ack goes through too. It joins the ack into the channel:
+// the edge rises to the serial maximum of the edges seen, an edge
+// beyond next + Window is corrupt and ignored, and relwin ignores a cum
+// that is stale or beyond anything sent, so a stale, duplicated or
+// reordered ack moves nothing back. Then it releases the acknowledged
+// prefix back to the pool, takes the ack's one latency sample, resets
+// the retry budget, restarts the RTO deadline for whatever is still in
+// flight, and wakes window-blocked senders — on an edge advance alone
+// too. Called with tc.mu held.
+func (n *Node) absorbAck(tc *liveTxChan, cum, edge relwin.Seq) {
+	grew := relwin.Before(tc.edge, edge) && !relwin.Before(tc.win.NextSeq()+relwin.Seq(tc.win.Window()), edge)
+	if grew {
+		tc.edge = edge
 	}
 	oldest := tc.win.Base()
-	if tc.win.AckFunc(hdr.Seq, tc.release) == 0 {
-		if creditWoke {
+	if tc.win.AckFunc(cum, tc.release) == 0 {
+		if grew {
 			tc.slotFree.Broadcast()
 		}
 		return
@@ -931,24 +911,6 @@ func (n *Node) absorbAck(tc *liveTxChan, hdr proto.Header) {
 		tc.restartRTO(monoNs(now))
 	}
 	tc.slotFree.Broadcast()
-}
-
-// onPiggyback absorbs the ack extension of a data frame from tc's
-// peer, through absorbAck as the TypeAck it stands for. The extension
-// was stamped when its frame was first sent, and a retransmitted,
-// duplicated or reordered frame can arrive after later acks, so it
-// counts only if it acknowledges a frame still in flight
-// (base < cum <= next). Such a cum is ahead of every ack absorbed so
-// far, and the receiver's cum only grows, so the extension was stamped
-// after all of them and its credit is the newest too; anything else is
-// dropped whole, and can neither move the window back nor lower the
-// credit.
-func (n *Node) onPiggyback(tc *liveTxChan, cum, credit uint32) {
-	tc.mu.Lock()
-	if relwin.Before(tc.win.Base(), cum) && !relwin.Before(tc.win.NextSeq(), cum) {
-		n.absorbAck(tc, proto.Header{Type: proto.TypeAck, Flags: proto.FlagCredit, Seq: cum, Len: credit})
-	}
-	tc.mu.Unlock()
 }
 
 // headRepair is the fast-retransmit decision for a NACK whose

@@ -35,20 +35,21 @@ const (
 	FlagLast    uint8 = 1 << 1 // last fragment of a message
 	FlagConfirm uint8 = 1 << 2 // sender requests a TypeConfirm reply
 
-	// FlagCredit versions the acknowledgement header: when set on a
-	// TypeAck (or TypeHello), the Len field carries the receiver's
-	// advertised window credit — how many frames beyond the cumulative
-	// ack it is prepared to buffer. Peers that predate the flag leave it
-	// clear and their acks are read the legacy way (no credit limit), so
-	// the extension is backward compatible in both directions.
-	FlagCredit uint8 = 1 << 3
+	// Bit 3 is reserved: it was FlagCredit, which told a credit-bearing
+	// ack from a legacy one. Every ack now carries its edge.
 
 	// FlagAck on a data-bearing frame (TypeData, TypeRemoteWrite) says
 	// an AckExtBytes extension follows the header: the cumulative ack
-	// and receive credit of the sender's reverse channel, so a reply
-	// acknowledges the request it answers with no datagram of its own.
-	// Frames without the flag are byte-identical to the 12-byte format.
+	// and edge of the sender's reverse channel, so a reply acknowledges
+	// the request it answers with no datagram of its own. Frames
+	// without the flag are byte-identical to the 12-byte format.
 	FlagAck uint8 = 1 << 4
+
+	// FlagAckReq on a data-bearing frame asks the receiver to ack at the
+	// end of the burst that delivers it. Only the sender knows when it
+	// runs out of window, so it asks; an unasked frame's ack waits for a
+	// reverse data frame to carry it.
+	FlagAckReq uint8 = 1 << 5
 )
 
 // HeaderBytes is the CLIC header size: 12 bytes (§3.1).
@@ -57,12 +58,12 @@ const HeaderBytes = 12
 // Header is the CLIC packet header. Layout (big-endian):
 //
 //	byte 0     Type
-//	byte 1     Flags
+//	byte 1     Flags (FlagAckReq on data: ack this burst)
 //	bytes 2-3  Port (destination CLIC port)
-//	bytes 4-7  Seq (data: channel sequence number; ack: cumulative ack;
-//	           hello: sender node id)
-//	bytes 8-11 Len (first fragment: total message length; ack/hello with
-//	           FlagCredit: advertised window credit in frames)
+//	bytes 4-7  Seq (data: channel sequence number; ack/nack: cumulative
+//	           ack; hello: sender node id)
+//	bytes 8-11 Len (first fragment: total message length; ack/nack and
+//	           hello reply: the edge, "you may send below this sequence")
 type Header struct {
 	Type  PacketType
 	Flags uint8
@@ -119,11 +120,11 @@ const AckExtBytes = 8
 // (big-endian):
 //
 //	bytes 0-3  cumulative ack of the sender's reverse channel
-//	bytes 4-7  that channel's receive credit in frames
-func PutAckExt(b []byte, cum, credit uint32) {
+//	bytes 4-7  that channel's edge
+func PutAckExt(b []byte, cum, edge uint32) {
 	_ = b[AckExtBytes-1]
 	binary.BigEndian.PutUint32(b[0:4], cum)
-	binary.BigEndian.PutUint32(b[4:8], credit)
+	binary.BigEndian.PutUint32(b[4:8], edge)
 }
 
 // ErrShortAckExt reports a FlagAck frame too short for its extension.
@@ -132,7 +133,7 @@ var ErrShortAckExt = errors.New("proto: FlagAck frame shorter than its ack exten
 // DecodeAckExt parses the FlagAck extension from the front of b (the
 // payload DecodeHeader returned) and returns it with the payload that
 // follows.
-func DecodeAckExt(b []byte) (cum, credit uint32, rest []byte, err error) {
+func DecodeAckExt(b []byte) (cum, edge uint32, rest []byte, err error) {
 	if len(b) < AckExtBytes {
 		return 0, 0, nil, ErrShortAckExt
 	}

@@ -24,22 +24,22 @@ func FuzzDecodeHeader(f *testing.F) {
 	// Unknown packet type and all-flags-set: decoders must pass these
 	// through, not panic on them.
 	f.Add(Header{Type: 0xFF, Flags: 0xFF, Port: 0xFFFF, Seq: 0xFFFFFFFF, Len: 0}.Encode(nil))
-	// Credit-bearing ack (FlagCredit versions the Len field): a sane
-	// credit, a zero credit (sender must stall, not divide by it), and
-	// an absurd credit the receiver-side clamp has to survive.
-	f.Add(Header{Type: TypeAck, Flags: FlagCredit, Seq: 1000, Len: 32}.Encode(nil))
-	f.Add(Header{Type: TypeAck, Flags: FlagCredit, Seq: 0, Len: 0}.Encode(nil))
-	f.Add(Header{Type: TypeAck, Flags: FlagCredit, Seq: 0xFFFFFFF0, Len: 0xFFFFFFFF}.Encode(nil))
-	// Legacy ack with a non-zero Len but no FlagCredit: the field must
-	// be ignored, not misread as a credit.
-	f.Add(Header{Type: TypeAck, Flags: 0, Seq: 7, Len: 0xDEAD}.Encode(nil))
+	// Edge-bearing acks (Len is the absolute edge): a sane edge, an
+	// edge equal to the cum (nothing granted), and one far beyond any
+	// window, which the sender must ignore rather than trust.
+	f.Add(Header{Type: TypeAck, Seq: 1000, Len: 1032}.Encode(nil))
+	f.Add(Header{Type: TypeAck, Seq: 7, Len: 7}.Encode(nil))
+	f.Add(Header{Type: TypeAck, Seq: 0xFFFFFFF0, Len: 0x7FFFFFFF}.Encode(nil))
 	// NACK: a cumulative ack that also reports a hole, framed like the
-	// credit-bearing ack above and read through the same credit clamp.
-	f.Add(Header{Type: TypeNack, Flags: FlagCredit, Seq: 1, Len: 16}.Encode(nil))
-	// Lifecycle packets: hello carrying a node id, hello-ack carrying a
-	// credit, and a bye.
+	// ack above and joined the same way.
+	f.Add(Header{Type: TypeNack, Seq: 1, Len: 17}.Encode(nil))
+	// A data frame asking for an ack, and one with the retired bit 3 set.
+	f.Add(Header{Type: TypeData, Flags: FlagFirst | FlagLast | FlagAckReq, Seq: 31, Len: 4}.Encode(nil))
+	f.Add(Header{Type: TypeAck, Flags: 1 << 3, Seq: 7, Len: 0xDEAD}.Encode(nil))
+	// Lifecycle packets: hello carrying a node id, hello reply carrying
+	// an edge, and a bye.
 	f.Add(Header{Type: TypeHello, Flags: 0, Seq: 42}.Encode(nil))
-	f.Add(Header{Type: TypeHello, Flags: FlagLast | FlagCredit, Seq: 7, Len: 16}.Encode(nil))
+	f.Add(Header{Type: TypeHello, Flags: FlagLast, Seq: 7, Len: 16}.Encode(nil))
 	f.Add(Header{Type: TypeBye, Seq: 3}.Encode(nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, rest, err := DecodeHeader(b)
@@ -66,10 +66,15 @@ func FuzzDecodeHeader(f *testing.F) {
 func FuzzDecodeAckExt(f *testing.F) {
 	f.Add(make([]byte, AckExtBytes))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 's', 'e', 'q'})
+	// An edge-bearing extension: cum 0x10, edge 0x30 (cum + a 32-frame
+	// window), with a payload behind it; and one whose edge wrapped past
+	// zero.
+	f.Add([]byte{0, 0, 0, 0x10, 0, 0, 0, 0x30, 'd', 'a', 't', 'a'})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xF0, 0, 0, 0, 0x10})
 	f.Add(make([]byte, AckExtBytes-1))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		cum, credit, rest, err := DecodeAckExt(b)
+		cum, edge, rest, err := DecodeAckExt(b)
 		if err != nil {
 			if len(b) >= AckExtBytes {
 				t.Fatalf("decode rejected a full-size extension: %v", err)
@@ -77,9 +82,9 @@ func FuzzDecodeAckExt(f *testing.F) {
 			return
 		}
 		var re [AckExtBytes]byte
-		PutAckExt(re[:], cum, credit)
+		PutAckExt(re[:], cum, edge)
 		if !bytes.Equal(re[:], b[:AckExtBytes]) || !bytes.Equal(rest, b[AckExtBytes:]) {
-			t.Fatalf("round trip broke: %x -> (%d, %d, %x)", b, cum, credit, rest)
+			t.Fatalf("round trip broke: %x -> (%d, %d, %x)", b, cum, edge, rest)
 		}
 	})
 }

@@ -44,11 +44,11 @@ func TestCLICHeaderShort(t *testing.T) {
 }
 
 func TestAckExtRoundTrip(t *testing.T) {
-	f := func(cum, credit uint32, payload []byte) bool {
+	f := func(cum, edge uint32, payload []byte) bool {
 		h := Header{Type: TypeData, Flags: FlagFirst | FlagLast | FlagAck, Port: 7, Seq: 3, Len: uint32(len(payload))}
 		wire := h.Encode(nil)
 		var ext [AckExtBytes]byte
-		PutAckExt(ext[:], cum, credit)
+		PutAckExt(ext[:], cum, edge)
 		wire = append(append(wire, ext[:]...), payload...)
 		if len(wire) != HeaderBytes+AckExtBytes+len(payload) {
 			return false
@@ -57,8 +57,8 @@ func TestAckExtRoundTrip(t *testing.T) {
 		if err != nil || got != h {
 			return false
 		}
-		c, cr, body, err := DecodeAckExt(rest)
-		return err == nil && c == cum && cr == credit && bytes.Equal(body, payload)
+		c, e, body, err := DecodeAckExt(rest)
+		return err == nil && c == cum && e == edge && bytes.Equal(body, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
