@@ -32,16 +32,19 @@ lint:
 # the direct-call rung tests hand the socket's reader role between
 # goroutines, the piggy-backed ack scripts assert that no ack
 # datagram is sent, the per-burst bookkeeping tests assert the
-# order of a mid-burst flush, ack and wait, and the ack-join and
+# order of a mid-burst flush, ack and wait, the ack-join and
 # ack-request scripts assert which acks a burst sends and which it
-# leaves owed, so they run twenty more
+# leaves owed, the RTO-repair scripts assert that an expiry sends the
+# head and the newest frame and nothing else until the next, and the
+# confirmation tests assert that SendConfirm returns on the ack of its
+# frame, over a script and over a lossy pair, so they run twenty more
 # times: a timing dependence or a lost hand-over shows up here, not as
 # a one-in-forty CI failure.
 check: build lint
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./internal/live/
 	$(GO) test -race -tags lockcheck ./...
-	$(GO) test -race -tags lockcheck -run 'Nack|FastRetransmit|UnknownType|WatchdogCleanRun|DirectRung|Piggyback|FirstWindowAcked|SendBurst|AckSample|AckReordered|AckRequest|UnaskedAck|DelayedAckDrives' -count=20 ./internal/live/
+	$(GO) test -race -tags lockcheck -run 'Nack|FastRetransmit|UnknownType|WatchdogCleanRun|DirectRung|Piggyback|FirstWindowAcked|SendBurst|AckSample|AckReordered|AckRequest|UnaskedAck|DelayedAckDrives|RTORepair|SendConfirm' -count=20 ./internal/live/
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim

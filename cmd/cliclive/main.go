@@ -180,7 +180,7 @@ func main() {
 	if bad != 0 {
 		die(logger, "integrity failure", fmt.Errorf("%d corrupted messages", bad))
 	}
-	fmt.Println("NACK repair and go-back-N recovered every loss; delivery was exact and in order.")
+	fmt.Println("NACK and RTO repair recovered every loss; delivery was exact and in order.")
 
 	if *metricsAddr != "" && *linger > 0 {
 		fmt.Printf("serving metrics for another %v...\n", *linger)

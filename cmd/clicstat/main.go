@@ -133,8 +133,8 @@ func render(w *os.File, doc, prev *health.Doc, sortBy string) {
 	}
 	sortRows(rows, sortBy)
 
-	fmt.Fprintf(w, "%-8s %5s %-3s %7s %7s %7s %5s %10s %10s %9s %9s %5s %10s %10s\n",
-		"NODE", "PEER", "DIR", "WINDOW", "INFLT", "EDGE", "PACE", "NEXT/CUM", "ACKED", "RTO", "SRTT", "RETR", "STALL", "RATE")
+	fmt.Fprintf(w, "%-8s %5s %-3s %7s %7s %7s %10s %10s %9s %9s %5s %10s %10s\n",
+		"NODE", "PEER", "DIR", "WINDOW", "INFLT", "EDGE", "NEXT/CUM", "ACKED", "RTO", "SRTT", "RETR", "STALL", "RATE")
 	for _, r := range rows {
 		ch := &r.ch
 		seq, acked := fmt.Sprint(ch.NextSeq), fmt.Sprint(ch.AckedSeq)
@@ -143,20 +143,19 @@ func render(w *os.File, doc, prev *health.Doc, sortBy string) {
 		// EDGE is the flow-control grant seen from each side, comparable
 		// with NEXT/CUM: on tx the highest edge the peer's acks carried,
 		// on rx the highest this channel advertised.
-		// PACE is the tx retransmit backlog the pacer is still holding.
-		edge, pace := fmt.Sprint(ch.AckedSeq+uint32(ch.Credit)), fmt.Sprint(ch.PacedBacklog)
+		edge := fmt.Sprint(ch.AckedSeq + uint32(ch.Credit))
 		if ch.Dir == "rx" {
 			seq, acked = fmt.Sprint(ch.CumAck), "-"
 			win, inflt = "-", fmt.Sprintf("p%d", ch.Parked)
 			rto, srtt = "-", "-"
-			edge, pace = fmt.Sprint(ch.AdvEdge), "-"
+			edge = fmt.Sprint(ch.AdvEdge)
 		}
 		mark := " "
 		if ch.Failed {
 			mark = "!"
 		}
-		fmt.Fprintf(w, "%-8s %5d %-3s%s %6s %7s %7s %5s %10s %10s %9s %9s %5d %10s %10s\n",
-			r.node, ch.Peer, ch.Dir, mark, win, inflt, edge, pace, seq, acked, rto, srtt,
+		fmt.Fprintf(w, "%-8s %5d %-3s%s %6s %7s %7s %10s %10s %9s %9s %5d %10s %10s\n",
+			r.node, ch.Peer, ch.Dir, mark, win, inflt, edge, seq, acked, rto, srtt,
 			ch.Retries, durOrDash(r.stallNs), rateOrDash(r.rate))
 	}
 

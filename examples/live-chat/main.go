@@ -1,6 +1,6 @@
 // Live backend demo: two CLIC nodes exchange a scripted conversation over
 // real UDP sockets on loopback with 15% injected datagram loss. The same
-// go-back-N window core as the simulator keeps the transcript complete
+// sliding-window core as the simulator keeps the transcript complete
 // and ordered; the stats at the end show how hard the protocol had to
 // work.
 package main

@@ -41,29 +41,25 @@ type ChannelSnapshot struct {
 	Retries  int   `json:"retries,omitempty"`
 	Failed   bool  `json:"failed,omitempty"`
 
-	// Flow control and pacing (TX): Credit is the peer's grant in frames
-	// past AckedSeq (the highest edge its acks carried, minus AckedSeq),
+	// Flow control (TX): Credit is the peer's grant in frames past
+	// AckedSeq (the highest edge its acks carried, minus AckedSeq), and
 	// InFlightCap the configured per-peer in-flight cap (0 = window
-	// only), PacedBacklog the unacked frames the last paced RTO expiry
-	// deferred to later ticks. When flow control narrows the send limit,
-	// Window above reports the *effective* limit — min(window, cap,
-	// credit) — so watchdog stall conditions keep firing for capped or
-	// edge-bound channels.
-	Credit       int `json:"credit,omitempty"`
-	InFlightCap  int `json:"in_flight_cap,omitempty"`
-	PacedBacklog int `json:"paced_backlog,omitempty"`
+	// only). When flow control narrows the send limit, Window above
+	// reports the *effective* limit — min(window, cap, credit) — so
+	// watchdog stall conditions keep firing for capped or edge-bound
+	// channels.
+	Credit      int `json:"credit,omitempty"`
+	InFlightCap int `json:"in_flight_cap,omitempty"`
 
 	// Resequencer state (RX): CumAck is the next expected sequence,
 	// Parked the out-of-order frames buffered behind a gap, SinceAck
 	// the delivered-but-unacknowledged count. AdvEdge is the highest
 	// edge the channel advertised to its peer (AdvEdge - CumAck frames
-	// are granted), and Evictions counts idle-eviction passes that
-	// reclaimed its pooled state.
-	CumAck    uint32 `json:"cum_ack,omitempty"`
-	Parked    int    `json:"parked,omitempty"`
-	SinceAck  int    `json:"since_ack,omitempty"`
-	AdvEdge   uint32 `json:"adv_edge,omitempty"`
-	Evictions int64  `json:"evictions,omitempty"`
+	// are granted).
+	CumAck   uint32 `json:"cum_ack,omitempty"`
+	Parked   int    `json:"parked,omitempty"`
+	SinceAck int    `json:"since_ack,omitempty"`
+	AdvEdge  uint32 `json:"adv_edge,omitempty"`
 
 	// LastProgressNs is when the channel last made forward progress
 	// (ack advance for TX, in-order delivery for RX) on the stack's

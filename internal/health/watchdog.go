@@ -324,7 +324,7 @@ func (w *Watchdog) scanPool(snap *NodeSnapshot, accounted int64, current map[con
 // longest current retransmission timeouts, backoff included — means two
 // retransmission rounds went unanswered, whatever cadence the caller
 // scans at. (A scan-count gate fired on healthy lossy traffic when
-// scans came faster than one paced RTO round.) The opening scan never
+// scans came faster than one RTO round.) The opening scan never
 // fires: the burst it saw may have left just before its first ack was
 // due. Skipped when the stack does not report the counters.
 func (w *Watchdog) scanStarvation(snap *NodeSnapshot, inFlight int, maxRTO, now int64, current map[condKey]Verdict) {

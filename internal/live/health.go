@@ -46,8 +46,6 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			"channel_failures":     n.channelFailures.Value(),
 			"handshakes":           n.handshakes.Value(),
 			"peer_evictions":       n.peerEvictions.Value(),
-			"idle_evictions":       n.idleEvictions.Value(),
-			"pace_deferrals":       n.paceDeferrals.Value(),
 			"nacks_sent":           n.nacksSent.Value(),
 			"fast_retransmits":     n.fastRetransmits.Value(),
 			"unknown_frames":       n.unknownFrames.Value(),
@@ -86,7 +84,6 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			Window:         tc.effectiveWindow(),
 			Credit:         int(tc.edge - tc.win.Base()),
 			InFlightCap:    tc.capFrames,
-			PacedBacklog:   tc.pacedBacklog,
 			InFlight:       tc.win.InFlight(),
 			NextSeq:        tc.win.NextSeq(),
 			AckedSeq:       tc.win.Base(),
@@ -108,7 +105,6 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			Parked:         rc.reseq.Buffered(),
 			SinceAck:       rc.sinceAck,
 			AdvEdge:        rc.edge,
-			Evictions:      rc.evictions,
 			LastProgressNs: rc.lastProgressNs,
 		})
 		rc.mu.Unlock()

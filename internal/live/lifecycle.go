@@ -12,15 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Connection lifecycle: a lightweight hello/bye exchange plus idle
-// eviction. None of it is required — statically configured meshes
-// (AddPeer/Connect) work exactly as before — but under many-peer churn
-// it is what keeps the node's footprint proportional to the *active*
-// peer set: hello carries the peer's node id and its edge so a
-// joiner needs no out-of-band registration, bye tears the channels
-// down immediately instead of waiting out retry budgets, and the idle
-// evictor reclaims pooled state from silent peers while keeping their
-// sequence counters, so a comeback resumes the channel in place.
+// Connection lifecycle: a lightweight hello/bye exchange. Neither is
+// required — statically configured meshes (AddPeer/Connect) work
+// exactly as before — but under many-peer churn they keep the node's
+// footprint proportional to the *active* peer set: hello carries the
+// peer's node id and its edge so a joiner needs no out-of-band
+// registration, and bye tears the channels down immediately, returning
+// their pooled frames, instead of waiting out retry budgets.
 
 // Handshake introduces this node to the peer listening at addr: it
 // retries a TypeHello (Seq = our node id) until the peer's hello-ack
@@ -133,7 +131,7 @@ func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 
 // onBye tears down the channels for src: the peer announced it is
 // gone, so its TX channel fails like a dead peer (blocked senders and
-// confirmation waiters wake with ErrPeerDead now instead of after
+// SendConfirm waiters wake with ErrPeerDead now instead of after
 // MaxRetries of silence) and its RX channel — whose sequence space the
 // departed peer will never continue — is removed outright, returning
 // every pooled frame. The address registration stays: bye reports the
@@ -153,16 +151,12 @@ func (n *Node) onBye(s *rxShard, src int) {
 	if rc != nil {
 		n.rxPeers.Add(-1)
 	}
-	var waiters []chan error
 	if tc != nil {
 		tc.mu.Lock()
 		if !tc.failed {
-			waiters = n.failChannel(tc)
+			n.failChannel(tc)
 		}
 		tc.mu.Unlock()
-	}
-	for _, ch := range waiters {
-		ch <- ErrPeerDead
 	}
 	if rc != nil {
 		rc.mu.Lock()
@@ -207,9 +201,9 @@ func (n *Node) registerPeer(id int, ap netip.AddrPort) {
 }
 
 // resetPeer drops both channels for peer (registration stays): the
-// old TX side fails like a dead channel (blocked senders wake with
-// ErrPeerDead, retained buffers drain to the pool, confirmation
-// waiters are notified) and the RX side returns its parked frames.
+// old TX side fails like a dead channel (blocked senders and
+// SendConfirm waiters wake with ErrPeerDead, retained buffers drain to
+// the pool) and the RX side returns its parked frames.
 // The next send or datagram builds fresh channels with sequence
 // spaces at zero.
 func (n *Node) resetPeer(peer int) {
@@ -222,16 +216,12 @@ func (n *Node) resetPeer(peer int) {
 	if rc != nil {
 		n.rxPeers.Add(-1)
 	}
-	var waiters []chan error
 	if tc != nil {
 		tc.mu.Lock()
 		if !tc.failed {
-			waiters = n.failChannel(tc)
+			n.failChannel(tc)
 		}
 		tc.mu.Unlock()
-	}
-	for _, ch := range waiters {
-		ch <- ErrPeerDead
 	}
 	if rc != nil {
 		rc.mu.Lock()
@@ -244,12 +234,9 @@ func (n *Node) resetPeer(peer int) {
 	}
 }
 
-// reclaimRxLocked returns a receive channel's pooled state: parked
-// out-of-order frames (never acked, so go-back-N retransmission
-// re-delivers them if the peer lives on) and, between messages, the
-// retained assembly capacity. A mid-message assembly buffer is NOT
-// dropped — its fragments were already acked and would never be
-// resent. Called with rc.mu held.
+// reclaimRxLocked returns to the pool the parked out-of-order frames of
+// a receive channel that bye or a reconnect removed. Called with rc.mu
+// held.
 func (n *Node) reclaimRxLocked(rc *liveRxChan) {
 	rc.reseq.DrainParked(func(_ relwin.Seq, d rxDatagram) {
 		if d.fb != nil {
@@ -257,58 +244,4 @@ func (n *Node) reclaimRxLocked(rc *liveRxChan) {
 			n.pool.Put(d.fb)
 		}
 	})
-	rc.nacked = false // the park is empty: a hole that re-forms is reported afresh
-	if !rc.asm.started {
-		rc.asm.buf = nil
-	}
-}
-
-// idleLoop is the eviction ticker: every quarter IdleTimeout it sweeps
-// receive channels whose cumulative ack has not moved for a full
-// IdleTimeout and reclaims their pooled state. Sequence counters
-// survive, so a silent peer that wakes up resumes in place.
-func (n *Node) idleLoop() {
-	defer n.wg.Done()
-	period := n.cfg.IdleTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case now := <-t.C:
-			n.evictIdle(now.UnixNano())
-		}
-	}
-}
-
-// evictIdle reclaims pooled state from receive channels idle past
-// IdleTimeout. A channel counts as idle only when its ack point has
-// not advanced for the full timeout — far longer than any RTO, so a
-// peer mid-recovery (stalled on a gap but still retransmitting) is
-// never swept: IdleTimeout of no progress means go-back-N itself has
-// given up or the peer is gone.
-func (n *Node) evictIdle(nowNs int64) {
-	cut := nowNs - n.cfg.IdleTimeout.Nanoseconds()
-	n.pmu.RLock()
-	rxs := make([]*liveRxChan, 0, len(n.rx))
-	for _, rc := range n.rx {
-		rxs = append(rxs, rc)
-	}
-	n.pmu.RUnlock()
-	for _, rc := range rxs {
-		rc.mu.Lock()
-		idle := rc.lastProgressNs < cut
-		reclaimable := rc.reseq.Buffered() > 0 || (!rc.asm.started && cap(rc.asm.buf) > 0)
-		if idle && reclaimable {
-			n.reclaimRxLocked(rc)
-			rc.evictions++
-			n.idleEvictions.Inc()
-			n.fr.Point(n.nodeName, 0, trace.PointIdleEvict, nowNs, int64(rc.src))
-		}
-		rc.mu.Unlock()
-	}
 }

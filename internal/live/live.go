@@ -3,8 +3,8 @@
 // core (internal/relwin) as the simulated protocol, on the loopback
 // interface — the closest raw-socket approximation to a kernel Ethernet
 // protocol available to a pure-Go process. Beyond functional fidelity
-// (framing, fragmentation, sequencing, cumulative acks, go-back-N
-// retransmission, remote write, confirmation, injectable faults), the
+// (framing, fragmentation, sequencing, cumulative acks, NACK and RTO
+// repair, remote write, confirmation, injectable faults), the
 // datapath mirrors the paper's three Gigabit upgrades (§4):
 //
 //   - 0-copy framing: a sync.Pool of MTU-sized frame buffers is shared
@@ -38,7 +38,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/lockcheck"
 	"repro/internal/proto"
-	"repro/internal/relwin"
 	"repro/internal/telemetry"
 )
 
@@ -57,7 +56,6 @@ const (
 	rankChanMu = 20 // per-channel tx/rx state (tc.mu, rc.mu)
 	rankPeers  = 30 // pmu: registration tables
 	rankRegion = 40 // per-region remote-write buffer
-	rankCfm    = 50 // cmu: confirmation rendezvous
 	rankInject = 60 // imu: fault-injection rng
 )
 
@@ -75,9 +73,10 @@ type Config struct {
 	// for waits for a reverse data frame to carry it.
 	AckDelay time.Duration
 
-	// RetransmitTimeout is the initial go-back-N timeout, used until the
-	// first RTT sample; the per-peer estimator (internal/rto) then adapts
-	// it to SRTT + 4·RTTVAR with exponential backoff on repeat timeouts.
+	// RetransmitTimeout is the initial retransmission timeout, used until
+	// the first RTT sample; the per-peer estimator (internal/rto) then
+	// adapts it to SRTT + 4·RTTVAR with exponential backoff on repeat
+	// timeouts.
 	RetransmitTimeout time.Duration
 
 	// RTOMin and RTOMax clamp the adaptive timeout; zero derives them
@@ -105,21 +104,6 @@ type Config struct {
 	// many pooled frame buffers instead of a full window, so it cannot
 	// starve the shared pool. 0 means no extra cap (the window rules).
 	PeerInFlight int
-
-	// PaceBurst bounds the frames a single RTO expiry may retransmit —
-	// the token-bucket pacing layer on top of go-back-N. The bucket
-	// refills each RTO tick and shrinks by half per consecutive backoff,
-	// so incast collapse degrades into paced trickles instead of
-	// window-sized retransmit storms. 0 derives min(Window, 16).
-	PaceBurst int
-
-	// IdleTimeout evicts pooled state (parked out-of-order frames,
-	// reassembly scratch) from receive channels that have made no
-	// progress for this long. Sequence counters survive eviction, so an
-	// idle peer that wakes up resumes its channel exactly where it
-	// stopped — go-back-N retransmission refills anything dropped.
-	// 0 disables idle eviction.
-	IdleTimeout time.Duration
 
 	// PortDepth is the per-port delivery-queue depth in messages. Under
 	// many-peer fan-in one slow consumer port would otherwise wedge the
@@ -174,14 +158,13 @@ type Message struct {
 //
 // Locking is sharded the way the datapath is: pmu (read-mostly) guards
 // the registration tables only; each peer channel carries its own
-// mutex; the confirmation rendezvous has its own small lock; counters
-// are atomic. No state lock is held across a socket write (sendMu, the
-// message-scope lock, deliberately spans the fragment flush and is
-// declared blockok; fireRTO's retransmit loop is the one documented
-// exception), and no lock is shared between traffic to different
-// peers. Every lock carries a `//lockorder:` rank — see the rank
-// constants above and DESIGN.md §8 for the full hierarchy — checked
-// statically by cliclint and at runtime under `-tags lockcheck`.
+// mutex; counters are atomic. No state lock is held across a socket
+// write (sendMu, the message-scope lock, deliberately spans the
+// fragment flush and is declared blockok), and no lock is shared
+// between traffic to different peers. Every lock carries a
+// `//lockorder:` rank — see the rank constants above and DESIGN.md §8
+// for the full hierarchy — checked statically by cliclint and at
+// runtime under `-tags lockcheck`.
 type Node struct {
 	ID  int
 	cfg Config
@@ -237,17 +220,9 @@ type Node struct {
 	ports   map[uint16]chan Message
 	regions map[uint16]*Region
 
-	// cmu guards the confirmation rendezvous table (§5 send-with-
-	// confirmation). Lock order: a peer channel's mutex may wrap cmu
-	// (failChannel), never the reverse.
-	//lockorder: rank=50 name=cmu
-	cmu     lockcheck.Mutex
-	confirm map[confirmKey]chan error
-
 	// imu guards the fault-injection randomness; faulty caches whether
 	// any injection rate is non-zero so the clean fast path never takes
-	// the lock. Innermost rank: transmit may be reached with a channel
-	// lock held (the documented fireRTO exception).
+	// the lock. Innermost rank: nothing is taken under it.
 	//lockorder: rank=60 name=imu
 	imu    lockcheck.Mutex
 	rng    *rand.Rand
@@ -283,8 +258,6 @@ type Node struct {
 	portDrops        telemetry.Counter
 	handshakes       telemetry.Counter
 	peerEvictions    telemetry.Counter
-	idleEvictions    telemetry.Counter
-	paceDeferrals    telemetry.Counter
 	nacksSent        telemetry.Counter
 	fastRetransmits  telemetry.Counter
 	unknownFrames    telemetry.Counter
@@ -294,11 +267,6 @@ type Node struct {
 	// this node's spans in the shared journal.
 	fr       *flight.Journal
 	nodeName string
-}
-
-type confirmKey struct {
-	peer int
-	seq  relwin.Seq
 }
 
 // poolBufClassFloor keeps the frame-buffer class usefully sized even
@@ -350,7 +318,6 @@ func NewNode(id int, cfg Config) (*Node, error) {
 		rx:        map[int]*liveRxChan{},
 		ports:     map[uint16]chan Message{},
 		regions:   map[uint16]*Region{},
-		confirm:   map[confirmKey]chan error{},
 		helloWait: map[netip.AddrPort]chan helloReply{},
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ int64(id))),
 		faulty:    cfg.LossRate > 0 || cfg.DupRate > 0 || cfg.ReorderRate > 0,
@@ -361,7 +328,6 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	}
 	n.lmu.SetRank(rankLife, "lmu")
 	n.pmu.SetRank(rankPeers, "pmu")
-	n.cmu.SetRank(rankCfm, "cmu")
 	n.imu.SetRank(rankInject, "imu")
 	mtu := cfg.MTU
 	if mtu <= 0 {
@@ -375,7 +341,7 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	node := telemetry.L("node", fmt.Sprint(id))
 	n.tel.RegisterCounter("live_frames_sent_total", "datagrams written to the socket (before injected loss)", &n.framesSent, node)
 	n.tel.RegisterCounter("live_frames_recv_total", "datagrams received and decoded", &n.framesRecv, node)
-	n.tel.RegisterCounter("live_retransmits_total", "datagram retransmissions (go-back-N rounds and NACK repairs)", &n.retransmits, node)
+	n.tel.RegisterCounter("live_retransmits_total", "datagram retransmissions (RTO repairs and NACK repairs)", &n.retransmits, node)
 	n.tel.RegisterCounter("live_acks_sent_total", "stand-alone acknowledgement datagrams returned (NACKs included, piggy-backed acks not)", &n.acksSent, node)
 	n.tel.RegisterCounter("live_piggyback_acks_total", "cumulative acks carried on outgoing data frames (FlagAck) instead of a datagram of their own", &n.piggybackAcks, node)
 	n.tel.RegisterCounter("live_delayed_acks_total", "stand-alone acks sent by the AckDelay timer (also in live_acks_sent_total)", &n.delayedAcks, node)
@@ -400,8 +366,6 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	n.tel.RegisterCounter("live_port_drops_total", "completed messages dropped because the port queue was full", &n.portDrops, node)
 	n.tel.RegisterCounter("live_handshakes_total", "hello exchanges completed (either side)", &n.handshakes, node)
 	n.tel.RegisterCounter("live_peer_evictions_total", "peers fully removed by bye teardown", &n.peerEvictions, node)
-	n.tel.RegisterCounter("live_idle_evictions_total", "idle receive channels whose pooled state was reclaimed", &n.idleEvictions, node)
-	n.tel.RegisterCounter("live_pace_deferrals_total", "retransmit frames deferred to a later RTO tick by pacing", &n.paceDeferrals, node)
 	n.tel.RegisterCounter("live_nacks_sent_total", "acknowledgements sent as TypeNack: a hole outlived the burst that exposed it", &n.nacksSent, node)
 	n.tel.RegisterCounter("live_fast_retransmits_total", "single head frames resent on a NACK, without waiting for the RTO", &n.fastRetransmits, node)
 	n.tel.RegisterCounter("live_unknown_frames_total", "datagrams from a registered peer dropped for a packet type this stack does not handle", &n.unknownFrames, node)
@@ -416,10 +380,6 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	for _, s := range n.shards {
 		n.wg.Add(1)
 		go n.rxLoop(s)
-	}
-	if cfg.IdleTimeout > 0 {
-		n.wg.Add(1)
-		go n.idleLoop()
 	}
 	return n, nil
 }

@@ -151,6 +151,10 @@ func TestLiveDuplicationTolerance(t *testing.T) {
 	}
 }
 
+// TestLiveSendConfirm: confirmations over a pair that loses 10 % of its
+// datagrams both ways, one of a multi-fragment message and then 200 in
+// a row of single-frame ones. A lost ack is repaired like a lost frame,
+// so every call returns, each well within its deadline.
 func TestLiveSendConfirm(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.LossRate = 0.1
@@ -164,15 +168,26 @@ func TestLiveSendConfirm(t *testing.T) {
 			}
 		}
 	}()
-	done := make(chan error, 1)
-	go func() { done <- a.SendConfirm(1, 12, pattern(5000)) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	confirm := func(i, size int) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- a.SendConfirm(1, 12, pattern(size)) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("confirmation %d: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("confirmation %d still blocked after 5 s (receiver loss_injected %d)",
+				i, b.HealthSnapshot().Counters["loss_injected"])
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("SendConfirm never completed under loss")
+	}
+	confirm(0, 5000)
+	for i := 1; i <= 200; i++ {
+		confirm(i, 100)
+	}
+	if lost := a.HealthSnapshot().Counters["loss_injected"] + b.HealthSnapshot().Counters["loss_injected"]; lost == 0 {
+		t.Error("no datagram was lost: the run proves nothing")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/health"
 	"repro/internal/live"
-	"repro/internal/proto"
 	"repro/internal/trace"
 )
 
@@ -207,13 +206,12 @@ func TestShardedFanIn(t *testing.T) {
 // test: before per-peer in-flight caps, a peer that stopped acking
 // retained a full window of pooled frames (and with a big enough
 // window, most of the pool); now it retains at most PeerInFlight while
-// healthy traffic streams on unharmed, and the pacer defers most of
-// its retransmit storm.
+// healthy traffic streams on unharmed, and each of its RTO expiries
+// resends at most two frames.
 func TestBlackholedPeerCannotStarvePool(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.Window = 64
 	cfg.PeerInFlight = 8
-	cfg.PaceBurst = 2
 	cfg.RetransmitTimeout = 10 * time.Millisecond
 	cfg.RTOMin = 5 * time.Millisecond
 	cfg.RTOMax = 40 * time.Millisecond
@@ -260,16 +258,23 @@ func TestBlackholedPeerCannotStarvePool(t *testing.T) {
 		t.Errorf("effective window reports %d, want the %d cap (the watchdog keys off it)", tc.Window, cfg.PeerInFlight)
 	}
 	// The healthy round-trips above can complete before the blackholed
-	// channel's first RTO even fires, so poll for the deferral rather
-	// than asserting on one snapshot.
+	// channel's first RTO even fires, so poll for two expiries rather
+	// than asserting on one snapshot. Every retransmission that is not a
+	// NACK repair came from an RTO expiry, and an expiry resends at most
+	// the head and the newest frame: the blackholed window is 8 frames,
+	// so going back N would break the bound at the first expiry.
 	deadline := time.Now().Add(2 * time.Second)
-	for snap.Counters["pace_deferrals"] == 0 {
+	for snap.Counters["rto_backoffs"] < 2 {
 		if time.Now().After(deadline) {
-			t.Error("pacer never deferred a retransmit for the blackholed window")
-			break
+			t.Fatalf("%d RTO expiries in 2 s on a blackholed window", snap.Counters["rto_backoffs"])
 		}
 		time.Sleep(5 * time.Millisecond)
 		snap = a.HealthSnapshot()
+	}
+	c := snap.Counters
+	if rto := c["retransmits"] - c["fast_retransmits"]; rto > 2*c["rto_backoffs"] {
+		t.Errorf("%d retransmissions over %d RTO expiries (%d NACK repairs aside), want at most 2 an expiry",
+			rto, c["rto_backoffs"], c["fast_retransmits"])
 	}
 	a.Close()
 	if err := <-blackholed; err == nil {
@@ -278,7 +283,7 @@ func TestBlackholedPeerCannotStarvePool(t *testing.T) {
 }
 
 // TestFanInSoakFaults is the many-peer churn soak: 64 faulty senders
-// incast one receiver (sharded, capped, paced) under loss, duplication
+// incast one receiver (sharded, capped) under loss, duplication
 // and reordering. Every message must deliver intact, the watchdog
 // watching the receiver must issue no verdicts, and at quiesce every
 // node's pool ledger must balance to zero outstanding buffers.
@@ -291,7 +296,6 @@ func TestFanInSoakFaults(t *testing.T) {
 	rcfg := live.DefaultConfig()
 	rcfg.Shards = 4
 	rcfg.PeerInFlight = 8
-	rcfg.PaceBurst = 4
 	rcfg.PortDepth = 4096
 	rcfg.RetransmitTimeout = 10 * time.Millisecond
 	rcfg.RTOMin = 5 * time.Millisecond
@@ -320,7 +324,6 @@ func TestFanInSoakFaults(t *testing.T) {
 
 	scfg := live.DefaultConfig()
 	scfg.PeerInFlight = 8
-	scfg.PaceBurst = 4
 	scfg.LossRate = 0.05
 	scfg.DupRate = 0.05
 	scfg.ReorderRate = 0.05
@@ -409,79 +412,6 @@ func TestFanInSoakFaults(t *testing.T) {
 	}
 }
 
-// TestIdleEvictionReclaimsParked: frames parked behind a gap by a peer
-// that then goes silent must return to the pool after IdleTimeout —
-// and because eviction keeps the sequence counters, a retransmission
-// of the missing prefix later resumes the channel in place.
-func TestIdleEvictionReclaimsParked(t *testing.T) {
-	cfg := live.DefaultConfig()
-	cfg.IdleTimeout = 60 * time.Millisecond
-	a := node(t, 0, cfg)
-
-	peer, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	a.AddPeer(5, peer.LocalAddr().(*net.UDPAddr))
-	dst := a.Addr()
-
-	frame := func(seq uint32) []byte {
-		hdr := proto.Header{Type: proto.TypeData, Flags: proto.FlagFirst | proto.FlagLast,
-			Port: 9, Seq: seq, Len: 4}
-		return append(hdr.Encode(nil), 'd', 'a', 't', byte(seq))
-	}
-	// Sequences 1 and 2 with 0 missing: both park in pooled buffers.
-	for _, seq := range []uint32{1, 2} {
-		if _, err := peer.WriteToUDPAddrPort(frame(seq), dst.AddrPort()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(time.Second)
-	for {
-		snap := a.HealthSnapshot()
-		if snap.Pool.Outstanding == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("parked frames never retained pool buffers (outstanding %d)", snap.Pool.Outstanding)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// Silence past IdleTimeout: the evictor must reclaim both buffers.
-	deadline = time.Now().Add(2 * time.Second)
-	for {
-		snap := a.HealthSnapshot()
-		if snap.Pool.Outstanding == 0 && snap.Counters["idle_evictions"] > 0 {
-			if rc := snapChan(&snap, 5, "rx"); rc == nil || rc.Evictions == 0 {
-				t.Error("channel snapshot missing its eviction count")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("idle eviction never reclaimed the parked frames (outstanding %d, evictions %d)",
-				snap.Pool.Outstanding, snap.Counters["idle_evictions"])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The peer comes back and retransmits from the gap: the channel
-	// resumes in place and all three messages deliver in order.
-	for _, seq := range []uint32{0, 1, 2} {
-		if _, err := peer.WriteToUDPAddrPort(frame(seq), dst.AddrPort()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for want := 0; want < 3; want++ {
-		msg, err := a.Recv(9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(msg.Data) != 4 || msg.Data[3] != byte(want) {
-			t.Fatalf("resumed delivery %d: got %q", want, msg.Data)
-		}
-	}
-}
-
 // waitPoint polls j until it holds a point event with want's name, node,
 // frame and arg; after 2 s it fails the test listing the points of that
 // name it did find.
@@ -508,13 +438,12 @@ func waitPoint(t *testing.T, j *flight.Journal, want flight.Event) {
 }
 
 // TestLifecyclePoints: each lifecycle incident and a port drop leave a
-// flight point — hello on both ends and bye and idle-evict on the node
-// they happen to (arg = the peer), and a drop on the dropped message's
-// closing frame (arg = the port).
+// flight point — hello on both ends and bye on the node it happens to
+// (arg = the peer), and a drop on the dropped message's closing frame
+// (arg = the port).
 func TestLifecyclePoints(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.Flight = flight.New(0)
-	cfg.IdleTimeout = 60 * time.Millisecond
 	cfg.PortDepth = 1
 	j := cfg.Flight
 	a := node(t, 0, cfg)
@@ -536,19 +465,6 @@ func TestLifecyclePoints(t *testing.T) {
 	for _, seq := range []uint32{1, 2} {
 		waitPoint(t, j, flight.Event{Name: trace.PointDrop, Node: "live0", Frame: flight.FrameID(1, seq), Arg: 9})
 	}
-
-	// A raw peer parks a frame behind a gap and falls silent.
-	peer, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	a.AddPeer(5, peer.LocalAddr().(*net.UDPAddr))
-	hdr := proto.Header{Type: proto.TypeData, Flags: proto.FlagFirst | proto.FlagLast, Port: 9, Seq: 1, Len: 1}
-	if _, err := peer.WriteToUDPAddrPort(append(hdr.Encode(nil), 'x'), a.Addr().AddrPort()); err != nil {
-		t.Fatal(err)
-	}
-	waitPoint(t, j, flight.Event{Name: trace.PointIdleEvict, Node: "live0", Arg: 5})
 
 	b.Close()
 	waitPoint(t, j, flight.Event{Name: trace.PointBye, Node: "live0", Arg: 1})

@@ -397,3 +397,103 @@ func TestNackObservability(t *testing.T) {
 		t.Errorf("live_fast_retransmits_total = %d, want 1", got)
 	}
 }
+
+// rtoTimers is parkedTimers with the RTO back in play, at 200 ms and
+// doubling per expiry: far above the quiet interval, so each expiry's
+// datagrams are told apart from the next expiry's, and with no retry
+// budget to run out.
+func rtoTimers() live.Config {
+	cfg := parkedTimers()
+	cfg.RetransmitTimeout = 200 * time.Millisecond
+	cfg.RTOMin = 200 * time.Millisecond
+	cfg.RTOMax = 2 * time.Second
+	cfg.MaxRetries = 0
+	return cfg
+}
+
+// expectRepairs reads one RTO expiry's datagrams: exactly the frames
+// seqs, each a copy of what the window sent with FlagAckReq added, and
+// then silence.
+func (p *wirePeer) expectRepairs(step string, sent []wireDgram, seqs ...uint32) {
+	p.t.Helper()
+	want := make([]proto.Header, len(seqs))
+	for i, seq := range seqs {
+		want[i] = proto.Header{Type: proto.TypeData, Seq: seq}
+	}
+	for i, got := range p.expect(step, want...) {
+		orig := sent[seqs[i]]
+		if got.hdr.Flags != orig.hdr.Flags|proto.FlagAckReq {
+			p.t.Errorf("%s: frame %d has flags %#x, want the original's %#x with FlagAckReq", step, seqs[i], got.hdr.Flags, orig.hdr.Flags)
+		}
+		if len(got.raw) != len(orig.raw) || !bytes.Equal(got.raw[2:], orig.raw[2:]) {
+			p.t.Errorf("%s: frame %d is not a copy of the original", step, seqs[i])
+		}
+	}
+}
+
+// TestRTORepairHeadAndTail: against a peer that acks nothing, each RTO
+// expiry of a four-fragment window resends exactly the head and the
+// newest frame, each asking for an ack, and nothing else until the next
+// expiry.
+func TestRTORepairHeadAndTail(t *testing.T) {
+	a := node(t, 0, rtoTimers())
+	p := newWirePeer(t, a, 5)
+	sent := sentWindow(t, a, p, 5)
+
+	p.expectRepairs("first expiry", sent, 0, 3)
+	p.expectRepairs("second expiry", sent, 0, 3)
+	snap := a.HealthSnapshot()
+	for name, want := range map[string]int64{"rto_backoffs": 2, "retransmits": 4, "fast_retransmits": 0} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("counter %s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestRTORepairAfterLostNack: the peer acks cum 1 and its NACK for 1 is
+// lost, so only the RTO can repair the hole: the expiry resends exactly
+// 1 and 3. An ack of everything then leaves the node silent.
+func TestRTORepairAfterLostNack(t *testing.T) {
+	a := node(t, 0, rtoTimers())
+	p := newWirePeer(t, a, 5)
+	sent := sentWindow(t, a, p, 5)
+
+	p.control(proto.TypeAck, 1)
+	p.expectRepairs("expiry after cum 1", sent, 1, 3)
+	p.control(proto.TypeAck, 4)
+	p.expect("after cum 4")
+	waitTx(t, a, 5, "window never drained by cum 4",
+		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
+}
+
+// TestSendConfirmByAck: the confirmation of a SendConfirm is the
+// cumulative ack its last fragment asked for. The scripted peer acks
+// the frame and sends nothing else; SendConfirm returns nil at once.
+func TestSendConfirmByAck(t *testing.T) {
+	a := node(t, 0, parkedTimers())
+	p := newWirePeer(t, a, 5)
+
+	done := make(chan error, 1)
+	go func() { done <- a.SendConfirm(5, wirePort, pattern(100)) }()
+	dg, ok := p.next(2 * time.Second)
+	if !ok || dg.hdr.Type != proto.TypeData || dg.hdr.Seq != 0 {
+		t.Fatalf("SendConfirm sent %v (ok %v), want data frame 0", dg.hdr, ok)
+	}
+	if dg.hdr.Flags&proto.FlagAckReq == 0 {
+		t.Errorf("the confirmed frame has flags %#x: it does not ask for the ack that confirms it", dg.hdr.Flags)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("SendConfirm returned %v before any ack", err)
+	case <-time.After(quiet):
+	}
+	p.control(proto.TypeAck, 1)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("SendConfirm returned %v after its ack", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("SendConfirm still blocked 2 s after the ack of its frame")
+	}
+}

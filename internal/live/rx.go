@@ -52,10 +52,6 @@ type liveRxChan struct {
 	ackNow   bool
 	inBurst  bool
 
-	// confirms collects sequence numbers whose messages completed with
-	// FlagConfirm during the current burst (§5); flushed with the acks.
-	confirms []relwin.Seq
-
 	// nacked says the hole at nackCum has been reported: flushAcks sends
 	// one TypeNack per hole, at the end of the first burst that leaves
 	// frames parked behind it, and clears the mark once the park empties.
@@ -80,11 +76,8 @@ type liveRxChan struct {
 
 	// edge is the highest edge an ack of this channel advertised (the
 	// peer's Window until the first ack, as the peer assumes); no later
-	// ack pulls it back. evictions counts idle-eviction passes that
-	// reclaimed this channel's pooled state, for health snapshots. Both
-	// guarded by mu.
-	edge      relwin.Seq
-	evictions int64
+	// ack pulls it back. Guarded by mu.
+	edge relwin.Seq
 
 	// ackBuf is the preframed ack datagram: burst-flush acks are encoded
 	// into it under mu and written after release, so the hot path
@@ -135,9 +128,6 @@ func newRxChan(n *Node, src int, addr netip.AddrPort) *liveRxChan {
 			rc.ackNow = true
 		}
 		if view, owned, done := rc.asm.add(d); done {
-			if rc.asm.flags&proto.FlagConfirm != 0 {
-				rc.confirms = append(rc.confirms, rc.asm.lastSeq)
-			}
 			// Stage rather than deliver: delivery sends on port channels
 			// and takes pmu/region locks, none of which may happen under
 			// rc.mu. The reader drains right after releasing the lock.
@@ -426,20 +416,6 @@ func (n *Node) dispatchBurst(s *rxShard, cnt int) {
 			}
 		case proto.TypeBye:
 			n.onBye(s, src)
-		case proto.TypeConfirm:
-			key := confirmKey{peer: src, seq: hdr.Seq}
-			n.cmu.Lock()
-			ch, ok := n.confirm[key]
-			if ok {
-				delete(n.confirm, key)
-			}
-			n.cmu.Unlock()
-			if ok {
-				// Deleting under cmu made this goroutine the channel's sole
-				// sender; the send happens outside the lock (it is buffered
-				// and cannot block, but cmu is a state lock all the same).
-				ch <- nil
-			}
 		case proto.TypeData, proto.TypeRemoteWrite:
 			if hdr.Flags&proto.FlagAck != 0 {
 				// A piggy-backed ack: absorbed before the data and outside
@@ -568,8 +544,7 @@ func (n *Node) ackHeader(rc *liveRxChan, typ proto.PacketType) proto.Header {
 // ack (a delivered frame had FlagAckReq), saw a duplicate or has a new
 // hole sends one cumulative ack, with its edge; any other channel that
 // owes an ack leaves it for a reverse data frame to carry (takeAck) and
-// arms the delayed-ack timer as the fallback. It also flushes any
-// confirmations collected during the burst. Acks go out on the shard
+// arms the delayed-ack timer as the fallback. Acks go out on the shard
 // the burst arrived on.
 //
 // A channel that ends the burst with frames still parked has a hole the
@@ -615,8 +590,6 @@ func (n *Node) flushAcks(s *rxShard) {
 			rc.ackArmed = true
 		}
 		addr := rc.addr
-		confirms := rc.confirms
-		rc.confirms = nil
 		rc.mu.Unlock()
 		if flush {
 			n.acksSent.Inc()
@@ -630,9 +603,6 @@ func (n *Node) flushAcks(s *rxShard) {
 			// numbers live in the peer's space, so deriving an id here
 			// would collide.
 			n.transmit(s.conn, addr, rc.ackBuf[:], 0)
-		}
-		for _, seq := range confirms {
-			n.sendControl(rc.src, proto.TypeConfirm, seq)
 		}
 	}
 	s.touched = s.touched[:0]
@@ -696,7 +666,6 @@ type liveAsm struct {
 	buf     []byte
 	typ     proto.PacketType
 	port    uint16
-	flags   uint8
 	started bool
 	lastSeq relwin.Seq
 }
@@ -716,7 +685,7 @@ func (a *liveAsm) add(d rxDatagram) (view []byte, owned, done bool) {
 		if f&proto.FlagLast != 0 {
 			// Complete in one fragment: bypass the assembly buffer.
 			a.started = false
-			a.typ, a.port, a.flags, a.lastSeq = d.hdr.Type, d.hdr.Port, f, d.hdr.Seq
+			a.typ, a.port, a.lastSeq = d.hdr.Type, d.hdr.Port, d.hdr.Seq
 			return d.payload, false, true
 		}
 		a.buf = a.buf[:0]
@@ -725,14 +694,12 @@ func (a *liveAsm) add(d rxDatagram) (view []byte, owned, done bool) {
 		}
 		a.typ = d.hdr.Type
 		a.port = d.hdr.Port
-		a.flags = 0
 		a.started = true
 	}
 	if !a.started {
 		return nil, false, false
 	}
 	a.buf = append(a.buf, d.payload...)
-	a.flags |= f
 	a.lastSeq = d.hdr.Seq
 	if f&proto.FlagLast == 0 {
 		return nil, false, false
@@ -800,18 +767,6 @@ func (n *Node) portDrop(src int, port uint16, seq relwin.Seq) {
 		time.Now().UnixNano(), int64(port))
 }
 
-// sendControl emits an unsequenced internal packet (confirmations).
-func (n *Node) sendControl(dst int, typ proto.PacketType, seq relwin.Seq) {
-	n.pmu.RLock()
-	addr, ok := n.peers[dst]
-	n.pmu.RUnlock()
-	if !ok {
-		return
-	}
-	hdr := proto.Header{Type: typ, Seq: seq}
-	n.transmit(n.shardFor(dst).conn, addr, hdr.Encode(nil), 0)
-}
-
 // Region is a remote-write window (the live analogue of clic.Region),
 // with its own lock so remote writes never contend with unrelated
 // node state.
@@ -866,7 +821,7 @@ func (n *Node) RemoteWrite(dst int, port uint16, offset int, data []byte) error 
 	payload := make([]byte, remoteWritePrefix, remoteWritePrefix+len(data))
 	binary.BigEndian.PutUint64(payload, uint64(offset))
 	payload = append(payload, data...)
-	_, err := n.send(dst, port, proto.TypeRemoteWrite, 0, payload, nil)
+	_, _, err := n.send(dst, port, proto.TypeRemoteWrite, 0, payload)
 	return err
 }
 

@@ -367,7 +367,7 @@ func newTxBatcher() *txBatcher {
 				return false // kernel send buffer full: wait for writability
 			default:
 				// Drop the rest of the burst: a lossy channel by design;
-				// go-back-N recovers whatever mattered.
+				// the NACK and RTO repairs recover whatever mattered.
 				t.off = t.cnt
 				return true
 			}

@@ -41,14 +41,14 @@ type liveTxChan struct {
 	sendMu lockcheck.Mutex
 
 	// mu guards the channel state below. It is a state lock: no socket
-	// write may happen under it (fireRTO is the one documented
-	// exception — the NACK repair snapshots its frame and writes after
-	// release), and it may wrap only cmu and imu.
+	// write happens under it (the NACK and RTO repairs copy their frames
+	// and write after release), and no other ranked lock is taken under
+	// it.
 	//lockorder: rank=20 name=tc.mu
 	mu       lockcheck.Mutex
 	addr     netip.AddrPort // peer destination, cached from the peer table
 	win      *relwin.Sender[*frameBuf]
-	slotFree *sync.Cond // window space or channel failure; on mu
+	slotFree *sync.Cond // window space, ack progress or channel failure; on mu
 
 	// slots is a power-of-two ring of per-sequence bookkeeping indexed
 	// by seq & mask. Ring size >= window keeps every in-flight sequence
@@ -64,7 +64,7 @@ type liveTxChan struct {
 	release func(relwin.Seq, *frameBuf)
 
 	// rto is a persistent timer that runs lazily: rtoDeadline (monoNs,
-	// 0 = idle) is when the go-back-N round is due, and ack progress
+	// 0 = idle) is when the RTO repair is due, and ack progress
 	// moves it with a plain store while the timer stays armed. rtoArmed
 	// says a fire is pending, at rtoAt; the timer is Reset only when
 	// none is, or when the deadline moves before rtoAt. A fire that
@@ -78,13 +78,18 @@ type liveTxChan struct {
 	rtoGauge    *telemetry.Gauge
 	failed      bool // retry budget exhausted; senders get ErrPeerDead
 
+	// failBase is the window base when the channel failed, before the
+	// drain moved it: a SendConfirm waiter whose frame is not below it
+	// was never acked.
+	failBase relwin.Seq
+
 	// sampleFloor is the Karn's-rule watermark: sequences below it were
 	// retransmitted, so their ack latencies must not feed the estimator.
 	sampleFloor relwin.Seq
 
-	// headResent says the frame at the window base has been
-	// fast-retransmitted since the base last moved: one NACK repairs one
-	// hole once, and a repeat falls through to the RTO. Guarded by mu.
+	// headResent says the frame at the window base has been resent since
+	// the base last moved: one NACK repairs one hole once, and a repeat
+	// falls through to the RTO. Guarded by mu.
 	headResent bool
 
 	// capFrames is the resolved per-peer in-flight cap (0 = window only)
@@ -99,12 +104,6 @@ type liveTxChan struct {
 	// is below it. Both guarded by mu.
 	edge  relwin.Seq
 	asked relwin.Seq
-
-	// paceBurst is the resolved retransmit pacing bucket; pacedBacklog
-	// counts unacked frames a paced RTO expiry left for later ticks, for
-	// health snapshots. Guarded by mu.
-	paceBurst    int
-	pacedBacklog int
 
 	// lastProgressNs is when the cumulative ack last advanced (channel
 	// creation time until then), on the wall clock; health snapshots
@@ -185,10 +184,6 @@ func newTxChan(n *Node, peer int, addr netip.AddrPort) *liveTxChan {
 		tc.capFrames = n.cfg.PeerInFlight
 	}
 	tc.stageRoom = n.cfg.Window
-	tc.paceBurst = n.cfg.PaceBurst
-	if tc.paceBurst <= 0 {
-		tc.paceBurst = min(n.cfg.Window, 16)
-	}
 	tc.sendMu.SetRank(rankSendMu, "sendMu")
 	tc.mu.SetRank(rankChanMu, "tc.mu")
 	tc.lastProgressNs = time.Now().UnixNano()
@@ -248,49 +243,65 @@ func (tc *liveTxChan) effectiveWindow() int {
 
 // Send reliably transmits data to (dst, port), blocking on window space.
 func (n *Node) Send(dst int, port uint16, data []byte) error {
-	_, err := n.send(dst, port, proto.TypeData, 0, data, nil)
+	_, _, err := n.send(dst, port, proto.TypeData, 0, data)
 	return err
 }
 
 // SendConfirm transmits data and blocks until the peer's confirmation of
-// reception arrives (§5's send-with-confirmation primitive). It returns
-// ErrPeerDead if the channel fails before the confirmation lands.
+// reception arrives (§5's send-with-confirmation primitive). The
+// confirmation is the cumulative ack: the last fragment asks for one
+// (FlagAckReq), and SendConfirm returns once the window base has passed
+// that fragment. A lost ack is repaired like a lost frame: the RTO
+// resends the frame, and the peer re-acks the duplicate. It returns
+// ErrPeerDead if the channel fails before the ack lands, and ErrClosed
+// if the node closes first.
 func (n *Node) SendConfirm(dst int, port uint16, data []byte) error {
-	ch := make(chan error, 1)
-	if _, err := n.send(dst, port, proto.TypeData, proto.FlagConfirm, data, ch); err != nil {
+	tc, seq, err := n.send(dst, port, proto.TypeData, proto.FlagAckReq, data)
+	if err != nil {
 		return err
 	}
 	n.rxWait(1)
 	defer n.rxWait(-1)
-	select {
-	case err := <-ch:
-		return err
-	case <-n.done:
-		return ErrClosed
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for {
+		base := tc.win.Base()
+		if tc.failed {
+			base = tc.failBase // the drain moved the base without an ack
+		}
+		switch {
+		case relwin.Before(seq, base):
+			return nil
+		case tc.failed:
+			return ErrPeerDead
+		case n.closed.Load():
+			return ErrClosed
+		}
+		tc.slotFree.Wait()
 	}
 }
 
-// send fragments and transmits one message, returning the last
-// fragment's sequence number. With profiling armed (perfreg.Enable) the
+// send fragments and transmits one message, returning its channel and
+// the last fragment's sequence number. flags are set on the last
+// fragment. With profiling armed (perfreg.Enable) the
 // whole call runs under the module-send pprof stage label, with the
 // socket flushes nested under send-syscall; the disabled path is one
 // atomic load and builds no closure, keeping the AllocsPerRun guards
 // honest.
-func (n *Node) send(dst int, port uint16, typ proto.PacketType, flags uint8, data []byte, confirmCh chan error) (relwin.Seq, error) {
+func (n *Node) send(dst int, port uint16, typ proto.PacketType, flags uint8, data []byte) (*liveTxChan, relwin.Seq, error) {
 	if perfreg.Enabled() {
+		var tc *liveTxChan
 		var seq relwin.Seq
 		var err error
 		perfreg.DoCtx(context.Background(), trace.SpanModuleSend, func(ctx context.Context) {
-			seq, err = n.sendMsg(ctx, dst, port, typ, flags, data, confirmCh)
+			tc, seq, err = n.sendMsg(ctx, dst, port, typ, flags, data)
 		})
-		return seq, err
+		return tc, seq, err
 	}
-	return n.sendMsg(context.Background(), dst, port, typ, flags, data, confirmCh)
+	return n.sendMsg(context.Background(), dst, port, typ, flags, data)
 }
 
-// sendMsg is send's body. When confirmCh is non-nil the waiter is
-// registered against the final sequence before that fragment reaches
-// the wire, so the peer's confirmation cannot outrun the registration.
+// sendMsg is send's body.
 //
 // The fast path is allocation-free and coalesced, and its bookkeeping
 // runs once per burst, not once per fragment: up to Node.txBurst
@@ -304,13 +315,13 @@ func (n *Node) send(dst int, port uint16, typ proto.PacketType, flags uint8, dat
 // recycle the buffer out from under the syscall. ctx carries the
 // enclosing pprof stage labels for flushTx to restore after its nested
 // stage.
-func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.PacketType, flags uint8, data []byte, confirmCh chan error) (relwin.Seq, error) {
+func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.PacketType, flags uint8, data []byte) (*liveTxChan, relwin.Seq, error) {
 	if n.closed.Load() {
-		return 0, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	tc, err := n.txFor(dst)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	tc.sendMu.Lock()
 	defer tc.sendMu.Unlock()
@@ -329,7 +340,7 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 				hdr.Flags |= proto.FlagFirst
 			}
 			if last {
-				hdr.Flags |= proto.FlagLast | flags&proto.FlagConfirm
+				hdr.Flags |= proto.FlagLast | flags
 			}
 			body := proto.HeaderBytes
 			if body+proto.AckExtBytes+(end-off) <= n.cfg.MTU {
@@ -388,7 +399,7 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 				n.pool.Put(fb)
 			}
 			tc.stageLen = 0
-			return 0, err
+			return nil, 0, err
 		}
 		n.pushStaged(tc)
 		addr := tc.addr
@@ -404,29 +415,8 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 			continue
 		}
 		seq := tc.stageHdr[tc.stageCnt-1].Seq
-		if confirmCh != nil {
-			// Registered before the flush puts the fragment on the wire,
-			// so the confirmation cannot outrun the waiter.
-			n.cmu.Lock()
-			n.confirm[confirmKey{peer: dst, seq: seq}] = confirmCh
-			n.cmu.Unlock()
-		}
 		n.flushTx(ctx, tc, addr)
-		if confirmCh != nil {
-			tc.mu.Lock()
-			dead := tc.failed
-			tc.mu.Unlock()
-			if dead {
-				// The channel died between the push and now; failChannel
-				// may have drained the table before the registration
-				// landed, so withdraw the waiter.
-				n.cmu.Lock()
-				delete(n.confirm, confirmKey{peer: dst, seq: seq})
-				n.cmu.Unlock()
-				return 0, ErrPeerDead
-			}
-		}
-		return seq, nil
+		return tc, seq, nil
 	}
 }
 
@@ -437,7 +427,9 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 // knows when it will run out of window, so it asks for the acks it
 // needs (FlagAckReq): on the frame that brings in-flight to half the
 // limit when no request is outstanding, so the ack is back before the
-// window fills, and on the frame that fills it. Called with tc.mu held.
+// window fills, and on the frame that fills it. A frame staged with the
+// flag (a SendConfirm's last fragment) is recorded as a request too.
+// Called with tc.mu held.
 func (n *Node) pushStaged(tc *liveTxChan) {
 	now := time.Now()
 	nowNs := now.UnixNano()
@@ -450,6 +442,8 @@ func (n *Node) pushStaged(tc *liveTxChan) {
 		hdr.Seq = seq
 		if room == 1 || (!relwin.Before(tc.win.Base(), tc.asked) && 2*(tc.win.InFlight()+1) >= limit) {
 			hdr.Flags |= proto.FlagAckReq
+		}
+		if hdr.Flags&proto.FlagAckReq != 0 {
 			tc.asked = seq + 1
 		}
 		hdr.Put(fb.b)
@@ -668,10 +662,10 @@ var monoEpoch = time.Now()
 // monoNs is t on the monotonic clock, in ns since monoEpoch.
 func monoNs(t time.Time) int64 { return int64(t.Sub(monoEpoch)) }
 
-// armRTO starts the channel's go-back-N clock at nowNs (monoNs) if it
-// is idle and frames are in flight: the RTO runs from the first send
-// after idle, and a send while it runs leaves it alone. Called with
-// tc.mu held.
+// armRTO starts the channel's RTO clock at nowNs (monoNs) if it is idle
+// and frames are in flight: the RTO runs from the first send after
+// idle, and a send while it runs leaves it alone. Called with tc.mu
+// held.
 func (n *Node) armRTO(tc *liveTxChan, nowNs int64) {
 	if tc.rtoDeadline != 0 || tc.failed || tc.win.InFlight() == 0 {
 		return
@@ -679,10 +673,10 @@ func (n *Node) armRTO(tc *liveTxChan, nowNs int64) {
 	tc.restartRTO(nowNs)
 }
 
-// restartRTO moves the go-back-N deadline to nowNs plus the adaptive
-// timeout. The deadline is a plain store; the timer is Reset only when
-// no fire is pending or the pending one would come too late. Called
-// with tc.mu held.
+// restartRTO moves the RTO deadline to nowNs plus the adaptive timeout.
+// The deadline is a plain store; the timer is Reset only when no fire
+// is pending or the pending one would come too late. Called with tc.mu
+// held.
 func (tc *liveTxChan) restartRTO(nowNs int64) {
 	d := nowNs + tc.ctrl.RTO()
 	tc.rtoDeadline = d
@@ -714,22 +708,36 @@ func (n *Node) fireRTO(tc *liveTxChan) {
 	n.rtoExpire(tc)
 }
 
-// rtoExpire is the go-back-N retransmission of the whole unacked tail.
-// This is the slow path, so — unlike send — it keeps tc.mu across its
-// socket writes: dropping the lock here would let the ack path recycle
-// exactly the buffers being retransmitted.
+// rtoExpire is the timeout form of headRepair: the repairs rtoRepair
+// chose are written once tc.mu is released, from pooled copies.
 func (n *Node) rtoExpire(tc *liveTxChan) {
 	if n.closed.Load() {
 		return
 	}
-	var failWaiters []chan error
-	defer func() { // runs after the deferred Unlock below (LIFO)
-		for _, ch := range failWaiters {
-			ch <- ErrPeerDead
-		}
-	}()
 	tc.mu.Lock()
-	defer tc.mu.Unlock()
+	repairs, seqs := n.rtoRepair(tc)
+	addr := tc.addr
+	tc.mu.Unlock()
+	for i, fb := range repairs {
+		if fb != nil {
+			n.resend(tc, addr, seqs[i], fb)
+		}
+	}
+}
+
+// rtoRepair is an RTO expiry's decision. Once the retry budget is
+// spent it fails the channel and resends nothing; otherwise it backs
+// off and returns pooled copies of two frames: the window's head, and the newest frame if that is
+// another one, each with FlagAckReq so the peer acks the burst that
+// brings it. Those two are all a timeout has to resend, because the
+// receiver parks a full window behind a hole: a lost head (a lost NACK
+// or a lost repair) is filled; a lost tail is filled, or the hole in
+// front of it comes into view and draws a NACK; and a copy of a frame
+// that had arrived draws a prompt re-ack, which is all a lost ack
+// needs. The NACK path repairs everything else. Like headRepair it
+// marks the head resent and moves the Karn watermark, here past
+// everything sent. Called with tc.mu held.
+func (n *Node) rtoRepair(tc *liveTxChan) (repairs [2]*frameBuf, seqs [2]relwin.Seq) {
 	tc.rtoArmed = false
 	if tc.failed || tc.rtoDeadline == 0 {
 		return // channel died, or everything was acked since the arming
@@ -742,19 +750,12 @@ func (n *Node) rtoExpire(tc *liveTxChan) {
 		return
 	}
 	tc.rtoDeadline = 0
-	// Unacked's slice aliases the window's internal state and must not be
-	// retained across Push/Ack; it is consumed below, under the same lock
-	// acquisition that read it, so no sender can Push concurrently.
 	unacked, base := tc.win.Unacked()
 	if len(unacked) == 0 {
 		return
 	}
 	if tc.ctrl.OnTimeout() {
-		// The waiter channels are buffered and, once unregistered, this
-		// goroutine is their sole sender — but the sends still happen
-		// after tc.mu is released. The defer above (registered before
-		// Lock) runs after the deferred Unlock.
-		failWaiters = n.failChannel(tc)
+		n.failChannel(tc)
 		return
 	}
 	n.rtoBackoffs.Inc()
@@ -762,55 +763,55 @@ func (n *Node) rtoExpire(tc *liveTxChan) {
 		n.fr.Point(n.nodeName, 0, trace.PointRTOBackoff,
 			time.Now().UnixNano(), tc.ctrl.RTO())
 	}
-	// Token-bucket pacing: each RTO tick may retransmit at most a
-	// bucket of frames, and the bucket halves per consecutive backoff
-	// (floored at one frame so the channel always probes). Go-back-N is
-	// unchanged — the deferred tail goes out on later ticks, and any
-	// ack progress resets the backoff and refills the bucket. Under
-	// incast this turns N synchronized window-sized retransmit storms
-	// into paced trickles the shared socket buffer can absorb.
-	quota := len(unacked)
-	if tc.paceBurst > 0 && quota > 0 {
-		q := tc.paceBurst
-		if r := tc.ctrl.Retries(); r > 0 {
-			shift := r
-			if shift > 8 {
-				shift = 8
-			}
-			q >>= uint(shift)
-			if q < 1 {
-				q = 1
-			}
-		}
-		if q < quota {
-			n.paceDeferrals.Addn(int64(quota - q))
-			quota = q
-		}
-	}
-	tc.pacedBacklog = len(unacked) - quota
 	tc.publishRTO() // the timeout doubled
+	repairs[0], seqs[0] = n.repairCopy(unacked[0], proto.FlagAckReq), base
+	if last := len(unacked) - 1; last > 0 {
+		repairs[1], seqs[1] = n.repairCopy(unacked[last], proto.FlagAckReq), base+relwin.Seq(last)
+	}
+	tc.headResent = true
 	// Karn's rule: acks for anything below this watermark are ambiguous.
 	tc.sampleFloor = tc.win.NextSeq()
-	for i, fb := range unacked[:quota] {
-		n.retransmits.Inc()
-		var fid uint64
-		if n.fr != nil {
-			fid = flight.FrameID(n.ID, base+relwin.Seq(i))
-			n.fr.Point(n.nodeName, fid, trace.PointRetransmit,
-				time.Now().UnixNano(), int64(fb.n))
-		}
-		n.transmit(tc.shard.conn, tc.addr, fb.b[:fb.n], fid) //nolint:blockunderlock // deliberate: dropping tc.mu here would let the ack path recycle the buffers being retransmitted; cold path by construction
-	}
 	n.armRTO(tc, nowNs)
+	return repairs, seqs
 }
 
-// failChannel declares a peer dead: blocked senders wake with
-// ErrPeerDead, the window is drained so its retained buffers return to
-// the pool instead of leaking with the dead channel, and the peer's
-// confirmation waiters are unregistered and returned for the caller to
-// notify once no lock is held. Called with tc.mu held.
-func (n *Node) failChannel(tc *liveTxChan) []chan error {
+// repairCopy returns a pooled copy of a window frame, with flags added
+// to its header, for a repair written after tc.mu is released: the copy
+// is not the window's, so the write needs no pin handshake with a
+// concurrent flushTx, and the ack path may recycle the original
+// meanwhile.
+func (n *Node) repairCopy(fb *frameBuf, flags uint8) *frameBuf {
+	c := n.pool.Get()
+	c.n = copy(c.b, fb.b[:fb.n])
+	if flags != 0 {
+		hdr, _, _ := proto.DecodeHeader(c.b[:c.n]) // a window frame holds a whole header
+		hdr.Flags |= flags
+		hdr.Put(c.b)
+	}
+	return c
+}
+
+// resend writes the repair copy fb of frame seq to addr, with no lock
+// held, and returns the copy to the pool.
+func (n *Node) resend(tc *liveTxChan, addr netip.AddrPort, seq relwin.Seq, fb *frameBuf) {
+	n.retransmits.Inc()
+	var fid uint64
+	if n.fr != nil {
+		fid = flight.FrameID(n.ID, seq)
+		n.fr.Point(n.nodeName, fid, trace.PointRetransmit,
+			time.Now().UnixNano(), int64(fb.n))
+	}
+	n.transmit(tc.shard.conn, addr, fb.b[:fb.n], fid)
+	n.pool.Put(fb)
+}
+
+// failChannel declares a peer dead: blocked senders and SendConfirm
+// waiters wake with ErrPeerDead, the window base is kept in failBase,
+// and the window is drained so its retained buffers return to the pool
+// instead of leaking with the dead channel. Called with tc.mu held.
+func (n *Node) failChannel(tc *liveTxChan) {
 	tc.failed = true
+	tc.failBase = tc.win.Base()
 	n.channelFailures.Inc()
 	if n.fr != nil {
 		n.fr.Point(n.nodeName, 0, trace.PointChannelFailed,
@@ -819,26 +820,14 @@ func (n *Node) failChannel(tc *liveTxChan) []chan error {
 	tc.stopRTO()
 	tc.win.Drain(tc.release)
 	tc.slotFree.Broadcast()
-	var waiters []chan error
-	n.cmu.Lock()
-	for key, ch := range n.confirm {
-		if key.peer == tc.peer {
-			delete(n.confirm, key)
-			waiters = append(waiters, ch)
-		}
-	}
-	n.cmu.Unlock()
-	return waiters
 }
 
 // onAck processes a cumulative acknowledgement from peer — a TypeAck,
 // or a TypeNack, which is the same frame with "and the sequence I am
 // acknowledging up to is missing while later ones are parked" attached.
-// The cum and edge are absorbed identically; a NACK naming
-// the current window base then has that one frame resent (headRepair).
-// The repair is written after tc.mu is released, from a pooled snapshot
-// the window does not own, so it needs no pin handshake with a
-// concurrent flushTx and the ack path may recycle the original meanwhile.
+// The cum and edge are absorbed identically; a NACK naming the current
+// window base then has that one frame resent (headRepair), written once
+// tc.mu is released.
 func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 	tc.mu.Lock()
 	n.absorbAck(tc, hdr.Seq, hdr.Len)
@@ -851,17 +840,9 @@ func (n *Node) onAck(tc *liveTxChan, hdr proto.Header) {
 	}
 	addr := tc.addr
 	tc.mu.Unlock()
-	if repair == nil {
-		return
+	if repair != nil {
+		n.resend(tc, addr, hdr.Seq, repair)
 	}
-	var fid uint64
-	if n.fr != nil {
-		fid = flight.FrameID(n.ID, hdr.Seq)
-		n.fr.Point(n.nodeName, fid, trace.PointRetransmit,
-			time.Now().UnixNano(), int64(repair.n))
-	}
-	n.transmit(tc.shard.conn, addr, repair.b[:repair.n], fid)
-	n.pool.Put(repair)
 }
 
 // absorbAck is the cumulative half of onAck, which a data frame's
@@ -901,7 +882,6 @@ func (n *Node) absorbAck(tc *liveTxChan, cum, edge relwin.Seq) {
 		}
 	}
 	tc.ctrl.OnProgress()
-	tc.pacedBacklog = 0
 	tc.headResent = false
 	tc.lastProgressNs = nowNs
 	tc.publishRTO()
@@ -921,25 +901,20 @@ func (n *Node) absorbAck(tc *liveTxChan, cum, edge relwin.Seq) {
 // the receiver parks up to a full window behind a hole, so everything
 // after the head that was not itself lost is already there, and a
 // second hole draws its own NACK when this one fills. The repair is not
-// a timeout — no backoff, no pacing-bucket shrink — but the frame has
-// now been sent twice, so the Karn watermark moves past it and the RTO
-// restarts from now. A lost NACK or lost repair leaves headResent set
-// and the unchanged RTO / go-back-N path recovers. Called with tc.mu
-// held.
+// a timeout — no backoff — but the frame has now been sent twice, so
+// the Karn watermark moves past it and the RTO restarts from now. A
+// lost NACK or lost repair leaves headResent set, and the RTO repair
+// (rtoRepair) resends the head. Called with tc.mu held.
 func (n *Node) headRepair(tc *liveTxChan, cum relwin.Seq) *frameBuf {
 	unacked, base := tc.win.Unacked()
 	if len(unacked) == 0 || base != cum || tc.headResent {
 		return nil
 	}
 	tc.headResent = true
-	head := unacked[0]
-	repair := n.pool.Get()
-	repair.n = copy(repair.b, head.b[:head.n])
 	if floor := base + 1; relwin.Before(tc.sampleFloor, floor) {
 		tc.sampleFloor = floor
 	}
 	tc.restartRTO(monoNs(time.Now()))
-	n.retransmits.Inc()
 	n.fastRetransmits.Inc()
-	return repair
+	return n.repairCopy(unacked[0], 0)
 }

@@ -19,8 +19,8 @@ const LabelKey = "clic_stage"
 // trace.Span* constant of the stage it implements, so profile tables
 // and Fig. 7 breakdowns speak one vocabulary.
 const (
-	StageRTOTimer = "rto-timer" // go-back-N retransmission timer callback
-	StageAckTimer = "ack-timer" // delayed/coalesced ack timer callback
+	StageRTOTimer = "rto-timer"  // RTO repair timer callback (head + newest frame)
+	StageAckTimer = "ack-timer"  // delayed/coalesced ack timer callback
 	StageDriver   = "sim-driver" // sim tick loop driving the engine
 )
 

@@ -68,10 +68,9 @@ func (q *Resequencer[T]) CumAck() Seq { return q.r.CumAck() }
 
 // DrainParked releases every parked out-of-order frame through release
 // and empties the buffer WITHOUT advancing the expected sequence: the
-// cumulative ack point is unchanged, so go-back-N retransmission
-// re-delivers whatever was dropped. This is the idle-eviction hook — a
-// long-idle channel returns its parked pooled buffers while staying
-// resumable at the same sequence.
+// cumulative ack point is unchanged, so the sender's retransmissions
+// re-deliver whatever was dropped. The live stack calls it when bye or
+// a reconnect removes a channel, to return its parked pooled buffers.
 func (q *Resequencer[T]) DrainParked(release func(Seq, T)) {
 	for seq, item := range q.buf {
 		if release != nil {

@@ -38,9 +38,8 @@ const (
 	PointDrop          = "drop"
 	PointChannelFailed = "channel-failed"
 	PointDeferred      = "deferred-tx"
-	PointHello         = "hello"      // handshake completed, either side (arg = peer)
-	PointBye           = "bye"        // peer announced its departure (arg = peer)
-	PointIdleEvict     = "idle-evict" // idle receive channel's state reclaimed (arg = peer)
+	PointHello         = "hello" // handshake completed, either side (arg = peer)
+	PointBye           = "bye"   // peer announced its departure (arg = peer)
 )
 
 // SpanOrder is the canonical pipeline order for breakdown tables and
