@@ -35,8 +35,10 @@ lint:
 # order of a mid-burst flush, ack and wait, the ack-join and
 # ack-request scripts assert which acks a burst sends and which it
 # leaves owed, the RTO-repair scripts assert that an expiry sends the
-# head and the newest frame and nothing else until the next, and the
-# confirmation tests assert that SendConfirm returns on the ack of its
+# head and the newest frame and nothing else until the next, the
+# expiry-class scripts assert which expiry is a probe and which backs
+# off (a stream that never asks is released by one probe a message),
+# and the confirmation tests assert that SendConfirm returns on the ack of its
 # frame, over a script and over a lossy pair, so they run twenty more
 # times: a timing dependence or a lost hand-over shows up here, not as
 # a one-in-forty CI failure.
@@ -44,7 +46,7 @@ check: build lint
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./internal/live/
 	$(GO) test -race -tags lockcheck ./...
-	$(GO) test -race -tags lockcheck -run 'Nack|FastRetransmit|UnknownType|WatchdogCleanRun|DirectRung|Piggyback|FirstWindowAcked|SendBurst|AckSample|AckReordered|AckRequest|UnaskedAck|DelayedAckDrives|RTORepair|SendConfirm' -count=20 ./internal/live/
+	$(GO) test -race -tags lockcheck -run 'Nack|FastRetransmit|UnknownType|WatchdogCleanRun|DirectRung|Piggyback|FirstWindowAcked|SendBurst|AckSample|AckReordered|AckRequest|UnaskedAck|UnaskedStreamReleasedByProbe|RTORepair|RTOExpiryClasses|SendConfirm' -count=20 ./internal/live/
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim

@@ -174,8 +174,9 @@ func main() {
 	fmt.Printf("corrupted messages: %d (must be 0)\n", bad)
 	txc, rxc := a.HealthSnapshot().Counters, b.HealthSnapshot().Counters
 	sent, drops := txc[health.CounterTxFrames], txc["loss_injected"]
-	fmt.Printf("sender: %d datagrams sent, %d dropped by injection (%.0f%%), %d retransmitted (%d NACK repairs, %d RTO expiries)\n",
-		sent, drops, 100*float64(drops)/float64(sent+drops), txc["retransmits"], txc["fast_retransmits"], txc["rto_backoffs"])
+	fmt.Printf("sender: %d datagrams sent, %d dropped by injection (%.0f%%), %d retransmitted (%d NACK repairs, %d RTO expiries, %d of them ack probes)\n",
+		sent, drops, 100*float64(drops)/float64(sent+drops), txc["retransmits"], txc["fast_retransmits"],
+		txc["rto_backoffs"]+txc["ack_probes"], txc["ack_probes"])
 	fmt.Printf("receiver: %d datagrams received, %d acknowledgements returned (%d as NACKs)\n", rxc["rx_frames"], rxc["acks_sent"], rxc["nacks_sent"])
 	if bad != 0 {
 		die(logger, "integrity failure", fmt.Errorf("%d corrupted messages", bad))

@@ -54,8 +54,7 @@ func TestAckReorderedNewestFirst(t *testing.T) {
 
 // TestAckRequestAnsweredInBurst: two frames that do not ask draw
 // nothing; then two more, the second asking for an ack. The burst that
-// delivers it must end with the ack, the delayed-ack timer being
-// parked.
+// delivers it must end with the ack.
 func TestAckRequestAnsweredInBurst(t *testing.T) {
 	a := node(t, 0, parkedTimers())
 	p := newWirePeer(t, a, 5)
@@ -68,7 +67,7 @@ func TestAckRequestAnsweredInBurst(t *testing.T) {
 	p.granted("the requested ack", got[0].hdr)
 	recvInOrder(t, a, 0, 1, 2, 3)
 	snap := a.HealthSnapshot()
-	for name, want := range map[string]int64{"acks_sent": 1, "delayed_acks": 0, "rx_dup_frames": 0} {
+	for name, want := range map[string]int64{"acks_sent": 1, "ack_probes": 0, "rx_dup_frames": 0} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}

@@ -33,8 +33,7 @@ func histCount(t testing.TB, n *live.Node, name string) int64 {
 // TestFirstWindowAckedInBurst: a peer that fills the receiver's window
 // (4) on a new channel, before any ack, asks for an ack on the frame
 // that fills it, and the burst that delivers that frame must answer
-// it, not the delayed-ack timer, which is parked here at 10 s. There is
-// no first-window case: the request is the whole rule.
+// it. There is no first-window case: the request is the whole rule.
 func TestFirstWindowAckedInBurst(t *testing.T) {
 	cfg := parkedTimers()
 	cfg.Window = 4
@@ -46,14 +45,14 @@ func TestFirstWindowAckedInBurst(t *testing.T) {
 	got := p.expect("after a full first window", proto.Header{Type: proto.TypeAck, Seq: 4})
 	p.granted("the first ack", got[0].hdr)
 	recvInOrder(t, a, 0, 1, 2, 3)
-	if got := a.HealthSnapshot().Counters["delayed_acks"]; got != 0 {
-		t.Errorf("delayed_acks = %d, want 0", got)
+	if got := a.HealthSnapshot().Counters["ack_probes"]; got != 0 {
+		t.Errorf("ack_probes = %d, want 0", got)
 	}
 }
 
 // TestSendBurstFlushAckThenWait pins the mid-burst order at the wire.
 // The node owes the scripted peer an ack for one frame (nobody asked for
-// it, and the delayed-ack timer is parked), then stages a five-fragment
+// it), then stages a five-fragment
 // message whose short last fragment takes that ack. The window (4) ends
 // the push after four fragments: those four must leave first, then the
 // taken ack on its own, and only then may the sender wait. The peer's
@@ -97,12 +96,12 @@ func TestSendBurstFlushAckThenWait(t *testing.T) {
 // out of window mid-burst. Every message must arrive byte-exact with no
 // RTO backoff: a sender that waited without flushing what it pushed
 // would leave its peer nothing to ack and stall until an RTO. And the
-// cap must not hand the pace to the 2 ms delayed-ack timer: the frame
-// that fills the capped window asks for its ack, so no ack is a timer
-// ack. When the receiver guessed instead (an ack stride and the last
+// cap must not hand the pace to a timer: the frame that fills the
+// capped window asks for its ack, so no RTO expiry has to probe for
+// one. When the receiver guessed instead (an ack stride and the last
 // credit it sent, neither of which sees the sender's cap), 176 of 178
-// acks were timer acks and the exchange took 0.42 s; it must take a
-// tenth of that.
+// acks were its delayed-ack timer's and the exchange took 0.42 s; it
+// must take a tenth of that.
 func TestSendBurstLargerThanWindow(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.Window, cfg.PeerInFlight = 4, 2
@@ -163,8 +162,8 @@ func TestSendBurstLargerThanWindow(t *testing.T) {
 		if got := counterValue(t, n, "live_rto_backoffs_total"); got != 0 {
 			t.Errorf("node %d: live_rto_backoffs_total = %d, want 0", n.ID, got)
 		}
-		if got := counterValue(t, n, "live_delayed_acks_total"); got != 0 {
-			t.Errorf("node %d: live_delayed_acks_total = %d, want 0: the capped sender was paced by the timer", n.ID, got)
+		if got := counterValue(t, n, "live_ack_probes_total"); got != 0 {
+			t.Errorf("node %d: live_ack_probes_total = %d, want 0: the capped sender was paced by its RTO", n.ID, got)
 		}
 	}
 	if took >= bound {
@@ -206,9 +205,9 @@ func slowHostBound(t *testing.T, a, b *live.Node, bound time.Duration) time.Dura
 // scripted peer, which acknowledges every eighth frame and the last.
 // Every such ack releases frames, and each must give the sender exactly
 // one ack-latency sample, not one per frame it released. (A live pair
-// cannot pin the count: its burst acks and delayed acks are framed
-// under the channel lock but written after it, so two can cross, and
-// the older one then releases nothing.)
+// cannot pin the count: its burst acks and a blocked sender's acks are
+// framed under the channel lock but written after it, so two can
+// cross, and the older one then releases nothing.)
 func TestAckSampleOnePerAck(t *testing.T) {
 	cfg := parkedTimers()
 	a := node(t, 0, cfg)

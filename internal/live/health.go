@@ -38,7 +38,7 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			"retransmits":          n.retransmits.Value(),
 			"acks_sent":            n.acksSent.Value(),
 			"piggyback_acks":       n.piggybackAcks.Value(),
-			"delayed_acks":         n.delayedAcks.Value(),
+			"ack_probes":           n.ackProbes.Value(),
 			"loss_injected":        n.dropsInjected.Value(),
 			"dups_injected":        n.dupsInjected.Value(),
 			"rx_dup_frames":        n.dupFrames.Value(),

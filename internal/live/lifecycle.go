@@ -138,8 +138,8 @@ func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 // peer process's death, not a topology change, and a later hello from
 // a restarted peer re-opens fresh channels (see onHello). The RX
 // channel also leaves the current burst's touched set: its data earlier
-// in the burst is delivered, and flushAcks must neither ack it to the
-// departed peer nor re-arm its delayed-ack timer.
+// in the burst is delivered, and flushAcks must not ack it to the
+// departed peer.
 func (n *Node) onBye(s *rxShard, src int) {
 	n.peerEvictions.Inc()
 	n.fr.Point(n.nodeName, 0, trace.PointBye, time.Now().UnixNano(), int64(src))
@@ -161,10 +161,6 @@ func (n *Node) onBye(s *rxShard, src int) {
 	if rc != nil {
 		rc.mu.Lock()
 		n.reclaimRxLocked(rc)
-		if rc.ackArmed {
-			rc.ackTimer.Stop()
-			rc.ackArmed = false
-		}
 		if rc.inBurst {
 			rc.inBurst = false
 			s.touched = slices.DeleteFunc(s.touched, func(c *liveRxChan) bool { return c == rc })
@@ -226,10 +222,6 @@ func (n *Node) resetPeer(peer int) {
 	if rc != nil {
 		rc.mu.Lock()
 		n.reclaimRxLocked(rc)
-		if rc.ackArmed {
-			rc.ackTimer.Stop()
-			rc.ackArmed = false
-		}
 		rc.mu.Unlock()
 	}
 }

@@ -69,10 +69,6 @@ type Config struct {
 	// Window is the per-peer sliding window in frames.
 	Window int
 
-	// AckDelay is the delayed-ack timer: how long an ack nobody asked
-	// for waits for a reverse data frame to carry it.
-	AckDelay time.Duration
-
 	// RetransmitTimeout is the initial retransmission timeout, used until
 	// the first RTT sample; the per-peer estimator (internal/rto) then
 	// adapts it to SRTT + 4·RTTVAR with exponential backoff on repeat
@@ -139,7 +135,6 @@ func DefaultConfig() Config {
 	return Config{
 		MTU:               1500,
 		Window:            32,
-		AckDelay:          2 * time.Millisecond,
 		RetransmitTimeout: 20 * time.Millisecond,
 		RTOMin:            5 * time.Millisecond,
 		RTOMax:            2 * time.Second,
@@ -242,7 +237,7 @@ type Node struct {
 	retransmits      telemetry.Counter
 	acksSent         telemetry.Counter
 	piggybackAcks    telemetry.Counter
-	delayedAcks      telemetry.Counter
+	ackProbes        telemetry.Counter
 	dropsInjected    telemetry.Counter
 	dupsInjected     telemetry.Counter
 	reordersInjected telemetry.Counter
@@ -344,12 +339,12 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	n.tel.RegisterCounter("live_retransmits_total", "datagram retransmissions (RTO repairs and NACK repairs)", &n.retransmits, node)
 	n.tel.RegisterCounter("live_acks_sent_total", "stand-alone acknowledgement datagrams returned (NACKs included, piggy-backed acks not)", &n.acksSent, node)
 	n.tel.RegisterCounter("live_piggyback_acks_total", "cumulative acks carried on outgoing data frames (FlagAck) instead of a datagram of their own", &n.piggybackAcks, node)
-	n.tel.RegisterCounter("live_delayed_acks_total", "stand-alone acks sent by the AckDelay timer (also in live_acks_sent_total)", &n.delayedAcks, node)
+	n.tel.RegisterCounter("live_ack_probes_total", "RTO expiries in a window that had asked for no ack: the head and newest frame resent with FlagAckReq, without backoff", &n.ackProbes, node)
 	n.tel.RegisterCounter("live_loss_injected_total", "datagrams dropped by send-side loss injection", &n.dropsInjected, node)
 	n.tel.RegisterCounter("live_dups_injected_total", "datagrams written twice by send-side duplication injection", &n.dupsInjected, node)
 	n.tel.RegisterCounter("live_reorders_injected_total", "datagrams delayed by send-side reorder injection", &n.reordersInjected, node)
 	n.tel.RegisterCounter("live_rx_dup_frames_total", "data frames received below the cumulative ack or already parked, dropped and re-acked", &n.dupFrames, node)
-	n.tel.RegisterCounter("live_rto_backoffs_total", "retransmission-timeout expiries (each doubles the adaptive RTO)", &n.rtoBackoffs, node)
+	n.tel.RegisterCounter("live_rto_backoffs_total", "retransmission-timeout expiries with an ack request outstanding (each doubles the adaptive RTO)", &n.rtoBackoffs, node)
 	n.tel.RegisterCounter("live_channel_failures_total", "peers declared dead after MaxRetries consecutive timeouts", &n.channelFailures, node)
 	n.tel.RegisterCounter("live_socket_writes_total", "UDP write syscalls issued (including duplicates)", &n.socketWrites, node)
 	n.tel.RegisterCounter("live_socket_reads_total", "UDP datagrams read from the socket (each segment of a superframe counts)", &n.socketReads, node)
@@ -461,9 +456,8 @@ func Connect(a, b *Node) {
 // Close shuts the node down. A best-effort bye is sent to every
 // registered peer so their side tears the channels down promptly
 // instead of waiting out retry budgets. In-flight messages may be
-// lost. Every pending timer (per-channel rto, per-channel delayed ack)
-// is stopped so no timer callback outlives the node, and blocked
-// senders and region waiters are woken.
+// lost. Every channel's RTO timer is stopped so no timer callback
+// outlives the node, and blocked senders and region waiters are woken.
 func (n *Node) Close() error {
 	if !n.closed.CompareAndSwap(false, true) {
 		return nil
@@ -482,10 +476,6 @@ func (n *Node) Close() error {
 	for _, tc := range n.tx {
 		txs = append(txs, tc)
 	}
-	rxs := make([]*liveRxChan, 0, len(n.rx))
-	for _, rc := range n.rx {
-		rxs = append(rxs, rc)
-	}
 	regions := make([]*Region, 0, len(n.regions))
 	for _, r := range n.regions {
 		regions = append(regions, r)
@@ -496,14 +486,6 @@ func (n *Node) Close() error {
 		tc.stopRTO()
 		tc.slotFree.Broadcast()
 		tc.mu.Unlock()
-	}
-	for _, rc := range rxs {
-		rc.mu.Lock()
-		if rc.ackArmed {
-			rc.ackTimer.Stop()
-			rc.ackArmed = false
-		}
-		rc.mu.Unlock()
 	}
 	for _, r := range regions {
 		r.mu.Lock()

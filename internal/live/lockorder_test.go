@@ -63,18 +63,17 @@ func TestCloseWhileDelivering(t *testing.T) {
 	}
 }
 
-// TestDelayedAckDrivesWindow is the regression test for the delayed-ack
-// path (the ack transmit outside rc.mu, framed on a stack buffer instead
-// of the rxLoop-exclusive ackBuf). The stream never asks for an ack:
-// each single-frame message waits until the one before it was acked,
-// so one frame is in flight, below half the window (4), and never the
-// one that fills it. Nothing flows back to carry an ack either, so
-// every message is released by a timer ack — or, if the sender's RTO
-// fired first on a loaded host, by the re-ack of the duplicate.
-func TestDelayedAckDrivesWindow(t *testing.T) {
+// TestUnaskedStreamReleasedByProbe: a stream that never asks for an
+// ack. Each single-frame message waits until the one before it was
+// acked, so one frame is in flight, below half the window (4), and never
+// the one that fills it, and nothing flows back to carry an ack. The
+// receiver holds the ack it owes, and the sender's RTO expiry asks for
+// it: each message is released by exactly one probe, the duplicate's
+// re-ack, with no backoff. (A receiver timer used to guess here, and on
+// a loaded host the sender's RTO could expire before its ack arrived.)
+func TestUnaskedStreamReleasedByProbe(t *testing.T) {
 	cfg := live.DefaultConfig()
 	cfg.Window = 4
-	cfg.AckDelay = time.Millisecond
 	a, b := pair(t, cfg)
 
 	const count = 8 // 2x the window: needs at least one full recycle
@@ -89,12 +88,16 @@ func TestDelayedAckDrivesWindow(t *testing.T) {
 		if msg.Data[0] != byte(i) {
 			t.Fatalf("message %d carried %d", i, msg.Data[0])
 		}
-		waitTx(t, a, 1, "delayed acks never released the window",
+		waitTx(t, a, 1, "no probe released the window",
 			func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
 	}
-	c := b.HealthSnapshot().Counters
-	if c["delayed_acks"] < count-c["rx_dup_frames"] || c["acks_sent"] != c["delayed_acks"]+c["rx_dup_frames"] {
-		t.Errorf("%d acks sent for %d messages that asked for none: %d by the timer, %d re-acking duplicates; want one timer ack a message",
-			c["acks_sent"], count, c["delayed_acks"], c["rx_dup_frames"])
+	tx, rx := a.HealthSnapshot().Counters, b.HealthSnapshot().Counters
+	if tx["ack_probes"] != count || tx["rto_backoffs"] != 0 {
+		t.Errorf("sender: %d probes and %d backoffs for %d messages that asked for no ack; want one probe a message and no backoff",
+			tx["ack_probes"], tx["rto_backoffs"], count)
+	}
+	if rx["acks_sent"] != rx["rx_dup_frames"] {
+		t.Errorf("receiver: %d acks sent, %d duplicates received; want an ack only for each probe's duplicate",
+			rx["acks_sent"], rx["rx_dup_frames"])
 	}
 }

@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"net/netip"
 	"testing"
@@ -15,24 +16,23 @@ import (
 )
 
 // The tests in this file play one end of the protocol by hand over a
-// raw UDP socket, datagram by datagram, against a node whose RTO and
-// delayed-ack timers are parked far beyond the test's lifetime: every
-// datagram the node emits is then an answer to one the script sent, and
-// timer-driven recovery cannot make a broken NACK path pass.
+// raw UDP socket, datagram by datagram, against a node whose RTO timer
+// is parked far beyond the test's lifetime (the node's only timer: the
+// receive side has none): every datagram the node emits is then an
+// answer to one the script sent, and timer-driven recovery cannot make a
+// broken NACK path pass.
 
-// parkedTimers is DefaultConfig with the RTO and the delayed ack out of
-// the picture.
+// parkedTimers is DefaultConfig with the RTO out of the picture.
 func parkedTimers() live.Config {
 	cfg := live.DefaultConfig()
 	cfg.RetransmitTimeout = 10 * time.Second
 	cfg.RTOMin = 10 * time.Second
 	cfg.RTOMax = 20 * time.Second
-	cfg.AckDelay = 10 * time.Second
 	return cfg
 }
 
 // quiet is how long the scripts listen to conclude "no datagram": two
-// orders above a loopback round trip, three below the parked timers.
+// orders above a loopback round trip, three below the parked timer.
 const quiet = 40 * time.Millisecond
 
 // wirePeer is the scripted end: a bare UDP socket registered with the
@@ -197,8 +197,8 @@ func TestNackOncePerHole(t *testing.T) {
 	p.data(4, 5)
 	p.expect("after 4,5 parked behind the reported hole")
 
-	// 1 fills the hole and 6, 7 follow it; 8 asks for an ack (the
-	// delayed-ack timer is parked), so the answer is immediate.
+	// 1 fills the hole and 6, 7 follow it; 8 asks for an ack, so the
+	// answer is immediate.
 	p.data(1, 6, 7)
 	p.ask(8)
 	got = p.expect("after the hole filled", proto.Header{Type: proto.TypeAck, Seq: 9})
@@ -434,7 +434,8 @@ func (p *wirePeer) expectRepairs(step string, sent []wireDgram, seqs ...uint32) 
 // TestRTORepairHeadAndTail: against a peer that acks nothing, each RTO
 // expiry of a four-fragment window resends exactly the head and the
 // newest frame, each asking for an ack, and nothing else until the next
-// expiry.
+// expiry. No frame of the window asked, so the first expiry is a probe;
+// the second finds the probe's request unanswered and backs off.
 func TestRTORepairHeadAndTail(t *testing.T) {
 	a := node(t, 0, rtoTimers())
 	p := newWirePeer(t, a, 5)
@@ -443,10 +444,57 @@ func TestRTORepairHeadAndTail(t *testing.T) {
 	p.expectRepairs("first expiry", sent, 0, 3)
 	p.expectRepairs("second expiry", sent, 0, 3)
 	snap := a.HealthSnapshot()
-	for name, want := range map[string]int64{"rto_backoffs": 2, "retransmits": 4, "fast_retransmits": 0} {
+	for name, want := range map[string]int64{"ack_probes": 1, "rto_backoffs": 1, "retransmits": 4, "fast_retransmits": 0} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestRTOExpiryClasses: a one-frame message that does not ask for an
+// ack, to a peer that never acks. The first expiry is a probe: it
+// resends the frame asking for an ack, without backoff and without
+// spending the retry budget (MaxRetries 1). The second finds that
+// request unanswered and backs off, leaving the channel up; the third
+// spends the budget and fails the channel.
+func TestRTOExpiryClasses(t *testing.T) {
+	cfg := rtoTimers()
+	cfg.MaxRetries = 1
+	a := node(t, 0, cfg)
+	p := newWirePeer(t, a, 5)
+	if err := a.Send(5, wirePort, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	sent := p.expect("the message", proto.Header{Type: proto.TypeData, Seq: 0})
+	if sent[0].hdr.Flags&proto.FlagAckReq != 0 {
+		t.Fatalf("the message asked for an ack (flags %#x): nothing to probe", sent[0].hdr.Flags)
+	}
+	counters := func(step string, want map[string]int64) {
+		t.Helper()
+		snap := a.HealthSnapshot()
+		for name, w := range want {
+			if got := snap.Counters[name]; got != w {
+				t.Errorf("%s: counter %s = %d, want %d", step, name, got, w)
+			}
+		}
+	}
+
+	p.expectRepairs("first expiry", sent, 0)
+	counters("first expiry", map[string]int64{"ack_probes": 1, "rto_backoffs": 0, "channel_failures": 0})
+	p.expectRepairs("second expiry", sent, 0)
+	counters("second expiry", map[string]int64{"ack_probes": 1, "rto_backoffs": 1, "channel_failures": 0})
+
+	deadline := time.Now().Add(5 * time.Second)
+	for a.HealthSnapshot().Counters["channel_failures"] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("third silent expiry did not fail the channel")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	p.expect("after the failure")
+	counters("third expiry", map[string]int64{"ack_probes": 1, "rto_backoffs": 1, "retransmits": 2})
+	if err := a.Send(5, wirePort, []byte("after")); !errors.Is(err, live.ErrPeerDead) {
+		t.Fatalf("send on the failed channel: %v, want ErrPeerDead", err)
 	}
 }
 

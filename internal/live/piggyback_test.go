@@ -19,13 +19,13 @@ import (
 
 // dataAck sends one single-fragment message for seq whose FlagAck
 // extension acknowledges the node's frames up to cum and grants it
-// frames below edge.
-func (p *wirePeer) dataAck(seq, cum, edge uint32) {
+// frames below edge; flags are added to the header.
+func (p *wirePeer) dataAck(seq, cum, edge uint32, flags uint8) {
 	p.t.Helper()
 	var ext [proto.AckExtBytes]byte
 	proto.PutAckExt(ext[:], cum, edge)
 	body := wireBody(seq)
-	p.write(proto.Header{Type: proto.TypeData, Flags: proto.FlagFirst | proto.FlagLast | proto.FlagAck,
+	p.write(proto.Header{Type: proto.TypeData, Flags: proto.FlagFirst | proto.FlagLast | proto.FlagAck | flags,
 		Port: wirePort, Seq: seq, Len: uint32(len(body))}, append(ext[:], body...))
 }
 
@@ -64,7 +64,7 @@ func TestPiggybackReleasesWindow(t *testing.T) {
 	p := newWirePeer(t, a, 5)
 	sentWindow(t, a, p, 5)
 
-	p.dataAck(0, 4, 35)
+	p.dataAck(0, 4, 35, 0)
 	snap := waitTx(t, a, 5, "window never released by the piggy-backed ack",
 		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
 	if tc := snapChan(&snap, 5, "tx"); tc.AckedSeq != 4 || tc.Credit != 31 {
@@ -83,14 +83,13 @@ func TestPiggybackReleasesWindow(t *testing.T) {
 // TestPiggybackEchoNoStandaloneAcks: 200 request/response exchanges
 // with the scripted peer, each request acknowledging the previous
 // reply in its extension. Every reply must acknowledge its request in
-// its own extension, and the node sends no ack datagram at all until
-// the peer's last frame goes unanswered: that one the delayed-ack timer
-// sends. The RTO is parked; the delayed ack is a second, far above the
-// exchange, so it cannot fire between a request and its reply.
+// its own extension, and the node sends no ack datagram at all. The
+// peer's last frame goes unanswered, and the node still sends nothing:
+// no timer guesses that the peer wants an ack. The peer asks when its
+// RTO resends that frame with FlagAckReq, and that duplicate draws
+// exactly one ack. The node's own RTO is parked.
 func TestPiggybackEchoNoStandaloneAcks(t *testing.T) {
-	cfg := parkedTimers()
-	cfg.AckDelay = time.Second
-	a := node(t, 0, cfg)
+	a := node(t, 0, parkedTimers())
 	p := newWirePeer(t, a, 5)
 	const echoes = 200
 	errc := make(chan error, 1)
@@ -108,7 +107,7 @@ func TestPiggybackEchoNoStandaloneAcks(t *testing.T) {
 		errc <- nil
 	}()
 	for i := uint32(0); i < echoes; i++ {
-		p.dataAck(i, i, i+32)
+		p.dataAck(i, i, i+32, 0)
 		dg, ok := p.next(2 * time.Second)
 		if !ok {
 			t.Fatalf("no reply to request %d", i)
@@ -137,18 +136,18 @@ func TestPiggybackEchoNoStandaloneAcks(t *testing.T) {
 	}
 
 	// The tail: a frame nobody answers, acknowledging the last reply.
-	p.dataAck(echoes, echoes, echoes+32)
-	p.expect("after the unanswered tail", proto.Header{Type: proto.TypeAck, Seq: echoes + 1})
+	p.dataAck(echoes, echoes, echoes+32, 0)
+	p.expect("after the unanswered tail")
 	waitTx(t, a, 5, "the tail's extension never released the last reply",
 		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
+	// The peer's RTO probe: the tail again, asking.
+	p.dataAck(echoes, echoes, echoes+32, proto.FlagAckReq)
+	p.expect("after the tail's probe", proto.Header{Type: proto.TypeAck, Seq: echoes + 1})
 	snap = a.HealthSnapshot()
-	for name, want := range map[string]int64{"acks_sent": 1, "delayed_acks": 1, "retransmits": 0} {
+	for name, want := range map[string]int64{"acks_sent": 1, "rx_dup_frames": 1, "retransmits": 0, "ack_probes": 0} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
-	}
-	if got := counterValue(t, a, "live_delayed_acks_total"); got != 1 {
-		t.Errorf("live_delayed_acks_total = %d, want 1", got)
 	}
 }
 
@@ -165,7 +164,7 @@ func TestPiggybackStaleExtensionIgnored(t *testing.T) {
 
 	// The channel starts with edge 32 (its Window), so a fresh edge is
 	// above that.
-	p.dataAck(0, 2, 33)
+	p.dataAck(0, 2, 33, 0)
 	p.expect("after a fresh extension")
 	want := func(step string, acked uint32, inFlight, credit int) {
 		t.Helper()
@@ -187,12 +186,12 @@ func TestPiggybackStaleExtensionIgnored(t *testing.T) {
 		{"cum beyond anything sent", 9, 3},
 		{"edge beyond next + Window", 2, 4 + 32 + 1},
 	} {
-		p.dataAck(0, ext.cum, ext.edge)
+		p.dataAck(0, ext.cum, ext.edge, 0)
 		p.expect(ext.step, proto.Header{Type: proto.TypeAck, Seq: 1})
 		want(ext.step, 2, 2, 31)
 	}
 
-	p.dataAck(1, 4, 35)
+	p.dataAck(1, 4, 35, 0)
 	waitTx(t, a, 5, "the next fresh extension never released the window",
 		func(tc *health.ChannelSnapshot) bool { return tc.InFlight == 0 })
 	want("next fresh extension", 4, 0, 31)
@@ -243,11 +242,10 @@ func TestPiggybackHoleStillNacked(t *testing.T) {
 // TestPingPongNoStandaloneAcks: on a live pair, 2 000 request/response
 // exchanges each acknowledge the other direction inside the data
 // frames, so neither node sends an ack datagram, where the ack stride
-// alone would send 250 each. The timers are parked: under the race
-// detector a round trip takes milliseconds, the 2 ms delayed-ack timer
-// then fires between a request and its reply a few times in a hundred
-// (EXPERIMENTS E24 measures that rate at full speed), and an RTO that
-// fired early would draw re-acks of its duplicates.
+// alone would send 250 each. The RTO is parked: under the race detector
+// a round trip takes milliseconds, an RTO that fired early would draw
+// re-acks of its duplicates, and the probe of the last reply, which
+// nothing answers, would draw one ack.
 func TestPingPongNoStandaloneAcks(t *testing.T) {
 	a, b := pair(t, parkedTimers())
 	const echoes, port = 2000, 30
@@ -337,7 +335,8 @@ func TestPiggybackBlockedSenderAcksFirst(t *testing.T) {
 // from the last progress: acks that keep coming, each well inside the
 // RTO, draw no retransmission even long after the first send, and once
 // they stop the head is resent one RTO after the last of them, not
-// earlier.
+// earlier. No frame asked for an ack, so that expiry is a probe, with
+// no backoff.
 func TestRTORunsFromLastProgress(t *testing.T) {
 	const rto = 200 * time.Millisecond
 	cfg := parkedTimers()
@@ -372,7 +371,7 @@ func TestRTORunsFromLastProgress(t *testing.T) {
 		t.Fatalf("frame 7 resent %v after the last progress, before the %v RTO", since, rto)
 	}
 	snap := a.HealthSnapshot()
-	for name, want := range map[string]int64{"retransmits": 1, "rto_backoffs": 1} {
+	for name, want := range map[string]int64{"retransmits": 1, "ack_probes": 1, "rto_backoffs": 0} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}

@@ -18,7 +18,8 @@ import (
 // liveRxChan is the receive side of one peer channel, guarded by its
 // own mutex. It is driven almost exclusively by the socket's current
 // reader (rxLoop, or a Recv caller on the direct-call rung); the lock
-// exists for the delayed-ack timer and AddPeer.
+// exists for the senders that take an owed ack (takeAck, ackAlone),
+// AddPeer, health snapshots and teardown.
 type liveRxChan struct {
 	src int
 
@@ -58,11 +59,6 @@ type liveRxChan struct {
 	nacked  bool
 	nackCum relwin.Seq
 
-	// ackTimer is a persistent delayed-ack timer (re-armed with Reset);
-	// ackArmed is its logical state, as for the TX rto timer.
-	ackTimer *time.Timer
-	ackArmed bool
-
 	// lastCum and lastProgressNs track receive progress for health
 	// snapshots: lastProgressNs advances (at burst granularity, in
 	// flushAcks — never per frame) whenever the cumulative ack moved
@@ -70,8 +66,8 @@ type liveRxChan struct {
 	lastCum        relwin.Seq
 	lastProgressNs int64
 
-	// shard is the socket the channel's timer-driven sends (delayed
-	// acks) go through; burst acks use the socket the burst arrived on.
+	// shard is the socket ackAlone's sends go through; burst acks use
+	// the socket the burst arrived on.
 	shard *rxShard
 
 	// edge is the highest edge an ack of this channel advertised (the
@@ -81,9 +77,9 @@ type liveRxChan struct {
 
 	// ackBuf is the preframed ack datagram: burst-flush acks are encoded
 	// into it under mu and written after release, so the hot path
-	// allocates nothing. Exclusive to the socket's current reader — the
-	// delayed-ack timer frames on its own stack buffer, so the
-	// post-unlock write never races.
+	// allocates nothing. Exclusive to the socket's current reader —
+	// ackAlone frames on its own stack buffer, so the post-unlock write
+	// never races.
 	ackBuf [proto.HeaderBytes]byte
 }
 
@@ -120,8 +116,6 @@ func newRxChan(n *Node, src int, addr netip.AddrPort) *liveRxChan {
 		lastProgressNs: time.Now().UnixNano(),
 	}
 	rc.mu.SetRank(rankChanMu, "rc.mu")
-	rc.ackTimer = time.AfterFunc(time.Hour, func() { n.fireDelayedAck(rc) })
-	rc.ackTimer.Stop()
 	rc.emit = func(d rxDatagram) {
 		rc.sinceAck++
 		if d.hdr.Flags&proto.FlagAckReq != 0 {
@@ -175,8 +169,8 @@ const rxDirectAfter = 8
 // rxTakeover is how long the token may sit free, with no Recv caller
 // taking it, before rxLoop reads the socket again. The clock starts
 // when the token is put back, so an unread socket is picked up within
-// two: under AckDelay and far under RTOMin, so a node whose application
-// stops calling Recv still acks.
+// two: far under RTOMin, so a node whose application stops calling Recv
+// still acks before its peer's RTO.
 const rxTakeover = 500 * time.Microsecond
 
 // rxLoop is the socket's reader of last resort — the live analogue of
@@ -543,9 +537,10 @@ func (n *Node) ackHeader(rc *liveRxChan, typ proto.PacketType) proto.Header {
 // flushAcks ends a burst: every touched channel that was asked for an
 // ack (a delivered frame had FlagAckReq), saw a duplicate or has a new
 // hole sends one cumulative ack, with its edge; any other channel that
-// owes an ack leaves it for a reverse data frame to carry (takeAck) and
-// arms the delayed-ack timer as the fallback. Acks go out on the shard
-// the burst arrived on.
+// owes an ack leaves it for a reverse data frame to carry (takeAck). No
+// timer stands behind that: a sender that needs the ack asks for it,
+// at the latest when its RTO expires (rtoRepair). Acks go out on the
+// shard the burst arrived on.
 //
 // A channel that ends the burst with frames still parked has a hole the
 // burst did not fill — the sender writes in order and loopback does not
@@ -577,17 +572,10 @@ func (n *Node) flushAcks(s *rxShard) {
 		if flush {
 			rc.sinceAck = 0
 			rc.ackNow = false
-			if rc.ackArmed {
-				rc.ackTimer.Stop()
-				rc.ackArmed = false
-			}
 			// Frame under the lock, write after release: the socket write
 			// must not happen under rc.mu. ackBuf is exclusive to the
 			// socket's reader, so the post-unlock read of it is race-free.
 			n.ackHeader(rc, typ).Put(rc.ackBuf[:])
-		} else if rc.sinceAck > 0 && !rc.ackArmed {
-			rc.ackTimer.Reset(n.cfg.AckDelay)
-			rc.ackArmed = true
 		}
 		addr := rc.addr
 		rc.mu.Unlock()
@@ -608,43 +596,11 @@ func (n *Node) flushAcks(s *rxShard) {
 	s.touched = s.touched[:0]
 }
 
-// fireDelayedAck is the delayed-ack timer callback: flush the
-// outstanding ack nobody asked for if neither the burst path nor a data frame
-// (takeAck) has carried it already.
-func (n *Node) fireDelayedAck(rc *liveRxChan) {
-	if perfreg.Enabled() {
-		perfreg.Do(context.Background(), perfreg.StageAckTimer, func() { n.delayedAckExpire(rc) })
-		return
-	}
-	n.delayedAckExpire(rc)
-}
-
-// delayedAckExpire is fireDelayedAck's body, split out so the timer
-// goroutine can carry the ack-timer pprof stage when profiling is on.
-func (n *Node) delayedAckExpire(rc *liveRxChan) {
-	if n.closed.Load() {
-		return
-	}
-	n.ackAlone(rc, true)
-}
-
 // ackAlone sends rc's cumulative ack as a datagram of its own through
-// rc's shard, outside any burst: for the delayed-ack timer (timer),
-// which sends only if an ack is still owed, and for a sender about to
-// wait for window space with the ack it took in its frame (sendMsg),
-// which sends it regardless.
-func (n *Node) ackAlone(rc *liveRxChan, timer bool) {
+// rc's shard, outside any burst: for a sender about to wait for window
+// space with the ack it took in its frame (sendMsg).
+func (n *Node) ackAlone(rc *liveRxChan) {
 	rc.mu.Lock()
-	if timer {
-		owed := rc.ackArmed && rc.sinceAck > 0
-		rc.ackArmed = false
-		if !owed {
-			// A burst flush or a data frame carried it, or nothing is
-			// outstanding: just disarm.
-			rc.mu.Unlock()
-			return
-		}
-	}
 	rc.sinceAck = 0
 	rc.ackNow = false
 	// Frame on the stack, not into rc.ackBuf: that buffer belongs to the
@@ -655,9 +611,6 @@ func (n *Node) ackAlone(rc *liveRxChan, timer bool) {
 	addr := rc.addr
 	rc.mu.Unlock()
 	n.acksSent.Inc()
-	if timer {
-		n.delayedAcks.Inc()
-	}
 	n.transmit(rc.shard.conn, addr, buf[:], 0)
 }
 

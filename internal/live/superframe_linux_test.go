@@ -324,10 +324,16 @@ func TestGROEndToEnd(t *testing.T) {
 			// size up to the burst cross the socket, several to a read.
 			payload := wbPattern(size)
 			errs := make(chan error, 1)
+			// The last message is confirmed, so the window is empty after
+			// it: the RTO is parked and cannot probe for the tail's ack.
 			go func() {
 				for i := 0; i < streamed; i++ {
 					payload[0] = byte(i)
-					if err := a.Send(1, 7, payload); err != nil {
+					send := a.Send
+					if i == streamed-1 {
+						send = a.SendConfirm
+					}
+					if err := send(1, 7, payload); err != nil {
 						errs <- err
 						return
 					}
@@ -340,9 +346,8 @@ func TestGROEndToEnd(t *testing.T) {
 			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}
-			streamQuiesce(t, a, 1)
 
-			// One message at a time, each acknowledged before the next: the
+			// One message at a time, each confirmed before the next: the
 			// unit counts do not depend on how the two sides interleave.
 			delta := func(n *Node, name string) func() float64 {
 				before := metric(n, name)
@@ -352,11 +357,10 @@ func TestGROEndToEnd(t *testing.T) {
 			frames, bursts := delta(b, "live_rx_burst_frames_total"), delta(b, "live_rx_bursts_total")
 			for i := 0; i < paced; i++ {
 				payload[0] = byte(i)
-				if err := a.Send(1, 7, payload); err != nil {
+				if err := a.SendConfirm(1, 7, payload); err != nil {
 					t.Fatal(err)
 				}
 				recv(i)
-				streamQuiesce(t, a, 1)
 			}
 			if drops := metric(b, "live_port_drops_total"); drops != 0 {
 				t.Fatalf("%v port drops", drops)

@@ -377,7 +377,7 @@ func (n *Node) sendMsg(ctx context.Context, dst int, port uint16, typ proto.Pack
 			if rc := owed; rc != nil {
 				owed = nil
 				tc.mu.Unlock()
-				n.ackAlone(rc, false)
+				n.ackAlone(rc)
 				tc.mu.Lock()
 				continue
 			}
@@ -467,12 +467,11 @@ func (n *Node) pushStaged(tc *liveTxChan) {
 // takeAck hands the ack that the receive channel from peer owes to a
 // data frame about to leave for peer: if frames were delivered since
 // that channel last acked, or one asked for an ack, it returns the
-// channel with its cumulative ack and edge and clears the debt, so
-// neither the burst flush nor the delayed-ack timer sends a datagram
-// for it (rc is nil when nothing is owed). Holes are untouched: their
-// NACKs still go out from flushAcks. Called by sendMsg under the
-// channel's sendMu, with no channel lock held (tc.mu and rc.mu share a
-// rank and never nest).
+// channel with its cumulative ack and edge and clears the debt, so the
+// burst flush sends no datagram for it (rc is nil when nothing is
+// owed). Holes are untouched: their NACKs still go out from flushAcks.
+// Called by sendMsg under the channel's sendMu, with no channel lock
+// held (tc.mu and rc.mu share a rank and never nest).
 func (n *Node) takeAck(peer int) (rc *liveRxChan, cum, edge relwin.Seq) {
 	n.pmu.RLock()
 	rc = n.rx[peer]
@@ -725,18 +724,24 @@ func (n *Node) rtoExpire(tc *liveTxChan) {
 	}
 }
 
-// rtoRepair is an RTO expiry's decision. Once the retry budget is
-// spent it fails the channel and resends nothing; otherwise it backs
-// off and returns pooled copies of two frames: the window's head, and the newest frame if that is
-// another one, each with FlagAckReq so the peer acks the burst that
-// brings it. Those two are all a timeout has to resend, because the
-// receiver parks a full window behind a hole: a lost head (a lost NACK
-// or a lost repair) is filled; a lost tail is filled, or the hole in
-// front of it comes into view and draws a NACK; and a copy of a frame
-// that had arrived draws a prompt re-ack, which is all a lost ack
-// needs. The NACK path repairs everything else. Like headRepair it
-// marks the head resent and moves the Karn watermark, here past
-// everything sent. Called with tc.mu held.
+// rtoRepair is an RTO expiry's decision. An expiry in a window where no
+// frame asked for an ack (tc.asked is not past the base) is a probe,
+// not evidence of loss: the receiver rightly holds an ack nobody asked
+// for until reverse data can carry it, so the expiry is what asks, and
+// it neither backs off nor spends the retry budget. Any other expiry
+// backs off, or fails the channel once the budget is spent and resends
+// nothing. Both return pooled copies of two frames: the window's head,
+// and the newest frame if that is another one, each with FlagAckReq so
+// the peer acks the burst that brings it, and both record that request
+// in tc.asked, so the next silent expiry backs off. Those two are all a
+// timeout has to resend, because the receiver parks a full window
+// behind a hole: a lost head (a lost NACK or a lost repair) is filled; a
+// lost tail is filled, or the hole in front of it comes into view and
+// draws a NACK; and a copy of a frame that had arrived draws a prompt
+// re-ack, which is all a lost or withheld ack needs. The NACK path
+// repairs everything else. Like headRepair it marks the head resent and
+// moves the Karn watermark, here past everything sent. Called with
+// tc.mu held.
 func (n *Node) rtoRepair(tc *liveTxChan) (repairs [2]*frameBuf, seqs [2]relwin.Seq) {
 	tc.rtoArmed = false
 	if tc.failed || tc.rtoDeadline == 0 {
@@ -754,23 +759,27 @@ func (n *Node) rtoRepair(tc *liveTxChan) (repairs [2]*frameBuf, seqs [2]relwin.S
 	if len(unacked) == 0 {
 		return
 	}
-	if tc.ctrl.OnTimeout() {
+	if !relwin.Before(base, tc.asked) {
+		n.ackProbes.Inc()
+	} else if tc.ctrl.OnTimeout() {
 		n.failChannel(tc)
 		return
+	} else {
+		n.rtoBackoffs.Inc()
+		if n.fr != nil {
+			n.fr.Point(n.nodeName, 0, trace.PointRTOBackoff,
+				time.Now().UnixNano(), tc.ctrl.RTO())
+		}
+		tc.publishRTO() // the timeout doubled
 	}
-	n.rtoBackoffs.Inc()
-	if n.fr != nil {
-		n.fr.Point(n.nodeName, 0, trace.PointRTOBackoff,
-			time.Now().UnixNano(), tc.ctrl.RTO())
-	}
-	tc.publishRTO() // the timeout doubled
 	repairs[0], seqs[0] = n.repairCopy(unacked[0], proto.FlagAckReq), base
 	if last := len(unacked) - 1; last > 0 {
 		repairs[1], seqs[1] = n.repairCopy(unacked[last], proto.FlagAckReq), base+relwin.Seq(last)
 	}
 	tc.headResent = true
+	tc.asked = tc.win.NextSeq()
 	// Karn's rule: acks for anything below this watermark are ambiguous.
-	tc.sampleFloor = tc.win.NextSeq()
+	tc.sampleFloor = tc.asked
 	n.armRTO(tc, nowNs)
 	return repairs, seqs
 }

@@ -147,7 +147,7 @@ func TestAttributeOrderMatchesPipeline(t *testing.T) {
 	types := [][2]string{{"cpu", "nanoseconds"}}
 	samples := []synthSample{
 		{values: []int64{1}},
-		{values: []int64{1}, labels: map[string]string{LabelKey: StageAckTimer}},
+		{values: []int64{1}, labels: map[string]string{LabelKey: StageRTOTimer}},
 		{values: []int64{1}, labels: map[string]string{LabelKey: trace.SpanISR}},
 		{values: []int64{1}, labels: map[string]string{LabelKey: trace.SpanSendSyscall}},
 		{values: []int64{1}, labels: map[string]string{LabelKey: "mystery-stage"}},
@@ -160,7 +160,7 @@ func TestAttributeOrderMatchesPipeline(t *testing.T) {
 	for _, r := range rows {
 		order = append(order, r.Stage)
 	}
-	want := []string{trace.SpanSendSyscall, trace.SpanISR, StageAckTimer, "mystery-stage", UnlabeledStage}
+	want := []string{trace.SpanSendSyscall, trace.SpanISR, StageRTOTimer, "mystery-stage", UnlabeledStage}
 	if strings.Join(order, ",") != strings.Join(want, ",") {
 		t.Fatalf("row order %v, want %v", order, want)
 	}

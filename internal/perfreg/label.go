@@ -20,13 +20,12 @@ const LabelKey = "clic_stage"
 // and Fig. 7 breakdowns speak one vocabulary.
 const (
 	StageRTOTimer = "rto-timer"  // RTO repair timer callback (head + newest frame)
-	StageAckTimer = "ack-timer"  // delayed/coalesced ack timer callback
 	StageDriver   = "sim-driver" // sim tick loop driving the engine
 )
 
 // ExtraStages lists the label-only stages above in display order;
 // Attribute appends them after trace.SpanOrder.
-var ExtraStages = []string{StageRTOTimer, StageAckTimer, StageDriver}
+var ExtraStages = []string{StageRTOTimer, StageDriver}
 
 // enabled gates every labeling call site. The hot paths test it with one
 // atomic load and fall through to the unlabeled fast path when false, so
