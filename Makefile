@@ -38,15 +38,17 @@ lint:
 # head and the newest frame and nothing else until the next, the
 # expiry-class scripts assert which expiry is a probe and which backs
 # off (a stream that never asks is released by one probe a message),
-# and the confirmation tests assert that SendConfirm returns on the ack of its
-# frame, over a script and over a lossy pair, so they run twenty more
+# the confirmation tests assert that SendConfirm returns on the ack of its
+# frame, over a script and over a lossy pair, and the fault-stage test
+# asserts that a lossy pair still writes superframes and accounts for
+# every datagram, so they run twenty more
 # times: a timing dependence or a lost hand-over shows up here, not as
 # a one-in-forty CI failure.
 check: build lint
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./internal/live/
 	$(GO) test -race -tags lockcheck ./...
-	$(GO) test -race -tags lockcheck -run 'Nack|FastRetransmit|UnknownType|WatchdogCleanRun|DirectRung|Piggyback|FirstWindowAcked|SendBurst|AckSample|AckReordered|AckRequest|UnaskedAck|UnaskedStreamReleasedByProbe|RTORepair|RTOExpiryClasses|SendConfirm' -count=20 ./internal/live/
+	$(GO) test -race -tags lockcheck -run 'Nack|FastRetransmit|UnknownType|WatchdogCleanRun|DirectRung|Piggyback|FirstWindowAcked|SendBurst|AckSample|AckReordered|AckRequest|UnaskedAck|UnaskedStreamReleasedByProbe|RTORepair|RTOExpiryClasses|SendConfirm|FaultsKeepTheBatch' -count=20 ./internal/live/
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim

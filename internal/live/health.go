@@ -60,6 +60,7 @@ func (n *Node) HealthSnapshot() health.NodeSnapshot {
 			Direct: s.direct.Value(),
 		}
 		snap.Counters[health.CounterRxWakeups] += sh.Bursts // every node has a shard
+		snap.Counters["rx_sock_drops"] += s.br.drops.Value()
 		snap.Shards = append(snap.Shards, sh)
 	}
 	n.pmu.RLock()

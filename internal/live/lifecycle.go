@@ -103,7 +103,7 @@ func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 			failed := tc.failed
 			tc.mu.Unlock()
 			if failed {
-				n.resetPeer(peer)
+				n.dropChannels(s, peer, true)
 			}
 		}
 		n.registerPeer(peer, from)
@@ -129,44 +129,16 @@ func (n *Node) onHello(s *rxShard, from netip.AddrPort, hdr proto.Header) {
 	}
 }
 
-// onBye tears down the channels for src: the peer announced it is
-// gone, so its TX channel fails like a dead peer (blocked senders and
-// SendConfirm waiters wake with ErrPeerDead now instead of after
-// MaxRetries of silence) and its RX channel — whose sequence space the
-// departed peer will never continue — is removed outright, returning
-// every pooled frame. The address registration stays: bye reports the
-// peer process's death, not a topology change, and a later hello from
-// a restarted peer re-opens fresh channels (see onHello). The RX
-// channel also leaves the current burst's touched set: its data earlier
-// in the burst is delivered, and flushAcks must not ack it to the
-// departed peer.
+// onBye handles a peer's announcement that it is gone: its TX channel
+// fails now instead of after MaxRetries of silence, and its RX channel
+// goes (dropChannels). The TX channel and the address registration
+// stay: bye reports the peer process's death, not a topology change,
+// and a later hello from a restarted peer re-opens fresh channels (see
+// onHello).
 func (n *Node) onBye(s *rxShard, src int) {
 	n.peerEvictions.Inc()
 	n.fr.Point(n.nodeName, 0, trace.PointBye, time.Now().UnixNano(), int64(src))
-	n.pmu.Lock()
-	tc := n.tx[src]
-	rc := n.rx[src]
-	delete(n.rx, src)
-	n.pmu.Unlock()
-	if rc != nil {
-		n.rxPeers.Add(-1)
-	}
-	if tc != nil {
-		tc.mu.Lock()
-		if !tc.failed {
-			n.failChannel(tc)
-		}
-		tc.mu.Unlock()
-	}
-	if rc != nil {
-		rc.mu.Lock()
-		n.reclaimRxLocked(rc)
-		if rc.inBurst {
-			rc.inBurst = false
-			s.touched = slices.DeleteFunc(s.touched, func(c *liveRxChan) bool { return c == rc })
-		}
-		rc.mu.Unlock()
-	}
+	n.dropChannels(s, src, false)
 }
 
 // sendByes is Close's best-effort teardown notice: one TypeBye to
@@ -196,22 +168,22 @@ func (n *Node) registerPeer(id int, ap netip.AddrPort) {
 	n.AddPeer(id, net.UDPAddrFromAddrPort(ap))
 }
 
-// resetPeer drops both channels for peer (registration stays): the
-// old TX side fails like a dead channel (blocked senders and
+// dropChannels tears down the channels for peer (its registration
+// stays). The TX channel fails like a dead peer's — blocked senders and
 // SendConfirm waiters wake with ErrPeerDead, retained buffers drain to
-// the pool) and the RX side returns its parked frames.
-// The next send or datagram builds fresh channels with sequence
-// spaces at zero.
-func (n *Node) resetPeer(peer int) {
+// the pool — and with dropTx it leaves the table too, so the next send
+// builds a fresh one at sequence zero. The RX channel, whose sequence
+// space the peer will not continue, leaves the table and returns its
+// parked frames, and it leaves the current burst's touched set: its
+// data earlier in the burst is delivered, and flushAcks must not ack it.
+func (n *Node) dropChannels(s *rxShard, peer int, dropTx bool) {
 	n.pmu.Lock()
-	tc := n.tx[peer]
-	rc := n.rx[peer]
-	delete(n.tx, peer)
+	tc, rc := n.tx[peer], n.rx[peer]
 	delete(n.rx, peer)
-	n.pmu.Unlock()
-	if rc != nil {
-		n.rxPeers.Add(-1)
+	if dropTx {
+		delete(n.tx, peer)
 	}
+	n.pmu.Unlock()
 	if tc != nil {
 		tc.mu.Lock()
 		if !tc.failed {
@@ -220,20 +192,18 @@ func (n *Node) resetPeer(peer int) {
 		tc.mu.Unlock()
 	}
 	if rc != nil {
+		n.rxPeers.Add(-1)
 		rc.mu.Lock()
-		n.reclaimRxLocked(rc)
+		rc.reseq.DrainParked(func(_ relwin.Seq, d rxDatagram) {
+			if d.fb != nil {
+				d.fb.retained = false
+				n.pool.Put(d.fb)
+			}
+		})
+		if rc.inBurst {
+			rc.inBurst = false
+			s.touched = slices.DeleteFunc(s.touched, func(c *liveRxChan) bool { return c == rc })
+		}
 		rc.mu.Unlock()
 	}
-}
-
-// reclaimRxLocked returns to the pool the parked out-of-order frames of
-// a receive channel that bye or a reconnect removed. Called with rc.mu
-// held.
-func (n *Node) reclaimRxLocked(rc *liveRxChan) {
-	rc.reseq.DrainParked(func(_ relwin.Seq, d rxDatagram) {
-		if d.fb != nil {
-			d.fb.retained = false
-			n.pool.Put(d.fb)
-		}
-	})
 }

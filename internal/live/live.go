@@ -334,7 +334,7 @@ func NewNode(id int, cfg Config) (*Node, error) {
 		n.tel = telemetry.NewRegistry()
 	}
 	node := telemetry.L("node", fmt.Sprint(id))
-	n.tel.RegisterCounter("live_frames_sent_total", "datagrams written to the socket (before injected loss)", &n.framesSent, node)
+	n.tel.RegisterCounter("live_frames_sent_total", "datagrams written to the socket: duplicates and delayed writes included, injected losses not", &n.framesSent, node)
 	n.tel.RegisterCounter("live_frames_recv_total", "datagrams received and decoded", &n.framesRecv, node)
 	n.tel.RegisterCounter("live_retransmits_total", "datagram retransmissions (RTO repairs and NACK repairs)", &n.retransmits, node)
 	n.tel.RegisterCounter("live_acks_sent_total", "stand-alone acknowledgement datagrams returned (NACKs included, piggy-backed acks not)", &n.acksSent, node)
@@ -356,6 +356,7 @@ func NewNode(id int, cfg Config) (*Node, error) {
 		n.tel.RegisterCounter("live_rx_bursts_total", "receive wakeups, each draining a burst of one or more datagrams", &s.bursts, node, shard)
 		n.tel.RegisterCounter("live_rx_direct_bursts_total", "receive bursts read by an application goroutine blocked in Recv (the direct-call rung)", &s.direct, node, shard)
 		n.tel.RegisterCounter("live_rx_burst_frames_total", "datagrams drained by burst receives", &s.frames, node, shard)
+		n.tel.RegisterCounter("live_rx_sock_drops_total", "datagrams the socket dropped for a full receive queue (SO_RXQ_OVFL; Linux only)", &s.br.drops, node, shard)
 	}
 	n.tel.RegisterCounter("live_rx_handoffs_total", "completed messages queued on a port for a Recv caller to take", &n.rxHandoffs, node)
 	n.tel.RegisterCounter("live_port_drops_total", "completed messages dropped because the port queue was full", &n.portDrops, node)

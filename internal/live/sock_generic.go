@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/netip"
 	"syscall"
+
+	"repro/internal/telemetry"
 )
 
 // rxBatchSize is 1 on the portable path: without recvmmsg every wakeup
@@ -38,6 +40,9 @@ type batchReader struct {
 	buf  [65536]byte
 	from netip.AddrPort
 	n    int
+
+	// drops stays 0: the portable socket reports no receive-queue drops.
+	drops telemetry.Counter
 }
 
 func newBatchReader(conn *net.UDPConn, _ syscall.RawConn) *batchReader {
@@ -71,13 +76,11 @@ type txBatcher struct{}
 
 func newTxBatcher() *txBatcher { return &txBatcher{} }
 
-// writeBurst flushes the first cnt staged fragments of tc to addr, one
-// write syscall per datagram (no sendmmsg outside Linux), returning the
-// syscall count.
-func writeBurst(n *Node, tc *liveTxChan, addr netip.AddrPort, cnt int) int {
-	for i := 0; i < cnt; i++ {
-		fb := tc.stageFb[i]
+// writeBurst writes fbs to addr through tc's shard, one write syscall
+// per datagram (no sendmmsg outside Linux), returning the syscall count.
+func writeBurst(tc *liveTxChan, addr netip.AddrPort, fbs []*frameBuf) int {
+	for _, fb := range fbs {
 		tc.shard.conn.WriteToUDPAddrPort(fb.b[:fb.n], addr) //nolint:errcheck // lossy channel by design
 	}
-	return cnt
+	return len(fbs)
 }

@@ -8,6 +8,8 @@ import (
 	"net/netip"
 	"syscall"
 	"unsafe"
+
+	"repro/internal/telemetry"
 )
 
 // The receive unit is the socket-queue entry, and with UDP_GRO an entry
@@ -42,14 +44,16 @@ const (
 	udpGRO      = 104
 )
 
-// shardSockopts configures a shard socket: UDP_GRO always (best effort:
-// where an old kernel or a seccomp filter refuses it the socket never
-// queues a superframe and decode sees one-segment slots) and
-// SO_REUSEPORT where asked.
+// shardSockopts configures a shard socket: UDP_GRO and SO_RXQ_OVFL
+// always (best effort: where an old kernel or a seccomp filter refuses
+// UDP_GRO the socket never queues a superframe and decode sees
+// one-segment slots; without SO_RXQ_OVFL no receive-queue drop is
+// counted) and SO_REUSEPORT where asked.
 func shardSockopts(rc syscall.RawConn, reusePort bool) error {
 	var serr error
 	if err := rc.Control(func(fd uintptr) {
-		syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) //nolint:errcheck // best effort, see above
+		syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)                          //nolint:errcheck // best effort, see above
+		syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 1) //nolint:errcheck // best effort, see above
 		if reusePort {
 			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
 		}
@@ -112,16 +116,18 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// groCmsg is a slot's control buffer, CMSG_SPACE(sizeof(int)) bytes:
-// room for exactly the one control message a shard socket asks for.
-type groCmsg struct {
+// rxCmsg is one CMSG_SPACE(4) control message. A slot has room for the
+// two a shard socket is sent: the UDP_GRO segment size of a superframe,
+// and, once the socket has dropped any, SO_RXQ_OVFL's count of
+// datagrams it dropped for a full receive queue.
+type rxCmsg struct {
 	hdr syscall.Cmsghdr
-	seg int32
+	val int32
 	_   [4]byte
 }
 
-// groCmsgLen is CMSG_LEN(sizeof(int)): header plus the segment size.
-const groCmsgLen = syscall.SizeofCmsghdr + 4
+// cmsgLen4 is CMSG_LEN(4): header plus a 4-byte value.
+const cmsgLen4 = syscall.SizeofCmsghdr + 4
 
 // slabFree recycles reader slabs (rxBatchSize slots of rxSlotBytes)
 // between the nodes of a process. A recycled slab needs no zeroing —
@@ -145,12 +151,17 @@ type batchReader struct {
 	msgs   [rxBatchSize]mmsghdr
 	iovecs [rxBatchSize]syscall.Iovec
 	names  [rxBatchSize]syscall.RawSockaddrInet4
-	ctrls  [rxBatchSize]groCmsg
+	ctrls  [rxBatchSize][2]rxCmsg
 	bufs   [rxBatchSize][]byte
 	froms  [rxBatchSize]netip.AddrPort
 
 	// slab backs bufs; see slabFree.
 	slab []byte
+
+	// dropSeen is the socket's last SO_RXQ_OVFL count; drops sums its
+	// rises (live_rx_sock_drops_total).
+	dropSeen uint32
+	drops    telemetry.Counter
 
 	// frames is the current batch: views into bufs, with the slot each
 	// was cut from (which carries its source address).
@@ -248,6 +259,34 @@ func (r *batchReader) readBatch() (int, error) {
 	return r.decode(), nil
 }
 
+// segment walks slot i's control messages as CMSG_NXTHDR does (one
+// that overruns the buffer ends the walk; one too short for its value,
+// or not ours, is skipped) and returns the UDP_GRO segment size, 0 if
+// absent. An SO_RXQ_OVFL count adds its rise to drops: it is
+// cumulative, so reading a slot twice adds nothing.
+func (r *batchReader) segment(i int) int32 {
+	ctrl := unsafe.Slice((*byte)(unsafe.Pointer(&r.ctrls[i])), unsafe.Sizeof(r.ctrls[i]))
+	ctrl = ctrl[:min(r.msgs[i].hdr.Controllen, uint64(len(ctrl)))]
+	var seg int32
+	for len(ctrl) >= syscall.SizeofCmsghdr {
+		h := (*syscall.Cmsghdr)(unsafe.Pointer(&ctrl[0]))
+		if h.Len < syscall.SizeofCmsghdr || h.Len > uint64(len(ctrl)) {
+			break
+		}
+		if h.Len >= cmsgLen4 {
+			v := *(*int32)(unsafe.Pointer(&ctrl[syscall.SizeofCmsghdr]))
+			if h.Level == solUDP && h.Type == udpGRO {
+				seg = v
+			} else if d := uint32(v); h.Level == syscall.SOL_SOCKET && h.Type == syscall.SO_RXQ_OVFL && int32(d-r.dropSeen) > 0 {
+				r.drops.Addn(int64(d - r.dropSeen))
+				r.dropSeen = d
+			}
+		}
+		ctrl = ctrl[min(uint64(len(ctrl)), (h.Len+7)&^7):] // CMSG_ALIGN on 64-bit
+	}
+	return seg
+}
+
 // decode cuts the slots of the last recvmmsg into frame views, in place,
 // from where the previous call stopped until the slots or the frame
 // table run out, and returns the number of frames. A slot whose UDP_GRO
@@ -261,9 +300,8 @@ func (r *batchReader) decode() int {
 		i := r.slot
 		n := int(r.msgs[i].len)
 		seg := n
-		if c := &r.ctrls[i]; r.msgs[i].hdr.Controllen >= groCmsgLen && c.hdr.Len >= groCmsgLen &&
-			c.hdr.Level == solUDP && c.hdr.Type == udpGRO && c.seg > 0 && int(c.seg) < n {
-			seg = int(c.seg)
+		if s := int(r.segment(i)); s > 0 && s < n {
+			seg = s
 		}
 		if r.off == 0 {
 			sa := &r.names[i]
@@ -324,15 +362,16 @@ type txBatcher struct {
 	gsoHdr  syscall.Msghdr
 	gsoCtrl [24]byte // CmsgSpace(2): 16-byte cmsghdr + uint16 + padding
 
-	// writeFn/gsoFn are the persistent poller callbacks (per-call
-	// closures would allocate on every flush); off/cnt track flush
-	// progress across partial sends, calls counts syscalls issued.
+	// writeFn is the persistent poller callback (a per-call closure
+	// would allocate on every flush): one GSO sendmsg when super is
+	// set, else sendmmsg from off to cnt across partial sends. calls
+	// counts syscalls issued, err is the one that failed.
 	writeFn func(uintptr) bool
-	gsoFn   func(uintptr) bool
+	super   bool
 	off     int
 	cnt     int
 	calls   int
-	gsoErr  syscall.Errno
+	err     syscall.Errno
 }
 
 func newTxBatcher() *txBatcher {
@@ -354,9 +393,15 @@ func newTxBatcher() *txBatcher {
 	*(*int32)(unsafe.Pointer(&t.gsoCtrl[12])) = udpSegment
 	t.writeFn = func(fd uintptr) bool {
 		for t.off < t.cnt {
-			nn, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&t.msgs[t.off])), uintptr(t.cnt-t.off),
-				syscall.MSG_DONTWAIT, 0, 0)
+			nn, errno := uintptr(t.cnt), syscall.Errno(0)
+			if t.super {
+				_, _, errno = syscall.Syscall6(syscall.SYS_SENDMSG, fd,
+					uintptr(unsafe.Pointer(&t.gsoHdr)), syscall.MSG_DONTWAIT, 0, 0, 0)
+			} else {
+				nn, _, errno = syscall.Syscall6(sysSendmmsg, fd,
+					uintptr(unsafe.Pointer(&t.msgs[t.off])), uintptr(t.cnt-t.off),
+					syscall.MSG_DONTWAIT, 0, 0)
+			}
 			switch errno {
 			case 0:
 				t.calls++
@@ -368,58 +413,22 @@ func newTxBatcher() *txBatcher {
 			default:
 				// Drop the rest of the burst: a lossy channel by design;
 				// the NACK and RTO repairs recover whatever mattered.
-				t.off = t.cnt
-				return true
+				t.off, t.err = t.cnt, errno
 			}
 		}
 		return true
 	}
-	t.gsoFn = func(fd uintptr) bool {
-		for {
-			_, _, errno := syscall.Syscall6(syscall.SYS_SENDMSG, fd,
-				uintptr(unsafe.Pointer(&t.gsoHdr)), syscall.MSG_DONTWAIT, 0, 0, 0)
-			switch errno {
-			case 0:
-				t.calls++
-				t.gsoErr = 0
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // kernel send buffer full: wait for writability
-			default:
-				t.gsoErr = errno
-				return true
-			}
-		}
-	}
 	return t
 }
 
-// gsoEligible reports whether the first cnt staged fragments form a
-// valid GSO superframe: every fragment but the last exactly segsize
-// bytes (the kernel segments at fixed offsets; only the final segment
-// may run short), within the skb payload and segment-count ceilings.
-func gsoEligible(tc *liveTxChan, cnt, segsize int) bool {
-	if cnt < 2 || cnt > gsoMaxSegs {
-		return false
-	}
-	total := 0
-	for i := 0; i < cnt; i++ {
-		m := tc.stageFb[i].n
-		total += m
-		if m != segsize && (i != cnt-1 || m > segsize) {
-			return false
-		}
-	}
-	return total <= gsoMaxBytes
-}
-
-// writeBurst flushes the first cnt staged fragments of tc to addr in as
-// few syscalls as the kernel allows — one GSO sendmsg when the burst
-// is uniform, one sendmmsg otherwise — returning the syscall count.
-// Guarded by tc.sendMu (stage and batcher have the same owner).
-func writeBurst(n *Node, tc *liveTxChan, addr netip.AddrPort, cnt int) int {
+// writeBurst writes fbs (at most gsoMaxSegs frames) to addr through
+// tc's shard in as few syscalls as the kernel allows, returning the
+// syscall count: one GSO sendmsg when the burst is a valid superframe —
+// every frame but the last exactly segsize bytes (the kernel segments
+// at fixed offsets; only the final segment may run short), within the
+// skb payload ceiling — one sendmmsg otherwise. Guarded by tc.sendMu
+// (stage and batcher have the same owner).
+func writeBurst(tc *liveTxChan, addr netip.AddrPort, fbs []*frameBuf) int {
 	t := tc.batcher
 	t.name.Family = syscall.AF_INET
 	t.name.Addr = addr.Addr().As4()
@@ -427,28 +436,29 @@ func writeBurst(n *Node, tc *liveTxChan, addr netip.AddrPort, cnt int) int {
 	pb := (*[2]byte)(unsafe.Pointer(&t.name.Port))
 	port := addr.Port()
 	pb[0], pb[1] = byte(port>>8), byte(port)
-	total := 0
-	for i := 0; i < cnt; i++ {
-		fb := tc.stageFb[i]
+	segsize, total, last := fbs[0].n, 0, len(fbs)-1
+	t.super = t.gso != gsoOff && last > 0
+	for i, fb := range fbs {
 		t.iovecs[i].Base = &fb.b[0]
 		t.iovecs[i].SetLen(fb.n)
 		total += fb.n
+		t.super = t.super && (fb.n == segsize || i == last && fb.n < segsize)
 	}
-	t.calls = 0
-	segsize := tc.stageFb[0].n
-	if t.gso != gsoOff && gsoEligible(tc, cnt, segsize) {
-		t.gsoHdr.Iovlen = uint64(cnt)
+	t.super = t.super && total <= gsoMaxBytes
+	if t.super {
+		t.gsoHdr.Iovlen = uint64(len(fbs))
 		*(*uint16)(unsafe.Pointer(&t.gsoCtrl[16])) = uint16(segsize)
-		tc.shard.raw.Write(t.gsoFn) //nolint:errcheck // lossy channel by design
-		if t.gsoErr == 0 {
+		t.off, t.cnt, t.calls, t.err = 0, 1, 0, 0
+		tc.shard.raw.Write(t.writeFn) //nolint:errcheck // lossy channel by design
+		if t.err == 0 {
 			t.gso = gsoOn
 			return t.calls
 		}
 		// First rejection latches the sendmmsg fallback (old kernel or
 		// seccomp filter); resend this burst the portable way.
-		t.gso = gsoOff
+		t.gso, t.super = gsoOff, false
 	}
-	t.off, t.cnt = 0, cnt
+	t.off, t.cnt, t.calls = 0, len(fbs), 0
 	tc.shard.raw.Write(t.writeFn) //nolint:errcheck // lossy channel by design
 	return t.calls
 }

@@ -10,7 +10,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/health"
 	"repro/internal/proto"
 )
 
@@ -74,17 +76,28 @@ func gsoLatched(t *testing.T, src *Node, dst int) bool {
 type handSlot struct {
 	data    []byte
 	from    netip.AddrPort
-	cmsg    groCmsg
+	ctrl    [2]rxCmsg
 	ctrlLen int // msg_controllen on return; 0 = no control message
+}
+
+// cmsg4 is a well-formed control message with a 4-byte value.
+func cmsg4(level, typ, val int32) rxCmsg {
+	var c rxCmsg
+	c.hdr.Len, c.hdr.Level, c.hdr.Type, c.val = cmsgLen4, level, typ, val
+	return c
 }
 
 // groSlot is a slot carrying a well-formed UDP_GRO cmsg.
 func groSlot(data []byte, seg int32) handSlot {
 	s := handSlot{data: data, ctrlLen: int(syscall.CmsgSpace(4))}
-	s.cmsg.hdr.Len = groCmsgLen
-	s.cmsg.hdr.Level = solUDP
-	s.cmsg.hdr.Type = udpGRO
-	s.cmsg.seg = seg
+	s.ctrl[0] = cmsg4(solUDP, udpGRO, seg)
+	return s
+}
+
+// dropSlot is a slot carrying a well-formed SO_RXQ_OVFL cmsg.
+func dropSlot(data []byte, drops uint32) handSlot {
+	s := handSlot{data: data, ctrlLen: int(syscall.CmsgSpace(4))}
+	s.ctrl[0] = cmsg4(syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, int32(drops))
 	return s
 }
 
@@ -96,7 +109,7 @@ func handBuilt(slots ...handSlot) *batchReader {
 		r.bufs[i] = s.data
 		r.msgs[i].len = uint32(len(s.data))
 		r.msgs[i].hdr.SetControllen(s.ctrlLen)
-		r.ctrls[i] = s.cmsg
+		r.ctrls[i] = s.ctrl
 		if !s.from.IsValid() {
 			s.from = netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(4000+i))
 		}
@@ -194,9 +207,9 @@ func TestGROSplit(t *testing.T) {
 		{"segment zero", groSlot(data(3000), 0), 0},
 		{"segment negative", groSlot(data(3000), -1500), 0},
 		{"controllen short of the value", with(groSlot(data(3000), 1500), func(s *handSlot) { s.ctrlLen = syscall.SizeofCmsghdr }), 0},
-		{"cmsg_len short of the value", with(groSlot(data(3000), 1500), func(s *handSlot) { s.cmsg.hdr.Len = syscall.SizeofCmsghdr + 2 }), 0},
-		{"foreign level", with(groSlot(data(3000), 1500), func(s *handSlot) { s.cmsg.hdr.Level = syscall.SOL_SOCKET }), 0},
-		{"foreign type", with(groSlot(data(3000), 1500), func(s *handSlot) { s.cmsg.hdr.Type = udpSegment }), 0},
+		{"cmsg_len short of the value", with(groSlot(data(3000), 1500), func(s *handSlot) { s.ctrl[0].hdr.Len = syscall.SizeofCmsghdr + 2 }), 0},
+		{"foreign level", with(groSlot(data(3000), 1500), func(s *handSlot) { s.ctrl[0].hdr.Level = syscall.SOL_SOCKET }), 0},
+		{"foreign type", with(groSlot(data(3000), 1500), func(s *handSlot) { s.ctrl[0].hdr.Type = udpSegment }), 0},
 		{"stale cmsg, controllen zero", with(groSlot(data(3000), 1500), func(s *handSlot) { s.ctrlLen = 0 }), 0},
 		{"more frames than the table", groSlot(data(3*rxMaxFrames+17), 1), 1},
 		{"table fills on a slot boundary", groSlot(data(2*rxMaxFrames), 2), 2},
@@ -228,33 +241,99 @@ func TestGROSplit(t *testing.T) {
 	})
 }
 
+// TestGRODropCount: a slot may carry the UDP_GRO segment size, the
+// SO_RXQ_OVFL drop count, both (in either order) or neither, and either
+// may be cut short (MSG_CTRUNC). decode splits by the one and adds the
+// rise of the other to drops: a drop count is cumulative per socket, so
+// a repeated or a lower count adds nothing.
+func TestGRODropCount(t *testing.T) {
+	space := int(syscall.CmsgSpace(4))
+	data := wbPattern(4000)
+	gro, ovfl := cmsg4(solUDP, udpGRO, 1500), cmsg4(syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 7)
+	cases := []struct {
+		name    string
+		ctrl    [2]rxCmsg
+		ctrlLen int
+		seg     int
+		drops   int64
+	}{
+		{"GRO only", [2]rxCmsg{gro}, space, 1500, 0},
+		{"drop count only", [2]rxCmsg{ovfl}, space, 0, 7},
+		{"both", [2]rxCmsg{gro, ovfl}, 2 * space, 1500, 7},
+		{"both, drop count first", [2]rxCmsg{ovfl, gro}, 2 * space, 1500, 7},
+		{"second truncated to its header", [2]rxCmsg{gro, ovfl}, space + syscall.SizeofCmsghdr, 1500, 0},
+		{"second's value cut short", [2]rxCmsg{gro, func() rxCmsg { c := ovfl; c.hdr.Len = syscall.SizeofCmsghdr + 2; return c }()}, 2 * space, 1500, 0},
+		{"first overruns the buffer", [2]rxCmsg{ovfl, gro}, syscall.SizeofCmsghdr + 2, 0, 0},
+		{"controllen beyond the buffer", [2]rxCmsg{gro, ovfl}, 255, 1500, 7},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := handSlot{data: data, ctrl: c.ctrl, ctrlLen: c.ctrlLen}
+			slots := []handSlot{s}
+			r := handBuilt(slots...)
+			checkSplit(t, splitAll(t, r, slots)[0], data, c.seg)
+			if got := r.drops.Value(); got != c.drops {
+				t.Fatalf("drops %d, want %d", got, c.drops)
+			}
+		})
+	}
+	t.Run("cumulative", func(t *testing.T) {
+		// 3, 3 again, 8, then a stale 5: the socket dropped 8 in all.
+		slots := []handSlot{dropSlot(data, 3), dropSlot(data, 3), groSlot(data, 1000), dropSlot(data, 8), dropSlot(data, 5)}
+		slots[2].ctrl[1] = cmsg4(syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 3)
+		slots[2].ctrlLen = 2 * space
+		r := handBuilt(slots...)
+		got := splitAll(t, r, slots)
+		checkSplit(t, got[2], data, 1000)
+		if d := r.drops.Value(); d != 8 {
+			t.Fatalf("drops %d, want 8", d)
+		}
+	})
+}
+
 func FuzzGROSplit(f *testing.F) {
 	space := uint8(syscall.CmsgSpace(4))
 	f.Add(1500, int32(0), uint8(0), uint64(0), int32(0), int32(0))
-	f.Add(4500, int32(1500), space, uint64(groCmsgLen), int32(solUDP), int32(udpGRO))
-	f.Add(4000, int32(1500), space, uint64(groCmsgLen), int32(solUDP), int32(udpGRO))
-	f.Add(700, int32(1500), space, uint64(groCmsgLen), int32(solUDP), int32(udpGRO))
-	f.Add(3000, int32(-1), space, uint64(groCmsgLen), int32(solUDP), int32(udpGRO))
-	f.Add(3000, int32(1500), uint8(16), uint64(groCmsgLen), int32(solUDP), int32(udpGRO))
+	f.Add(4500, int32(1500), space, uint64(cmsgLen4), int32(solUDP), int32(udpGRO))
+	f.Add(4000, int32(1500), space, uint64(cmsgLen4), int32(solUDP), int32(udpGRO))
+	f.Add(700, int32(1500), space, uint64(cmsgLen4), int32(solUDP), int32(udpGRO))
+	f.Add(3000, int32(-1), space, uint64(cmsgLen4), int32(solUDP), int32(udpGRO))
+	f.Add(3000, int32(1500), uint8(16), uint64(cmsgLen4), int32(solUDP), int32(udpGRO))
 	f.Add(3000, int32(1500), space, uint64(18), int32(solUDP), int32(udpGRO))
-	f.Add(3000, int32(1500), space, uint64(groCmsgLen), int32(syscall.SOL_SOCKET), int32(udpGRO))
-	f.Add(3*rxMaxFrames+17, int32(1), space, uint64(groCmsgLen), int32(solUDP), int32(udpGRO))
-	f.Add(0, int32(1), space, uint64(groCmsgLen), int32(solUDP), int32(udpGRO))
+	f.Add(3000, int32(1500), space, uint64(cmsgLen4), int32(syscall.SOL_SOCKET), int32(udpGRO))
+	f.Add(3*rxMaxFrames+17, int32(1), space, uint64(cmsgLen4), int32(solUDP), int32(udpGRO))
+	f.Add(0, int32(1), space, uint64(cmsgLen4), int32(solUDP), int32(udpGRO))
+	// The same slot fields carry an SO_RXQ_OVFL drop count in seg.
+	f.Add(3000, int32(7), space, uint64(cmsgLen4), int32(syscall.SOL_SOCKET), int32(syscall.SO_RXQ_OVFL))
+	f.Add(3000, int32(-7), space, uint64(cmsgLen4), int32(syscall.SOL_SOCKET), int32(syscall.SO_RXQ_OVFL))
+	f.Add(3000, int32(7), uint8(16), uint64(cmsgLen4), int32(syscall.SOL_SOCKET), int32(syscall.SO_RXQ_OVFL))
+	f.Add(3000, int32(7), space, uint64(18), int32(syscall.SOL_SOCKET), int32(syscall.SO_RXQ_OVFL))
+	f.Add(3000, int32(1500), uint8(255), uint64(200), int32(solUDP), int32(udpGRO))
 	f.Fuzz(func(t *testing.T, size int, seg int32, ctrlLen uint8, cmsgLen uint64, level, typ int32) {
 		if size < 0 || size > rxSlotBytes {
 			t.Skip()
 		}
 		s := handSlot{data: wbPattern(size), ctrlLen: int(ctrlLen)}
-		s.cmsg.hdr.Len, s.cmsg.hdr.Level, s.cmsg.hdr.Type, s.cmsg.seg = cmsgLen, level, typ, seg
-		want := 0
-		if ctrlLen >= groCmsgLen && cmsgLen >= groCmsgLen && level == solUDP && typ == udpGRO {
+		s.ctrl[0].hdr.Len, s.ctrl[0].hdr.Level, s.ctrl[0].hdr.Type, s.ctrl[0].val = cmsgLen, level, typ, seg
+		// A message is read when it has its value and fits the control
+		// buffer the reader passed (msg_controllen never exceeds it).
+		read := uint64(ctrlLen) >= cmsgLen4 && cmsgLen >= cmsgLen4 && cmsgLen <= min(uint64(ctrlLen), uint64(unsafe.Sizeof(s.ctrl)))
+		want, drops := 0, int64(0)
+		if read && level == solUDP && typ == udpGRO {
 			want = int(seg)
+		}
+		if read && level == syscall.SOL_SOCKET && typ == syscall.SO_RXQ_OVFL && seg > 0 {
+			drops = int64(seg)
 		}
 		sentinel := handSlot{data: wbPattern(33)}
 		slots := []handSlot{s, sentinel}
-		got := splitAll(t, handBuilt(slots...), slots)
+		r := handBuilt(slots...)
+		got := splitAll(t, r, slots)
 		checkSplit(t, got[0], s.data, want)
 		checkSplit(t, got[1], sentinel.data, 0)
+		if d := r.drops.Value(); d != drops {
+			t.Fatalf("drops %d, want %d", d, drops)
+		}
 	})
 }
 
@@ -449,33 +528,46 @@ func TestGROInteropPlainReader(t *testing.T) {
 	}
 }
 
-// TestGROInteropPerDatagramSender: a node that injects faults sends
-// every datagram on its own (transmit, never writeBurst); the GRO
-// reader sees slots without the cmsg and delivers as before.
-func TestGROInteropPerDatagramSender(t *testing.T) {
+// TestGROInteropPlainSender: a sender that writes every frame as a
+// datagram of its own — a bare UDP socket writing each message's frames
+// one sendto at a time — into a node's GRO reader. Slots come without
+// the cmsg, each is one frame, and delivery is as before.
+func TestGROInteropPlainSender(t *testing.T) {
 	probeGRO(t) //nolint:errcheck // logged; delivery must hold either way
-	clean := DefaultConfig()
-	clean.Window = 64
-	faulty := clean
-	faulty.DupRate = 0.01
-	faulty.Seed = 5
-	a, err := NewNode(0, faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewNode(1, clean)
+	cfg := DefaultConfig()
+	cfg.Window = 64
+	b, err := NewNode(1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	Connect(a, b)
+	plain, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	b.AddPeer(0, plain.LocalAddr().(*net.UDPAddr)) // b's acks land here unread
+	to := b.Addr().AddrPort()
 	const msgs = 20
 	payload := wbPattern(64 << 10)
+	maxP := cfg.MTU - proto.HeaderBytes
+	frames, seq := 0, uint32(0)
 	for i := 0; i < msgs; i++ {
 		payload[0] = byte(i)
-		if err := a.Send(1, 7, payload); err != nil {
-			t.Fatal(err)
+		for off := 0; off < len(payload); off += maxP {
+			end := min(off+maxP, len(payload))
+			hdr := proto.Header{Type: proto.TypeData, Port: 7, Seq: seq, Len: uint32(len(payload))}
+			if off == 0 {
+				hdr.Flags |= proto.FlagFirst
+			}
+			if end == len(payload) {
+				hdr.Flags |= proto.FlagLast
+			}
+			if _, err := plain.WriteToUDPAddrPort(append(hdr.Encode(nil), payload[off:end]...), to); err != nil {
+				t.Fatal(err)
+			}
+			seq++
+			frames++
 		}
 		m, err := b.Recv(7)
 		if err != nil {
@@ -485,8 +577,8 @@ func TestGROInteropPerDatagramSender(t *testing.T) {
 			t.Fatalf("message %d: payload differs", i)
 		}
 	}
-	if w, f := metric(a, "live_socket_writes_total"), metric(a, "live_frames_sent_total"); w != f {
-		t.Fatalf("%v writes for %v frames: the faulty sender was meant to write per datagram", w, f)
+	if got := metric(b, "live_rx_burst_frames_total"); got != float64(frames) {
+		t.Fatalf("the reader cut %v frames from %d single datagrams", got, frames)
 	}
 }
 
@@ -570,5 +662,102 @@ func TestShardGroupSplitsFlows(t *testing.T) {
 	}
 	if total != flows {
 		t.Errorf("the group received %d of %d datagrams", total, flows)
+	}
+}
+
+// TestFaultsKeepTheBatch: injected faults act on the burst the batch
+// writer is about to write, so a lossy sender writes superframes like a
+// clean one (a per-datagram fault path wrote ~45 datagrams per 64 KiB
+// message one syscall each) and every datagram stays accounted for:
+// each one handed to the fault stage — data frames pushed, repairs,
+// stand-alone acks — is written (twice when duplicated) or counted as
+// lost.
+func TestFaultsKeepTheBatch(t *testing.T) {
+	const msgs = 60
+	cfg := DefaultConfig()
+	cfg.Window = 64
+	cfg.LossRate, cfg.DupRate, cfg.ReorderRate = 0.01, 0.01, 0.01
+	cfg.Seed = 3
+	cfg.PortDepth = msgs
+	a, b := wbPair(t, cfg)
+	deadline := time.NewTimer(60 * time.Second)
+	defer deadline.Stop()
+
+	payload := wbPattern(64 << 10)
+	errs := make(chan error, 1)
+	go func() {
+		for i := 0; i < msgs; i++ {
+			payload[0] = byte(i)
+			send := a.Send
+			if i == msgs-1 {
+				send = a.SendConfirm // the window is empty after it
+			}
+			if err := send(1, 7, payload); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	want := wbPattern(64 << 10)
+	for i := 0; i < msgs; i++ {
+		m := recvBefore(t, deadline, a, b, 7)
+		want[0] = byte(i) // in order, so exactly once
+		if !bytes.Equal(m.Data, want) {
+			t.Fatalf("message %d: payload differs (%d bytes, first byte %d)", i, len(m.Data), m.Data[0])
+		}
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+
+	// ledger returns both sides of a node's frame ledger: datagrams
+	// written plus injected losses, and datagrams handed to the fault
+	// stage — data frames pushed (sequences start at 0), repairs and
+	// stand-alone acks — plus injected duplicates.
+	ledger := func(n *Node) (written, accounted int64) {
+		snap := n.HealthSnapshot()
+		c := snap.Counters
+		accounted = c["retransmits"] + c["acks_sent"] + c["dups_injected"]
+		for _, ch := range snap.Channels {
+			if ch.Dir == "tx" {
+				accounted += int64(ch.NextSeq)
+			}
+		}
+		return c[health.CounterTxFrames] + c["loss_injected"], accounted
+	}
+	// A reordered write lands up to reorderDelay after its burst, and a
+	// late frame may still draw an ack: wait for both ledgers to settle.
+	for settle := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		aw, aa := ledger(a)
+		bw, ba := ledger(b)
+		if aw == aa && bw == ba {
+			break
+		}
+		if time.Now().After(settle) {
+			t.Fatalf("ledger: sender %d written+lost vs %d handed+duplicated, receiver %d vs %d", aw, aa, bw, ba)
+		}
+	}
+	if m, ok := b.TryRecv(7); ok {
+		t.Fatalf("a duplicate of message %d leaked through", m.Data[0])
+	}
+	c := a.HealthSnapshot().Counters
+	t.Logf("sender: %d lost, %d duplicated, %v reordered, %d retransmits", c["loss_injected"], c["dups_injected"],
+		metric(a, "live_reorders_injected_total"), c["retransmits"])
+	if c["loss_injected"] == 0 || c["dups_injected"] == 0 || metric(a, "live_reorders_injected_total") == 0 {
+		t.Fatal("a fault kind never engaged: the test covers less than it claims")
+	}
+	for _, n := range []*Node{a, b} {
+		if d := n.HealthSnapshot().Counters["rx_sock_drops"]; d != 0 {
+			t.Errorf("%s: %d receive-queue drops", n.nodeName, d)
+		}
+	}
+	perMsg := metric(a, "live_socket_writes_total") / msgs
+	// One GSO sendmsg or, where the kernel refuses UDP_SEGMENT, one
+	// sendmmsg per burst: the bound holds either way.
+	gsoLatched(t, a, 1)
+	t.Logf("%.2f socket writes per message", perMsg)
+	if perMsg >= 4 {
+		t.Errorf("%.2f socket writes per 45-frame message: the lossy sender does not write superframes", perMsg)
 	}
 }

@@ -494,10 +494,10 @@ func (n *Node) takeAck(peer int) (rc *liveRxChan, cum, edge relwin.Seq) {
 }
 
 // flushTx writes the pushed fragments to addr and completes the pin
-// handshake. Clean traffic goes through the platform burst writer (one
-// sendmmsg on Linux); fault injection and flight recording take the
-// per-datagram path, which needs no burst semantics. Afterwards every
-// flushed slot is unpinned under a single lock acquisition: if the
+// handshake. Every node writes a burst the same way (flushWires: the
+// fault stage, then the platform burst writer — one GSO sendmsg or one
+// sendmmsg on Linux). Afterwards every flushed slot is unpinned under
+// a single lock acquisition: if the
 // cumulative ack (or a channel failure) released a buffer mid-write,
 // the release hook parked it on its slot and it is recycled here; if a
 // slot was already recycled by a later push, the park was lost — but
@@ -547,33 +547,44 @@ func (n *Node) flushTx(ctx context.Context, tc *liveTxChan, addr netip.AddrPort)
 	tc.stageLen = rest
 }
 
-// flushWires is the socket-write half of flushTx: clean traffic goes
-// through the platform burst writer, fault injection and flight
-// recording take the per-datagram path.
+// flushWires is the socket-write half of flushTx. The burst passes the
+// fault stage, frame by frame (a clean node without a flight recorder
+// skips it): a lost frame is left out, a duplicate appears twice in a
+// row, and each kept frame's wire span opens right before the batch
+// write. What the wire is to carry goes to the burst writer in chunks
+// of gsoMaxSegs, since duplicates can lengthen a burst.
 func (n *Node) flushWires(tc *liveTxChan, addr netip.AddrPort, cnt int) {
+	fbs := tc.stageFb[:cnt]
 	if n.faulty || n.fr != nil {
-		for i := 0; i < cnt; i++ {
-			fb := tc.stageFb[i]
-			n.transmit(tc.shard.conn, addr, fb.b[:fb.n], tc.stageFid[i])
+		var kept [2 * gsoMaxSegs]*frameBuf
+		fbs = kept[:0]
+		for i, fb := range tc.stageFb[:cnt] {
+			for range n.fault(tc.shard.conn, addr, fb.b[:fb.n], tc.stageFid[i]) {
+				n.flightWire(tc.stageFid[i])
+				fbs = append(fbs, fb)
+			}
 		}
-	} else {
-		syscalls := writeBurst(n, tc, addr, cnt)
-		n.framesSent.Addn(int64(cnt))
-		n.socketWrites.Addn(int64(syscalls))
+	}
+	for len(fbs) > 0 {
+		k := min(len(fbs), gsoMaxSegs)
+		n.socketWrites.Addn(int64(writeBurst(tc, addr, fbs[:k])))
+		n.framesSent.Addn(int64(k))
+		fbs = fbs[k:]
 	}
 }
 
 // transmit writes one datagram through c (the caller's shard socket —
 // every shard shares the node's address, so any socket may carry any
-// datagram). The clean path is two atomic increments and the syscall;
-// fault injection (loss/duplication/reordering) lives on a separate
-// path that is only entered when configured, so tests pay for the rng
-// lock and the hot path does not.
+// datagram): acks, NACKs, repairs, hello and bye, each through the
+// fault stage as a burst of one.
 func (n *Node) transmit(c *net.UDPConn, addr netip.AddrPort, dgram []byte, fid uint64) {
-	if n.faulty {
-		n.transmitFaulty(c, addr, dgram, fid)
-		return
+	for range n.fault(c, addr, dgram, fid) {
+		n.writeOne(c, addr, dgram, fid)
 	}
+}
+
+// writeOne writes one datagram with a syscall of its own.
+func (n *Node) writeOne(c *net.UDPConn, addr netip.AddrPort, dgram []byte, fid uint64) {
 	n.framesSent.Inc()
 	n.socketWrites.Inc()
 	n.flightWire(fid)
@@ -585,63 +596,55 @@ func (n *Node) transmit(c *net.UDPConn, addr netip.AddrPort, dgram []byte, fid u
 // it, and under the default RTOMin.
 const reorderDelay = 2 * time.Millisecond
 
-// transmitFaulty applies loss/duplication/reordering injection. A
-// reordered datagram's write is deferred by a random delay up to
-// reorderDelay so traffic sent after it overtakes it; because the
-// caller reclaims its buffer as soon as transmit returns, the deferred
-// write snapshots the datagram into a pooled buffer of its own. The
-// deferred callback touches only the socket, the pool and atomic
-// counters, so it is safe even after Close.
-func (n *Node) transmitFaulty(c *net.UDPConn, addr netip.AddrPort, dgram []byte, fid uint64) {
+// fault is the fault stage for one datagram about to be written: it
+// draws under imu, in the order a seed has always drawn them — loss,
+// then dup, then reorder per write — counts an injected loss (with its
+// flight drop point) or duplicate, and returns how many writes the
+// caller issues now. A reordered write is deferred by a random delay up
+// to reorderDelay, from a pooled copy of dgram (the caller reclaims its
+// buffer on return); the timer touches only the socket, the pool and
+// atomic counters, so it is safe even after Close. A clean node draws
+// nothing and takes no lock.
+func (n *Node) fault(c *net.UDPConn, addr netip.AddrPort, dgram []byte, fid uint64) int {
+	if !n.faulty {
+		return 1
+	}
 	n.imu.Lock()
 	if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
 		n.imu.Unlock()
 		n.dropsInjected.Inc()
 		if fid != 0 {
-			n.fr.Point(n.nodeName, fid, trace.PointDrop,
-				time.Now().UnixNano(), int64(len(dgram)))
+			n.fr.Point(n.nodeName, fid, trace.PointDrop, time.Now().UnixNano(), int64(len(dgram)))
 		}
-		return
+		return 0
 	}
+	var delays [2]time.Duration
 	writes := 1
 	if n.cfg.DupRate > 0 && n.rng.Float64() < n.cfg.DupRate {
 		writes = 2
 		n.dupsInjected.Inc()
 	}
-	var delays [2]time.Duration
-	reorders := 0
-	for i := 0; i < writes; i++ {
+	for i := range writes {
 		if n.cfg.ReorderRate > 0 && n.rng.Float64() < n.cfg.ReorderRate {
 			delays[i] = time.Duration(n.rng.Int63n(int64(reorderDelay))) + time.Microsecond
-			reorders++
 		}
 	}
 	n.imu.Unlock()
-	for i := 0; i < writes; i++ {
-		if delays[i] > 0 {
-			n.reordersInjected.Inc()
-			cp := n.pool.Get()
-			var held []byte
-			if len(dgram) <= len(cp.b) {
-				cp.n = copy(cp.b, dgram)
-				held = cp.b[:cp.n]
-			} else {
-				held = append([]byte(nil), dgram...)
-			}
-			time.AfterFunc(delays[i], func() {
-				n.framesSent.Inc()
-				n.socketWrites.Inc()
-				n.flightWire(fid)
-				c.WriteToUDPAddrPort(held, addr) //nolint:errcheck // lossy channel by design
-				n.pool.Put(cp)
-			})
+	now := 0
+	for _, d := range delays[:writes] {
+		if d == 0 {
+			now++
 			continue
 		}
-		n.framesSent.Inc()
-		n.socketWrites.Inc()
-		n.flightWire(fid)
-		c.WriteToUDPAddrPort(dgram, addr) //nolint:errcheck // lossy channel by design
+		n.reordersInjected.Inc()
+		cp := n.pool.Get()
+		cp.n = copy(cp.b, dgram) // a datagram never exceeds the pool's class
+		time.AfterFunc(d, func() {
+			n.writeOne(c, addr, cp.b[:cp.n], fid)
+			n.pool.Put(cp)
+		})
 	}
+	return now
 }
 
 // flightWire opens the wire span at the moment the datagram actually hits
